@@ -30,23 +30,187 @@ from __future__ import annotations
 
 import math
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..channel.trace import SignalTrace
 from ..dsp.filters import moving_average
-from ..dsp.peaks import Extremum, find_peaks_and_valleys, first_preamble_points
+from ..dsp.peaks import Extremum, _prominent_peaks
 from ..exec.graph import ExecStage, StageTrace, maybe_stage
 from ..tags.encoding import ManchesterError, Symbol, manchester_decode
 from ..tags.packet import PREAMBLE
 from .errors import DecodeError, PreambleNotFoundError
 
 __all__ = ["DecoderConfig", "SymbolWindow", "DecodeResult",
-           "AdaptiveThresholdDecoder"]
+           "AdaptiveThresholdDecoder", "ScaleScan", "scan_scale",
+           "smoothing_scales", "noise_sigma"]
 
 #: The preamble's known symbol pattern as HIGH flags (H, L, H, L).
 _EXPECTED_HIGH = np.array([True, False, True, False])
+
+#: Extrema count as preamble candidates when their prominence is at
+#: least this fraction of the smoothed trace's peak-to-peak span.
+PROMINENCE_FRACTION = 0.2
+
+#: A real preamble's swing towers over the sample-to-sample noise:
+#: tau_r must reach this many noise sigmas.
+NOISE_SIGMAS = 4.0
+
+
+def smoothing_scales(n_samples: int) -> list[int]:
+    """Candidate moving-average windows for acquisition, finest first.
+
+    Small signals (Fig. 15's ~15-count swings) need heavier smoothing
+    before their preamble outgrows the noise; clean strong signals must
+    not be over-smoothed or narrow symbols blur away.  The preamble
+    period is unknown before acquisition, so the windows are fixed
+    fractions of the trace.
+    """
+    return list(dict.fromkeys((max(3, n_samples // 200),
+                               max(5, n_samples // 64),
+                               max(7, n_samples // 32))))
+
+
+def noise_sigma(raw: np.ndarray) -> np.ndarray:
+    """Sample-to-sample noise sigma along the last axis.
+
+    ``std(diff(raw)) / sqrt(2)`` (differencing white noise doubles its
+    variance); zero for traces of three samples or fewer.  A last-axis
+    reduction over a C-contiguous ``(R, T)`` stack applies the same
+    pairwise summation to each row as the 1-D call, so every row is
+    bit-identical to its own per-trace value.
+    """
+    if raw.shape[-1] <= 3:
+        return np.zeros(raw.shape[:-1])
+    return np.std(np.diff(raw, axis=-1), axis=-1) / math.sqrt(2.0)
+
+
+@dataclass(slots=True)
+class ScaleScan:
+    """What acquisition found at one smoothing scale.
+
+    Attributes:
+        smooth: the smoothed trace.
+        span: its peak-to-peak range.
+        points: the accepted (A, B, C) anchor extrema, or None.
+        first_index: with ``want_first``, the sample index of the
+            earliest prominent extremum; None when there is none or the
+            search did not run (zero, non-finite or sub-noise span).
+        reason: why no triple was accepted ('' when one was).
+    """
+
+    smooth: np.ndarray
+    span: float
+    points: tuple[Extremum, Extremum, Extremum] | None = None
+    first_index: int | None = None
+    reason: str = ""
+
+
+def _first_triple(peaks: list[int], valleys: list[int],
+                  smooth: np.ndarray) -> tuple[int, int, int] | None:
+    """Sample indices of the first A (peak), B (valley), C (peak).
+
+    Walks the extrema in time order: valleys before the first peak are
+    skipped; A is the highest peak before the first valley that follows
+    a peak; B the deepest valley from there to the next peak; C that
+    next peak.  Ties keep the earliest extremum.  ``peaks`` and
+    ``valleys`` are ascending and disjoint, as scipy returns them; a
+    handful of them makes bisecting Python lists cheaper than NumPy.
+    """
+    if len(peaks) < 2 or not valleys:
+        return None
+    j = bisect_left(valleys, peaks[0])
+    if j == len(valleys):
+        return None
+    k = bisect_left(peaks, valleys[j])
+    if k == len(peaks):
+        return None
+    m = bisect_left(valleys, peaks[k])
+    value = smooth.__getitem__
+    return (max(peaks[:k], key=value), min(valleys[j:m], key=value),
+            peaks[k])
+
+
+def scan_scale(raw: np.ndarray, window: int, sigma: float, fs: float,
+               t0: float, swing_fraction: float,
+               stage_trace: StageTrace | None = None,
+               want_first: bool = False) -> ScaleScan:
+    """Preamble acquisition at one smoothing scale.
+
+    The one implementation every driver shares: the serial decoder
+    loops scales over it, the tensor driver loops rows x scales.  It
+    smooths ``raw`` (the ``normalize`` stage), then, as ``acquire``:
+
+    * gates on the span: a zero or non-finite span has no extrema;
+    * skips both peak searches when ``span < NOISE_SIGMAS * sigma``.
+      This is exact: both halves of ``tau_r`` are differences of values
+      inside ``[min, max]``, so ``tau_r <= span`` holds in floating
+      point and no triple on this scale could clear the noise bound;
+    * finds prominent peaks, then valleys, and the first A/B/C triple
+      among their indices.  The valley search is skipped when fewer
+      than two peaks stand, unless ``want_first`` asks for the earliest
+      extremum (the stream detector's hand-off);
+    * checks the triple's plausibility on scalars and builds
+      :class:`Extremum` objects for the accepted triple only.
+
+    Args:
+        raw: the non-empty trace.
+        window: moving-average width in samples.
+        sigma: the trace's sample-noise sigma (:func:`noise_sigma`).
+        fs: sample rate.
+        t0: timestamp of ``raw[0]``.
+        swing_fraction: ``DecoderConfig.min_preamble_swing_fraction``.
+        stage_trace: optional stage timing sink.
+        want_first: report ``first_index``, searching valleys even
+            when no triple can form.
+    """
+    with maybe_stage(stage_trace, ExecStage.NORMALIZE):
+        smooth = moving_average(raw, window)
+    with maybe_stage(stage_trace, ExecStage.ACQUIRE):
+        span = float(smooth.max() - smooth.min())
+        if not (span > 0.0 and math.isfinite(span)):
+            return ScaleScan(smooth, span,
+                             reason="trace is constant; no preamble")
+        if span < NOISE_SIGMAS * sigma:
+            return ScaleScan(smooth, span,
+                             reason="swing cannot clear the noise floor")
+        prominence = PROMINENCE_FRACTION * span
+        peaks = _prominent_peaks(smooth, prominence, None).tolist()
+        if len(peaks) < 2 and not want_first:
+            return ScaleScan(smooth, span,
+                             reason="fewer than two prominent peaks")
+        valleys = _prominent_peaks(-smooth, prominence, None).tolist()
+        first = (min(peaks[:1] + valleys[:1], default=None)
+                 if want_first else None)
+        triple = _first_triple(peaks, valleys, smooth)
+        if triple is None:
+            return ScaleScan(
+                smooth, span, first_index=first,
+                reason=(f"no peak-valley-peak pattern among "
+                        f"{len(peaks) + len(valleys)} extrema"))
+        a, b, c = triple
+        av, bv, cv = float(smooth[a]), float(smooth[b]), float(smooth[c])
+        ta, tb, tc = t0 + a / fs, t0 + b / fs, t0 + c / fs
+        # The preamble's HIGH-LOW swing is the dominant feature of a tag
+        # pass and must tower over the sample-to-sample noise (smoothed
+        # noise wiggles do not); its two half-periods are equal
+        # (constant symbol width and, during the preamble, speed).
+        tau_r = ((av - bv) + (cv - bv)) / 2.0
+        d1, d2 = tb - ta, tc - tb
+        if (tau_r < swing_fraction * span or tau_r < NOISE_SIGMAS * sigma
+                or d1 <= 0.0 or d2 <= 0.0
+                or not abs(d1 - d2) <= 0.6 * min(d1, d2)):
+            return ScaleScan(
+                smooth, span, first_index=first,
+                reason=("candidate preamble rejected: swing, noise "
+                        "floor or spacing implausible"))
+        # Extremum times stay NumPy scalars, as scipy's indices made them.
+        points = (Extremum(a, np.float64(ta), av, "peak"),
+                  Extremum(b, np.float64(tb), bv, "valley"),
+                  Extremum(c, np.float64(tc), cv, "peak"))
+        return ScaleScan(smooth, span, points, first)
 
 
 def _window_slices(times: np.ndarray, starts: np.ndarray,
@@ -90,13 +254,6 @@ class DecoderConfig:
     Attributes:
         threshold_rule: ``"midpoint"`` (robust) or ``"paper"`` (literal
             tau_r comparison) — see the module docstring.
-        smoothing_window_s: pre-smoothing moving-average width; None
-            picks a width that suppresses ADC noise without touching
-            the preamble peaks (1/20 of the preamble period estimate is
-            ideal, but the period is unknown before acquisition, so a
-            small fixed fraction of the trace is used).
-        min_prominence_fraction: peak prominence threshold, relative to
-            the trace's peak-to-peak span.
         max_symbols: safety cap on emitted symbols in auto-length mode.
         window_shrink_fraction: fraction trimmed from *each side* of a
             decision window before taking its maximum.  FoV blur makes
@@ -120,8 +277,6 @@ class DecoderConfig:
     """
 
     threshold_rule: str = "midpoint"
-    smoothing_window_s: float | None = None
-    min_prominence_fraction: float = 0.2
     max_symbols: int = 256
     window_shrink_fraction: float = 0.22
     clock_refinement: bool = True
@@ -133,8 +288,6 @@ class DecoderConfig:
             raise ValueError(
                 f"threshold_rule must be 'midpoint' or 'paper', "
                 f"got {self.threshold_rule!r}")
-        if not 0.0 < self.min_prominence_fraction < 1.0:
-            raise ValueError("prominence fraction must be in (0, 1)")
         if self.max_symbols < 1:
             raise ValueError("max_symbols must be >= 1")
         if not 0.0 <= self.window_shrink_fraction < 0.5:
@@ -211,99 +364,58 @@ class AdaptiveThresholdDecoder:
         self.config = config or DecoderConfig()
 
     # ------------------------------------------------------------------
-    def _smoothing_scales(self, trace: SignalTrace) -> list[int]:
-        """Candidate smoothing windows, finest first."""
-        cfg = self.config
-        if cfg.smoothing_window_s is not None:
-            window = max(1, int(round(cfg.smoothing_window_s
-                                      * trace.sample_rate_hz)))
-            return [window]
-        n = len(trace.samples)
-        scales = [max(3, n // 200), max(5, n // 64), max(7, n // 32)]
-        # Deduplicate while preserving order.
-        out: list[int] = []
-        for s in scales:
-            if s not in out:
-                out.append(s)
-        return out
+    def scan_preamble(self, trace: SignalTrace,
+                      stage_trace: StageTrace | None = None,
+                      ) -> list[ScaleScan]:
+        """Multi-scale preamble acquisition, without raising.
 
-    def _plausible_preamble(self,
-                            points: tuple[Extremum, Extremum, Extremum],
-                            span: float, noise_sigma: float) -> bool:
-        """Sanity checks that reject noise-triggered anchor triples.
+        Runs :func:`scan_scale` at each of :func:`smoothing_scales`,
+        finest first, until one accepts a triple.  The finest scan
+        always reports its earliest prominent extremum, which the
+        stream detector uses to advance its window.
 
-        The preamble's HIGH-LOW swing is the dominant feature of a tag
-        pass, and its two half-periods are equal (constant symbol width
-        and, during the preamble, constant speed): require the swing to
-        be a substantial fraction of the trace range, to clear the raw
-        noise floor, and the A-B / B-C spacings to be consistent.
+        Returns:
+            Every scan tried, in order; the last one holds the accepted
+            triple, if any.  Empty for an empty trace.
         """
-        a, b, c = points
-        tau_r = ((a.value - b.value) + (c.value - b.value)) / 2.0
-        if tau_r < self.config.min_preamble_swing_fraction * span:
-            return False
-        # A real packet's swing towers over the sample-to-sample noise;
-        # smoothed noise wiggles do not.
-        if tau_r < 4.0 * noise_sigma:
-            return False
-        d1 = b.time_s - a.time_s
-        d2 = c.time_s - b.time_s
-        if d1 <= 0.0 or d2 <= 0.0:
-            return False
-        return abs(d1 - d2) <= 0.6 * min(d1, d2)
+        raw = np.asarray(trace.samples, dtype=float)
+        if len(raw) == 0:
+            return []
+        sigma = float(noise_sigma(raw))
+        scans: list[ScaleScan] = []
+        for window in smoothing_scales(len(raw)):
+            scan = scan_scale(raw, window, sigma, trace.sample_rate_hz,
+                              trace.start_time_s,
+                              self.config.min_preamble_swing_fraction,
+                              stage_trace=stage_trace,
+                              want_first=not scans)
+            scans.append(scan)
+            if scan.points is not None:
+                break
+        return scans
 
     def _acquire(self, trace: SignalTrace,
                  stage_trace: StageTrace | None = None,
                  ) -> tuple[tuple[Extremum, Extremum, Extremum], np.ndarray]:
-        """Multi-scale preamble acquisition.
+        """The accepted anchor triple and its smoothed waveform.
 
-        Small signals (Fig. 15's ~15-count swings) need heavier
-        smoothing before their preamble outgrows the noise; clean strong
-        signals must not be over-smoothed or narrow symbols blur away.
-        Scales are tried finest-first and the first plausible triple
-        wins; the accepted smoothed waveform is reused for the decision
-        windows so thresholds and decisions see the same signal.
-
-        When profiled, the smoothing passes count as the ``normalize``
-        stage and the extrema search as ``acquire``.
+        The smoothed waveform is reused for the decision windows so
+        thresholds and decisions see the same signal.
 
         Raises:
             PreambleNotFoundError: when no scale yields a plausible
                 peak-valley-peak triple.
         """
-        last_reason = "trace is constant; no preamble"
-        raw = np.asarray(trace.samples, dtype=float)
-        if len(raw) == 0:
+        scans = self.scan_preamble(trace, stage_trace=stage_trace)
+        if not scans:
             # Streaming probes degenerate windows (empty suffixes,
             # sub-symbol fragments); acquisition must answer "no
-            # preamble", not crash on an empty max().
+            # preamble", not crash.
             raise PreambleNotFoundError("empty trace; no preamble")
-        if len(raw) > 3:
-            noise_sigma = float(np.std(np.diff(raw))) / math.sqrt(2.0)
-        else:
-            noise_sigma = 0.0
-        for window in self._smoothing_scales(trace):
-            with maybe_stage(stage_trace, ExecStage.NORMALIZE):
-                smooth = moving_average(trace.samples, window)
-            with maybe_stage(stage_trace, ExecStage.ACQUIRE):
-                span = float(smooth.max() - smooth.min())
-                if span <= 0.0:
-                    continue
-                extrema = find_peaks_and_valleys(
-                    smooth, trace.sample_rate_hz, trace.start_time_s,
-                    min_prominence=(self.config.min_prominence_fraction
-                                    * span))
-                points = first_preamble_points(extrema)
-                if points is None:
-                    last_reason = (f"no peak-valley-peak pattern among "
-                                   f"{len(extrema)} extrema")
-                    continue
-                if not self._plausible_preamble(points, span, noise_sigma):
-                    last_reason = ("candidate preamble rejected: swing, "
-                                   "noise floor or spacing implausible")
-                    continue
-                return points, smooth
-        raise PreambleNotFoundError(last_reason)
+        last = scans[-1]
+        if last.points is None:
+            raise PreambleNotFoundError(last.reason)
+        return last.points, last.smooth
 
     def acquire_preamble(self, trace: SignalTrace,
                          ) -> tuple[Extremum, Extremum, Extremum]:

@@ -9,7 +9,7 @@ from .filters import (
     notch_ac_ripple,
 )
 from .normalize import min_max_normalize, resample_to_length, z_normalize
-from .peaks import Extremum, find_peaks_and_valleys, first_preamble_points
+from .peaks import Extremum, find_peaks_and_valleys
 from .spectrum import (
     PowerSpectrum,
     dominant_frequencies,
@@ -22,7 +22,7 @@ __all__ = [
     "detrend", "lowpass", "median_filter", "moving_average",
     "notch_ac_ripple",
     "min_max_normalize", "resample_to_length", "z_normalize",
-    "Extremum", "find_peaks_and_valleys", "first_preamble_points",
+    "Extremum", "find_peaks_and_valleys",
     "PowerSpectrum", "dominant_frequencies", "power_spectrum",
     "symbol_fundamental_hz",
 ]

@@ -3,7 +3,8 @@
 The adaptive decoder (Section 4.1) anchors its thresholds on "the first
 two peaks and the first valley present in the preamble, points A, B and
 C in Fig. 5(a)".  This module finds prominence-filtered extrema robustly
-on noisy RSS traces.
+on noisy RSS traces; the decoder's
+:func:`~repro.core.decoder.scan_scale` picks the A/B/C triple from them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ try:  # pragma: no cover - exercised whenever scipy ships the module
 except Exception:  # pragma: no cover - older/newer scipy layouts
     _pfu = None
 
-__all__ = ["Extremum", "find_peaks_and_valleys", "first_preamble_points"]
+__all__ = ["Extremum", "find_peaks_and_valleys"]
 
 
 def _prominent_peaks(x: np.ndarray, prominence: float,
@@ -112,36 +113,3 @@ def find_peaks_and_valleys(samples: np.ndarray, sample_rate_hz: float,
                      float(x[i]), "valley") for i in valley_idx]
     out.sort(key=lambda e: e.index)
     return out
-
-
-def first_preamble_points(extrema: list[Extremum],
-                          ) -> tuple[Extremum, Extremum, Extremum] | None:
-    """Locate points A (peak), B (valley), C (peak) of the preamble.
-
-    Scans for the first peak -> valley -> peak triple in time order,
-    skipping any leading valleys (the trace may start on the dark ground
-    before the first HIGH strip arrives).
-
-    Returns:
-        ``(A, B, C)`` or None if the pattern is absent.
-    """
-    peaks_seen: list[Extremum] = []
-    a: Extremum | None = None
-    b: Extremum | None = None
-    for ext in extrema:
-        if ext.kind == "peak":
-            if a is None:
-                a = ext
-            elif b is not None:
-                return (a, b, ext)
-            else:
-                # Two peaks without a valley between them: restart from
-                # the later, stronger anchor.
-                if ext.value > a.value:
-                    a = ext
-        else:  # valley
-            if a is not None and b is None:
-                b = ext
-            elif a is not None and b is not None and ext.value < b.value:
-                b = ext
-    return None

@@ -2,9 +2,11 @@
 
 Offline acquisition re-scans the whole trace; doing that on every
 arriving chunk is quadratic in stream length.  :class:`PreambleDetector`
-re-runs the decoder's (unchanged) acquisition only over the **unseen
-suffix plus an overlap**, and advances its scan start using what the
-failed scan learned:
+runs the decoder's own multi-scale acquisition
+(:meth:`~repro.core.decoder.AdaptiveThresholdDecoder.scan_preamble`)
+only over the **unseen suffix plus an overlap**, and advances its scan
+start using what the failed scan learned, read off that scan's finest
+scale so that each check smooths and searches its window once:
 
 * a scan that found *extrema* but no plausible A/B/C triple keeps its
   start anchored just before the first extremum — a partially-arrived
@@ -24,17 +26,11 @@ telemetry, never correctness.
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..core.decoder import AdaptiveThresholdDecoder
-from ..core.errors import PreambleNotFoundError
+from ..core.decoder import AdaptiveThresholdDecoder, ScaleScan
 from ..channel.trace import SignalTrace
-from ..dsp.filters import moving_average
-from ..dsp.peaks import Extremum, find_peaks_and_valleys
+from ..dsp.peaks import Extremum
 from .buffer import StreamBuffer
 
 __all__ = ["AcquiredPreamble", "PreambleDetector"]
@@ -122,17 +118,18 @@ class PreambleDetector:
         self.n_checks += 1
         self.n_scanned_samples += len(view)
         trace = SignalTrace(view, buffer.sample_rate_hz, t0)
-        try:
-            points = self.decoder.acquire_preamble(trace)
-        except PreambleNotFoundError:
-            self._advance(trace, t_end)
+        scans = self.decoder.scan_preamble(trace)
+        points = scans[-1].points
+        if points is None:
+            self._advance(scans[0], trace, t_end)
             return None
         tau_r, tau_t = self.decoder.thresholds(points)
         level = self.decoder._threshold_level(tau_r, points[1].value)
         return AcquiredPreamble(points=points, tau_r=tau_r, tau_t=tau_t,
                                 threshold_level=level, detected_at_s=t_end)
 
-    def _advance(self, trace: SignalTrace, t_end: float) -> None:
+    def _advance(self, finest: ScaleScan, trace: SignalTrace,
+                 t_end: float) -> None:
         """Move the scan start past what the failed scan ruled out.
 
         Anchoring on *any* extremum would pin the scan start forever on
@@ -143,21 +140,18 @@ class PreambleDetector:
         (the decoder's own 4-sigma plausibility bound): a window that
         is noise through and through is *quiet*, and a real packet's
         shoulder will clear the bound the moment it starts arriving.
+        The failed check's finest-scale scan already knows both: it
+        searches for extrema only when its span clears that bound, and
+        reports the earliest one it found.
         """
         quiet_from = t_end - self.min_overlap_s
-        x = trace.samples
-        smooth = moving_average(x, max(3, len(x) // 200))
-        span = float(smooth.max() - smooth.min()) if len(smooth) else 0.0
-        noise_sigma = (float(np.std(np.diff(x))) / math.sqrt(2.0)
-                       if len(x) > 3 else 0.0)
-        if span > 0.0 and span >= 4.0 * noise_sigma:
-            extrema = find_peaks_and_valleys(smooth, trace.sample_rate_hz,
-                                             trace.start_time_s)
-            if extrema:
-                # Keep a partially-arrived pattern in view: anchor just
-                # before the earliest extremum still standing.
-                anchor = extrema[0].time_s - self.min_overlap_s
-                quiet_from = min(quiet_from, anchor)
+        if finest.first_index is not None:
+            # Keep a partially-arrived pattern in view: anchor just
+            # before the earliest extremum still standing.
+            anchor = (trace.start_time_s
+                      + finest.first_index / trace.sample_rate_hz
+                      - self.min_overlap_s)
+            quiet_from = min(quiet_from, anchor)
         new_start = max(self._scan_from_s or trace.start_time_s,
                         min(quiet_from, t_end))
         self._scan_from_s = max(new_start, t_end - self.max_overlap_s)

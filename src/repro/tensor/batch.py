@@ -9,11 +9,12 @@ sigma profile) is computed **once per group**, and only the per-seed
 noise draw onward runs per scenario, batched as fused ``(N, T)`` array
 passes in a single process with no pickling.
 
-Decoding is batched too: multi-scale acquisition, the clock-refinement
-search and the decision windows all evaluate across the rows of a group
-at once through shared sparse max/min tables (:mod:`repro.tensor.rmq`),
-answering window for window the identical floats the serial decoder's
-scipy calls and segment reductions produce.
+Decoding is batched too.  Acquisition runs the serial decoder's own
+per-scale step (:func:`repro.core.decoder.scan_scale`) on every pending
+row; the clock-refinement search and the decision windows evaluate
+across the rows of a group at once through shared sparse max/min tables
+(:mod:`repro.tensor.rmq`), answering window for window the identical
+floats the serial decoder's segment reductions produce.
 
 Equivalence contract: with ``dtype="float64"`` (the default) every
 :class:`~repro.engine.records.RunRecord` is **byte-identical**
@@ -38,7 +39,6 @@ stays fully deterministic (same seeds, same records on every run).
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import OrderedDict
@@ -51,10 +51,12 @@ from ..core.decoder import (
     _EXPECTED_HIGH,
     AdaptiveThresholdDecoder,
     DecoderConfig,
+    ScaleScan,
+    noise_sigma,
+    scan_scale,
+    smoothing_scales,
 )
 from ..core.errors import PreambleNotFoundError
-from ..dsp.filters import moving_average
-from ..dsp.peaks import Extremum, _prominent_peaks
 from ..engine.executor import build_simulator, execute_scenario
 from ..engine.records import (
     RecordStage,
@@ -249,11 +251,10 @@ def _masked_query(table: np.ndarray, log: np.ndarray, op: np.ufunc,
 class _RowDecode:
     """Mutable per-row decode state while the batch progresses."""
 
-    __slots__ = ("trace", "stage", "bits", "smooth", "tau_r", "tau_t",
-                 "level", "anchor")
+    __slots__ = ("stage", "bits", "smooth", "tau_r", "tau_t", "level",
+                 "anchor")
 
-    def __init__(self, trace: SignalTrace) -> None:
-        self.trace = trace
+    def __init__(self) -> None:
         self.stage: str | None = None   # terminal stage, once known
         self.bits = ""
         self.smooth: np.ndarray | None = None
@@ -353,131 +354,32 @@ def _refine_clock_rows(config: DecoderConfig, times: np.ndarray,
     return out_tau, out_anchor
 
 
-def _first_triple(idx: np.ndarray, val: np.ndarray,
-                  is_peak: np.ndarray) -> tuple[int, int, int] | None:
-    """``first_preamble_points`` on parallel extrema arrays.
-
-    Identical scan (first peak -> valley -> peak, restarting on a
-    higher pre-valley peak, deepening the valley until the closing
-    peak) without materialising an :class:`Extremum` per candidate.
-    Returns positions into the arrays, or None.
-    """
-    a: int | None = None
-    b: int | None = None
-    for j in range(len(idx)):
-        if is_peak[j]:
-            if a is None:
-                a = j
-            elif b is not None:
-                return a, b, j
-            elif val[j] > val[a]:
-                a = j
-        else:
-            if a is not None and b is None:
-                b = j
-            elif b is not None and val[j] < val[b]:
-                b = j
-    return None
-
-
-def _plausible_scalar(cfg: DecoderConfig, idx: np.ndarray,
-                      val: np.ndarray, triple: tuple[int, int, int],
-                      t0: float, fs: float, span: float,
-                      noise_sigma: float) -> bool:
-    """``AdaptiveThresholdDecoder._plausible_preamble`` on scalars.
-
-    Same expressions on the same float values (``Extremum.value`` is
-    ``float(val[j])``, ``Extremum.time_s`` is ``t0 + idx[j] / fs``),
-    just without building the dataclasses for triples that fail.
-    """
-    ja, jb, jc = triple
-    av, bv, cv = float(val[ja]), float(val[jb]), float(val[jc])
-    tau_r = ((av - bv) + (cv - bv)) / 2.0
-    if tau_r < cfg.min_preamble_swing_fraction * span:
-        return False
-    if tau_r < 4.0 * noise_sigma:
-        return False
-    d1 = (t0 + idx[jb] / fs) - (t0 + idx[ja] / fs)
-    d2 = (t0 + idx[jc] / fs) - (t0 + idx[jb] / fs)
-    if d1 <= 0.0 or d2 <= 0.0:
-        return False
-    return abs(d1 - d2) <= 0.6 * min(d1, d2)
-
-
 def _acquire_rows(decoder: AdaptiveThresholdDecoder,
-                  rows: list[_RowDecode], raw_stack: np.ndarray,
-                  fs: float, t0: float,
-                  stage_trace: StageTrace | None = None) -> dict[int, tuple]:
+                  raw_stack: np.ndarray, fs: float, t0: float,
+                  stage_trace: StageTrace | None = None,
+                  ) -> dict[int, ScaleScan]:
     """``AdaptiveThresholdDecoder._acquire`` for the whole row stack.
 
     scipy's C peak routines beat any vectorised reformulation at this
-    trace length, so each pending row calls the serial path's own
-    ``_prominent_peaks`` per scale; everything around those calls — the
-    noise-sigma profile, extrema assembly, the triple scan — is either
-    vectorised across rows or done on scalars, and full
-    :class:`Extremum` objects exist only for the three accepted anchor
-    points.  Row for row this evaluates the exact serial sequence:
-    smooth, span gate, prominence filter, ``first_preamble_points``,
-    ``_plausible_preamble``, finest scale first.
+    trace length, so each pending row runs the serial path's own
+    :func:`~repro.core.decoder.scan_scale` per scale, finest first;
+    only the noise-sigma profile is computed across rows at once.
 
-    Returns ``{row_index: (points, smooth)}`` for rows that acquired.
+    Returns ``{row_index: accepted scan}`` for rows that acquired.
     """
-    cfg = decoder.config
-    n_rows, n = raw_stack.shape
-    acquired: dict[int, tuple] = {}
-    if n < 3:
-        # Too short for an interior extremum at any scale (the serial
-        # path finds no extrema and exhausts every scale).
-        return acquired
-    if n > 3:
-        # Bit-identical to the serial per-row np.std(np.diff(raw)):
-        # a last-axis reduction over a C-contiguous stack applies the
-        # same pairwise summation to each row's buffer.
-        noise_sigma = (np.std(np.diff(raw_stack, axis=1), axis=1)
-                       / math.sqrt(2.0))
-    else:
-        noise_sigma = np.zeros(n_rows)
-
-    prom_frac = cfg.min_prominence_fraction
-    pending = list(range(n_rows))
-    for window in decoder._smoothing_scales(rows[0].trace):
-        if not pending:
-            break
+    sigma = noise_sigma(raw_stack)
+    swing = decoder.config.min_preamble_swing_fraction
+    acquired: dict[int, ScaleScan] = {}
+    pending = range(len(raw_stack))
+    for window in smoothing_scales(raw_stack.shape[1]):
         still: list[int] = []
         for ridx in pending:
-            with maybe_stage(stage_trace, ExecStage.NORMALIZE):
-                smooth = moving_average(raw_stack[ridx], window)
-            span = float(smooth.max() - smooth.min())
-            if span <= 0.0 or not np.isfinite(span):
+            scan = scan_scale(raw_stack[ridx], window, float(sigma[ridx]),
+                              fs, t0, swing, stage_trace=stage_trace)
+            if scan.points is None:
                 still.append(ridx)
-                continue
-            prominence = prom_frac * span
-            pk = _prominent_peaks(smooth, prominence, None)
-            vl = _prominent_peaks(-smooth, prominence, None)
-            if len(pk) < 2:
-                # A triple needs two peaks; the serial scan over the
-                # merged extrema returns None just the same.
-                still.append(ridx)
-                continue
-            idx = np.concatenate([pk, vl])
-            order = np.argsort(idx, kind="stable")
-            idx = idx[order]
-            is_peak = order < len(pk)
-            val = smooth[idx]
-            triple = _first_triple(idx, val, is_peak)
-            if triple is None:
-                still.append(ridx)
-                continue
-            if not _plausible_scalar(
-                    cfg, idx, val, triple, t0, fs, span,
-                    float(noise_sigma[ridx])):
-                still.append(ridx)
-                continue
-            points = tuple(
-                Extremum(int(idx[j]), t0 + idx[j] / fs, float(val[j]),
-                         "peak" if is_peak[j] else "valley")
-                for j in triple)
-            acquired[ridx] = (points, smooth)
+            else:
+                acquired[ridx] = scan
         pending = still
     return acquired
 
@@ -487,17 +389,17 @@ def _decode_rows(traces: list[SignalTrace], n_data_symbols: int,
                  stage_trace: StageTrace | None = None) -> list[_RowDecode]:
     """Batched adaptive decode of same-grid traces.
 
-    All three decoder stages — acquisition, clock refinement, decision
-    windows — run as fused passes over the whole row stack, answering
-    every "max/min inside this window" question through shared sparse
-    tables (:mod:`repro.tensor.rmq`) instead of per-row scipy calls.
-    When profiled, the fused passes attribute group-level time to the
-    same ``normalize``/``acquire``/``refine_clock``/``decide`` stages
-    the serial decoder reports per scenario.
+    Acquisition runs row by row (:func:`_acquire_rows`); clock
+    refinement and the decision windows run as fused passes over the
+    whole row stack, answering every "max/min inside this window"
+    question through shared sparse tables (:mod:`repro.tensor.rmq`).
+    When profiled, group-level time lands in the same
+    ``normalize``/``acquire``/``refine_clock``/``decide`` stages the
+    serial decoder reports per scenario.
     """
     decoder = AdaptiveThresholdDecoder(config)
     cfg = decoder.config
-    rows = [_RowDecode(t) for t in traces]
+    rows = [_RowDecode() for _ in traces]
     trace0 = traces[0]
     fs = trace0.sample_rate_hz
     t0 = trace0.start_time_s
@@ -510,17 +412,17 @@ def _decode_rows(traces: list[SignalTrace], n_data_symbols: int,
 
     raw_stack = np.stack(
         [np.asarray(t.samples, dtype=float) for t in traces])
-    acquired = _acquire_rows(decoder, rows, raw_stack, fs, t0,
+    acquired = _acquire_rows(decoder, raw_stack, fs, t0,
                              stage_trace=stage_trace)
 
     with maybe_stage(stage_trace, ExecStage.ACQUIRE):
         live: list[_RowDecode] = []
         for ridx, row in enumerate(rows):
-            got = acquired.get(ridx)
-            if got is None:
+            scan = acquired.get(ridx)
+            if scan is None:
                 row.stage = RecordStage.PREAMBLE_NOT_FOUND.value
                 continue
-            points, smooth = got
+            points, smooth = scan.points, scan.smooth
             try:
                 tau_r, tau_t = decoder.thresholds(points)
             except PreambleNotFoundError:

@@ -43,10 +43,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DecoderConfig(threshold_rule="banana")
 
-    def test_prominence_bounds(self):
-        with pytest.raises(ValueError):
-            DecoderConfig(min_prominence_fraction=0.0)
-
     def test_shrink_bounds(self):
         with pytest.raises(ValueError):
             DecoderConfig(window_shrink_fraction=0.5)

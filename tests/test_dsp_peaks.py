@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.dsp.peaks import (
-    Extremum,
-    find_peaks_and_valleys,
-    first_preamble_points,
-)
+from repro.dsp.peaks import Extremum, find_peaks_and_valleys
+
+from .reference_acquisition import first_preamble_points
 
 
 def hlhl_wave(fs=100.0, period=1.0, n_cycles=2, amplitude=1.0, base=0.0):

@@ -39,10 +39,16 @@ def expect(i: int) -> str:
 class TestGoldenFile:
     def test_schema_and_spread(self):
         assert GOLDEN["schema"] == "repro.stage_parity/1"
-        assert len(ENTRIES) == 22
+        assert len(ENTRIES) == 28
         # The file must keep exercising all three execution paths.
         assert any(s.n_receivers > 1 for s in SPECS)
         assert any(s.stream_chunk > 0 for s in SPECS)
+        # Streamed timing (onset / first-bit latency) is pinned at an
+        # odd and a power-of-two chunk size, plain and two-phase.
+        streamed = {(s.stream_chunk, s.decoder) for s in SPECS
+                    if s.stream_chunk > 0 and s.n_receivers == 1}
+        assert {(7, "adaptive"), (64, "adaptive"), (7, "two_phase"),
+                (64, "two_phase")} <= streamed
         assert any(s.fault_plan is not None for s in SPECS)
 
 

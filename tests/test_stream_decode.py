@@ -15,6 +15,8 @@ from repro.stream import (
 )
 from repro.tags.encoding import Symbol, manchester_encode
 
+from .reference_acquisition import reference_acquire, reference_scan
+
 
 def synthetic_trace(bits="10", fs=100.0, symbol_s=0.5, lead_s=1.0,
                     tail_s=1.0, noise=0.0, seed=0) -> SignalTrace:
@@ -260,6 +262,55 @@ class TestPreambleDetector:
             PreambleDetector(min_overlap_s=0.0)
         with pytest.raises(ValueError):
             PreambleDetector(min_overlap_s=2.0, max_overlap_s=1.0)
+
+    def test_handoff_matches_a_rescanning_detector(self):
+        """A failed check hands its finest scan to ``_advance``; the
+        scan start must move exactly as when ``_advance`` smoothed and
+        searched the window again itself, and every lock must equal the
+        reference acquisition of the same window."""
+
+        class Rescanning(PreambleDetector):
+            def _advance(self, finest, trace, t_end):
+                raw = np.asarray(trace.samples, dtype=float)
+                sigma = float(np.std(np.diff(raw))) / np.sqrt(2.0)
+                _, first = reference_scan(raw, max(3, len(raw) // 200),
+                                          sigma, trace.sample_rate_hz,
+                                          trace.start_time_s)
+                quiet_from = t_end - self.min_overlap_s
+                if first is not None:
+                    quiet_from = min(quiet_from, trace.start_time_s
+                                     + first / trace.sample_rate_hz
+                                     - self.min_overlap_s)
+                self._scan_from_s = max(
+                    max(self._scan_from_s, min(quiet_from, t_end)),
+                    t_end - self.max_overlap_s)
+
+        rng = np.random.default_rng(5)
+        feeds = []
+        for noise in (0.02, 0.1, 0.3):
+            trace = synthetic_trace("1001", fs=2000.0, symbol_s=0.05,
+                                    lead_s=1.5, noise=noise,
+                                    seed=int(rng.integers(1 << 30)))
+            feeds.append(np.round(trace.samples * 40.0))
+        feeds.append(rng.normal(0.0, 1.0, size=6000))
+        for samples in feeds:
+            got, ref = PreambleDetector(), Rescanning()
+            bufs = StreamBuffer(2000.0), StreamBuffer(2000.0)
+            for chunk in iter_chunks(samples, 64):
+                locks = []
+                for detector, buf in zip((got, ref), bufs):
+                    buf.append(chunk)
+                    locks.append(detector.check(buf))
+                assert got._scan_from_s == ref._scan_from_s
+                assert locks[0] == locks[1]
+                if locks[0] is not None:
+                    window = bufs[0].window_with_time(
+                        got._scan_from_s, bufs[0].end_time_s + 1.0)
+                    assert locks[0].points == reference_acquire(
+                        SignalTrace(window[0], 2000.0, window[1]))
+                    break
+            assert (got.n_checks, got.n_scanned_samples) == (
+                ref.n_checks, ref.n_scanned_samples)
 
     def test_bounded_window_on_long_feeds(self):
         """Per-check cost is capped by max_overlap_s."""

@@ -14,18 +14,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.tensor.batch as batch_mod
-from repro.dsp.peaks import Extremum, first_preamble_points
+from repro.channel.trace import SignalTrace
+from repro.core.decoder import (
+    AdaptiveThresholdDecoder,
+    _first_triple,
+    scan_scale,
+    smoothing_scales,
+)
+from repro.dsp.filters import moving_average
+from repro.dsp.peaks import Extremum
 from repro.engine.cache import ResultCache
 from repro.engine.executor import execute_scenario
 from repro.engine.runner import BatchRunner
 from repro.engine.spec import ScenarioSpec, expand_grid
 from repro.scenarios.library import expand_family, family_names
 from repro.tensor.batch import (
-    _first_triple,
     clear_plan_cache,
     execute_batch,
     fast_path_eligible,
     optical_key,
+)
+
+from .reference_acquisition import (
+    first_preamble_points,
+    reference_acquire,
+    reference_scan,
 )
 
 #: The perf suite's cheap outdoor scenario (~3 ms per serial run).
@@ -139,25 +152,99 @@ class TestGrouping:
         _assert_byte_identical(specs)
 
 
+@st.composite
+def acquisition_traces(draw):
+    """Traces that stress the shared acquisition step's edge cases.
+
+    * ``adc``: integer codes held in runs, so extrema sit on plateaus
+      and distinct extrema tie;
+    * ``noise``: noise-only windows, whose smoothed span lands just
+      under 4 noise sigmas (2.5-3.5 sigma at window 3), where the
+      step skips the peak search;
+    * ``preamble``: a blurred HLHL preamble plus data symbols and
+      noise, sometimes quantised to integer codes.
+    """
+    kind = draw(st.sampled_from(["adc", "noise", "preamble"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "adc":
+        levels = rng.integers(0, draw(st.integers(2, 8)),
+                              size=draw(st.integers(2, 60)))
+        raw = np.repeat(levels, rng.integers(1, 12, size=len(levels)))
+    elif kind == "noise":
+        raw = rng.normal(100.0, 3.0, size=draw(st.integers(8, 600)))
+    else:
+        symbols = "HLHL" + "".join(rng.choice(["HL", "LH"], size=3))
+        width = draw(st.integers(4, 40))
+        high = draw(st.floats(5.0, 200.0))
+        steps = np.repeat([high if s == "H" else 0.0 for s in symbols],
+                          width)
+        lead = np.zeros(draw(st.integers(0, 3 * width)))
+        raw = np.concatenate([lead, steps, np.zeros(width)])
+        blur = np.hanning(max(3, width // 3))
+        raw = np.convolve(raw, blur / blur.sum(), mode="same")
+        raw = raw + rng.normal(0.0, draw(st.floats(0.0, 0.4)) * high,
+                               size=len(raw))
+    if kind == "adc" or draw(st.booleans()):
+        raw = np.round(raw)
+    return raw.astype(float)
+
+
 class TestFirstTripleScan:
     @given(st.lists(st.tuples(st.booleans(),
                               st.floats(-10.0, 10.0, allow_nan=False)),
-                    min_size=0, max_size=12))
-    @settings(max_examples=200, deadline=None)
-    def test_differential_vs_first_preamble_points(self, seq):
+                    min_size=0, max_size=12),
+           acquisition_traces(),
+           st.sampled_from(["trace", "below", "at", "above"]),
+           st.sampled_from([100.0, 333.0, 2000.0]),
+           st.sampled_from([0.0, 1.25, -3.7]))
+    @settings(max_examples=300, deadline=None)
+    def test_differential_vs_first_preamble_points(self, seq, raw, gate,
+                                                   fs, t0):
+        """The shared array step equals the object-based reference.
+
+        First on bare extrema sequences (the A/B/C walk alone), then on
+        whole traces at every smoothing scale: the accepted triple and
+        the earliest extremum handed to the stream detector.  ``gate``
+        either keeps the trace's own noise sigma or puts 4 sigma a hair
+        below, exactly at, or a hair above the smoothed span.  Triples
+        are compared by ``repr``, so value types must match as well.
+        """
         idx = np.arange(10, 10 + 3 * len(seq), 3)
-        val = np.array([v for _, v in seq])
+        smooth = np.zeros(10 + 3 * len(seq))
+        smooth[idx] = [v for _, v in seq]
         is_peak = np.array([p for p, _ in seq], dtype=bool)
-        extrema = [Extremum(int(idx[j]), idx[j] / 100.0, float(val[j]),
-                            "peak" if is_peak[j] else "valley")
-                   for j in range(len(seq))]
+        extrema = [Extremum(int(i), i / 100.0, float(smooth[i]),
+                            "peak" if p else "valley")
+                   for i, p in zip(idx, is_peak)]
         oracle = first_preamble_points(extrema)
-        got = _first_triple(idx, val, is_peak)
-        if oracle is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert tuple(extrema[j] for j in got) == oracle
+        got = _first_triple(idx[is_peak].tolist(), idx[~is_peak].tolist(),
+                            smooth)
+        assert got == (None if oracle is None
+                       else tuple(e.index for e in oracle))
+
+        sigma = float(np.std(np.diff(raw))) / np.sqrt(2.0)
+        for window in smoothing_scales(len(raw)) + [1, 2]:
+            if gate != "trace":
+                span = float(np.ptp(moving_average(raw, window)))
+                sigma = {"below": np.nextafter(span / 4.0, 0.0),
+                         "at": span / 4.0,
+                         "above": np.nextafter(span / 4.0, np.inf)}[gate]
+            ref_points, ref_first = reference_scan(raw, window, sigma,
+                                                   fs, t0)
+            scan = scan_scale(raw, window, sigma, fs, t0, 0.25,
+                              want_first=True)
+            assert repr(scan.points) == repr(ref_points)
+            assert scan.first_index == ref_first
+            lean = scan_scale(raw, window, sigma, fs, t0, 0.25)
+            assert repr(lean.points) == repr(ref_points)
+
+        trace = SignalTrace(raw, fs, t0)
+        expected = reference_acquire(trace)
+        scans = AdaptiveThresholdDecoder().scan_preamble(trace)
+        assert repr(scans[-1].points) == repr(expected)
+        rows = batch_mod._acquire_rows(AdaptiveThresholdDecoder(),
+                                       np.stack([raw, raw[::-1]]), fs, t0)
+        assert repr(rows[0].points if 0 in rows else None) == repr(expected)
 
 
 class TestRunnerIntegration:
