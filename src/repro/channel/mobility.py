@@ -65,7 +65,10 @@ class ConstantSpeed(MotionProfile):
             raise ValueError(f"speed must be positive, got {self.speed_mps}")
 
     def position(self, t):
-        return self.start_position_m + self.speed_mps * np.asarray(t, dtype=float)
+        # No np.asarray: a float time stays a Python float through the
+        # same two IEEE-rounded operations, which keeps
+        # :func:`time_to_reach`'s bisection in plain float arithmetic.
+        return self.start_position_m + self.speed_mps * t
 
     def speed(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.speed_mps)

@@ -41,11 +41,18 @@ from ..dsp.peaks import Extremum, _prominent_peaks
 from ..exec.graph import ExecStage, StageTrace, maybe_stage
 from ..tags.encoding import ManchesterError, Symbol, manchester_decode
 from ..tags.packet import PREAMBLE
+from ..tensor.rmq import (
+    build_table,
+    grid_searchsorted,
+    log_table,
+    masked_query,
+)
 from .errors import DecodeError, PreambleNotFoundError
 
 __all__ = ["DecoderConfig", "SymbolWindow", "DecodeResult",
            "AdaptiveThresholdDecoder", "ScaleScan", "scan_scale",
-           "smoothing_scales", "noise_sigma"]
+           "smoothing_scales", "noise_sigma", "refine_clock_rows",
+           "window_maxima", "window_tables"]
 
 #: The preamble's known symbol pattern as HIGH flags (H, L, H, L).
 _EXPECTED_HIGH = np.array([True, False, True, False])
@@ -213,40 +220,6 @@ def scan_scale(raw: np.ndarray, window: int, sigma: float, fs: float,
         return ScaleScan(smooth, span, points, first)
 
 
-def _window_slices(times: np.ndarray, starts: np.ndarray,
-                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                              np.ndarray]:
-    """Sample-index bounds for many ``[start, end)`` time windows.
-
-    Vector form of the bounds used by ``_window_max``/``_window_range``:
-    ``valid`` marks windows containing at least one sample.
-    """
-    i0 = np.searchsorted(times, starts, side="left")
-    i1 = np.searchsorted(times, ends, side="left")
-    return i0, i1, (i1 > i0) & (i0 < len(times))
-
-
-def _segment_reduce(ufunc: np.ufunc, values: np.ndarray, pad: float,
-                    i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
-    """Apply ``ufunc`` over many ``values[i0:i1]`` segments at once.
-
-    Segments are evaluated with one ``ufunc.reduceat`` call on start/end
-    index pairs interleaved into a single index vector (the odd-position
-    results cover the gaps *between* windows and are discarded).  A
-    sentinel ``pad`` element keeps an end index equal to ``len(values)``
-    legal.  Entries for empty segments (``i1 <= i0``) are meaningless —
-    callers must mask them with the ``valid`` flags of
-    :func:`_window_slices`.
-    """
-    if i0.size == 0:
-        return np.empty(i0.shape)
-    padded = np.append(values, pad)
-    idx = np.empty(i0.size * 2, dtype=np.intp)
-    idx[0::2] = i0.ravel()
-    idx[1::2] = i1.ravel()
-    return ufunc.reduceat(padded, idx)[0::2].reshape(i0.shape)
-
-
 @dataclass(frozen=True)
 class DecoderConfig:
     """Tuning knobs of the adaptive decoder.
@@ -357,6 +330,157 @@ class DecodeResult:
         return "".join(str(b) for b in self.bits)
 
 
+def window_tables(smooths: np.ndarray, tau_t: float, config: DecoderConfig,
+                  fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse max/min tables over ``(R, T)`` smoothed rows.
+
+    Every window query of the decode — clock candidates, decision
+    windows, the preamble check — spans at most one symbol window at
+    the widest refinement candidate of the longest acquired ``tau_t``.
+    Levels beyond that are never touched, so the tables stop there (an
+    underestimate would fault in ``range_query``, never answer wrongly).
+    """
+    wide = ((1.0 + config.clock_search_span)
+            * (1.0 + 2.0 * abs(config.window_shrink_fraction)))
+    lmax = int(np.ceil(tau_t * wide * fs)) + 4
+    return (build_table(smooths, np.maximum, max_len=lmax),
+            build_table(smooths, np.minimum, max_len=lmax))
+
+
+def window_maxima(tmax: np.ndarray, log: np.ndarray, times: np.ndarray,
+                  starts: np.ndarray,
+                  ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maxima inside ``(R, K)`` consecutive ``[start, end)`` windows.
+
+    Each row's windows are consumed in order until the first one
+    holding no sample (it fell off the trace).  Returns the ``(R, K)``
+    maxima, meaningless from that window on, and the per-row count of
+    windows before it.  A decode asks for a few symbol windows per
+    row, where binary search costs less than the grid search's passes.
+    """
+    i0 = np.searchsorted(times, starts, side="left")
+    i1 = np.searchsorted(times, ends, side="left")
+    valid = (i1 > i0) & (i0 < len(times))
+    rows = np.arange(len(valid))[:, None]
+    return (masked_query(tmax, log, np.maximum, rows, i0, i1, valid),
+            np.cumprod(valid, axis=1).sum(axis=1))
+
+
+def refine_clock_rows(config: DecoderConfig, times: np.ndarray,
+                      t0: float, fs: float, tmax: np.ndarray,
+                      tmin: np.ndarray, log: np.ndarray,
+                      base_anchor: np.ndarray, tau_t: np.ndarray,
+                      tau_r: np.ndarray, level: np.ndarray,
+                      n_probe: int) -> tuple[np.ndarray, np.ndarray]:
+    """Search (tau_t, phase) that best reproduces the HLHL preamble.
+
+    The one clock search: the serial decoder runs it on one row, the
+    tensor backend on every row of a group.  Candidates (13 scales x 15
+    phases around the A/B/C estimate) are scored on two terms using
+    only per-packet information:
+
+    * the worst signed margin of the four *preamble* windows against
+      their known HLHL pattern (must be positive);
+    * the *flatness* of the data windows — the payload is unknown, but
+      under the correct clock each (shrunk) window sits inside one
+      symbol where the signal is locally flat, while a drifting clock
+      centres symbol transitions inside windows, inflating their
+      internal peak-to-peak excursion.
+
+    Window extrema come from the sparse tables ``tmax``/``tmin``
+    (:func:`window_tables`) and the roughness term is computed only
+    for candidates that survive the preamble-margin test (rejected
+    candidates score ``-inf`` either way).  Results are bit-identical
+    to the literal scale x delta x window loop kept as the test oracle.
+
+    Returns:
+        Per-row ``(tau_t, anchor)`` where ``anchor`` is the start time
+        of preamble symbol 1; data windows begin at ``anchor + 4
+        tau_t``.  Rows without a surviving candidate keep their input.
+    """
+    rows, n = len(tau_t), len(times)
+    span = config.clock_search_span
+
+    scales = np.linspace(1.0 - span, 1.0 + span, 13)
+    rel_deltas = np.linspace(-0.35, 0.35, 15)
+    cand_tau = tau_t[:, None] * scales[None, :]                # (R, 13)
+    shrink = config.window_shrink_fraction * cand_tau
+    anchors = (base_anchor[:, None, None]
+               + rel_deltas[None, None, :] * cand_tau[:, :, None])
+
+    tau_c = cand_tau[:, :, None, None]
+    shrink_c = shrink[:, :, None, None]
+    anchor_c = anchors[:, :, :, None]
+
+    # Preamble windows k = 0..3, expected H, L, H, L: the candidate
+    # survives only when every window exists and every margin against
+    # `level` is positive.
+    ks = np.arange(4.0)
+    i0, i1 = grid_searchsorted(times, t0, fs, np.stack((
+        anchor_c + ks * tau_c + shrink_c,
+        anchor_c + (ks + 1.0) * tau_c - shrink_c)))
+    valid = (i1 > i0) & (i0 < n)
+    rows4 = np.broadcast_to(
+        np.arange(rows)[:, None, None, None], valid.shape)
+    w_max = masked_query(tmax, log, np.maximum, rows4, i0, i1, valid)
+    level_c = level[:, None, None, None]
+    margins = np.where(_EXPECTED_HIGH, w_max - level_c, level_c - w_max)
+    min_margin = margins.min(axis=-1)
+    ok = valid.all(axis=-1) & (min_margin > 0.0)
+
+    out_tau = tau_t.copy()
+    out_anchor = base_anchor.copy()
+    okr, oks, okd = np.nonzero(ok)
+    if len(okr) == 0:
+        return out_tau, out_anchor
+
+    # Data-window roughness, survivors only: mean internal peak-to-peak
+    # excursion of the probe windows before the first one falling off
+    # the trace.
+    dtau = cand_tau[okr, oks]
+    dshrink = shrink[okr, oks]
+    data_start = anchors[okr, oks, okd] + 4.0 * dtau
+    kd = np.arange(float(max(n_probe, 0)))
+    j0, j1 = grid_searchsorted(times, t0, fs, np.stack(
+        (data_start[:, None] + kd * dtau[:, None] + dshrink[:, None],
+         data_start[:, None] + (kd + 1.0) * dtau[:, None]
+         - dshrink[:, None])))
+    d_valid = (j1 > j0) & (j0 < n)
+    rows_d = np.broadcast_to(okr[:, None], d_valid.shape)
+    seg_max = masked_query(tmax, log, np.maximum, rows_d, j0, j1, d_valid)
+    seg_min = masked_query(tmin, log, np.minimum, rows_d, j0, j1, d_valid)
+    ranges = np.where(d_valid, seg_max - seg_min, 0.0)
+    counts = np.cumprod(d_valid, axis=-1).sum(axis=-1)
+    roughness = np.zeros(len(okr))
+    # Group candidates by probe count so each group's mean reduces over
+    # a contiguous prefix — the summation np.mean performs on the
+    # oracle's per-candidate list, keeping scores bit-identical.
+    for count in np.unique(counts):
+        if count < 1:
+            continue
+        sel = counts == count
+        roughness[sel] = np.mean(ranges[:, :int(count)], axis=-1)[sel]
+
+    # All terms normalised by tau_r so the deviation penalty has a
+    # consistent meaning across signal amplitudes.
+    score = (min_margin[okr, oks, okd] / tau_r[okr]
+             - 0.5 * roughness / tau_r[okr]
+             - 0.9 * np.abs(scales - 1.0)[oks]
+             - 0.25 * np.abs(rel_deltas)[okd])
+
+    # Row-major first-max tie-breaking over the (13, 15) candidate grid.
+    full = np.full((rows, len(scales) * len(rel_deltas)), -np.inf)
+    full[okr, oks * len(rel_deltas) + okd] = score
+    flat_idx = np.argmax(full, axis=1)
+    s_idx, d_idx = np.divmod(flat_idx, len(rel_deltas))
+    has = np.zeros(rows, dtype=bool)
+    has[okr] = True
+    r = np.flatnonzero(has)
+    out_tau[r] = cand_tau[r, s_idx[r]]
+    out_anchor[r] = anchors[r, s_idx[r], d_idx[r]]
+    return out_tau, out_anchor
+
+
 class AdaptiveThresholdDecoder:
     """Implements the paper's calibration-free RSS decoder."""
 
@@ -449,177 +573,15 @@ class AdaptiveThresholdDecoder:
             return tau_r
         return valley_value + tau_r / 2.0
 
-    def _window_max(self, smooth: np.ndarray, times: np.ndarray,
-                    w_start: float, w_end: float) -> float | None:
-        """Max of the smoothed signal in [w_start, w_end), or None."""
-        i0 = int(np.searchsorted(times, w_start, side="left"))
-        i1 = int(np.searchsorted(times, w_end, side="left"))
-        if i1 <= i0 or i0 >= len(smooth):
-            return None
-        return float(smooth[i0:i1].max())
-
-    def _window_range(self, smooth: np.ndarray, times: np.ndarray,
-                      w_start: float, w_end: float) -> float | None:
-        """Peak-to-peak excursion inside [w_start, w_end), or None."""
-        i0 = int(np.searchsorted(times, w_start, side="left"))
-        i1 = int(np.searchsorted(times, w_end, side="left"))
-        if i1 <= i0 or i0 >= len(smooth):
-            return None
-        segment = smooth[i0:i1]
-        return float(segment.max() - segment.min())
-
-    def _refine_clock(self, smooth: np.ndarray, times: np.ndarray,
-                      points: tuple[Extremum, Extremum, Extremum],
-                      tau_t: float, tau_r: float, level: float,
-                      n_data_symbols: int | None = None,
-                      ) -> tuple[float, float]:
-        """Search (tau_t, phase) that best reproduces the HLHL preamble.
-
-        Candidates are scored on two terms using only per-packet
-        information:
-
-        * the worst signed margin of the four *preamble* windows against
-          their known HLHL pattern (must be positive);
-        * the *flatness* of the data windows — the payload is unknown,
-          but under the correct clock each (shrunk) window sits inside
-          one symbol where the signal is locally flat, while a drifting
-          clock centres symbol transitions inside windows, inflating
-          their internal peak-to-peak excursion.
-
-        The whole scale x delta x window search is evaluated as one
-        broadcast tensor (window extrema via ``_segment_reduce``); it
-        returns bit-identical results to the literal triple loop kept
-        as :meth:`_refine_clock_reference`.
-
-        Returns:
-            ``(tau_t, anchor)`` where ``anchor`` is the start time of
-            preamble symbol 1; data windows begin at ``anchor + 4 tau_t``.
-        """
-        base_anchor = points[0].time_s - 0.5 * tau_t
-        span = self.config.clock_search_span
-        n_probe = min(n_data_symbols if n_data_symbols else 8, 12)
-
-        scales = np.linspace(1.0 - span, 1.0 + span, 13)
-        rel_deltas = np.linspace(-0.35, 0.35, 15)
-        cand_tau = tau_t * scales
-        shrink = self.config.window_shrink_fraction * cand_tau
-        anchors = base_anchor + rel_deltas[None, :] * cand_tau[:, None]
-
-        tau_c = cand_tau[:, None, None]
-        shrink_c = shrink[:, None, None]
-        anchor_c = anchors[:, :, None]
-
-        # Preamble windows k = 0..3, expected H, L, H, L: the candidate
-        # survives only when every window exists and every margin
-        # against `level` is positive.
-        ks = np.arange(4.0)
-        i0, i1, valid = _window_slices(
-            times, anchor_c + ks * tau_c + shrink_c,
-            anchor_c + (ks + 1.0) * tau_c - shrink_c)
-        w_max = _segment_reduce(np.maximum, smooth, -np.inf, i0, i1)
-        margins = np.where(_EXPECTED_HIGH, w_max - level, level - w_max)
-        min_margin = margins.min(axis=-1)
-        ok = valid.all(axis=-1) & (min_margin > 0.0)
-        if not ok.any():
-            return tau_t, base_anchor
-
-        # Data-window roughness: mean internal peak-to-peak excursion of
-        # the probe windows before the first one falling off the trace.
-        data_start = anchor_c + 4.0 * tau_c
-        kd = np.arange(float(max(n_probe, 0)))
-        j0, j1, d_valid = _window_slices(
-            times, data_start + kd * tau_c + shrink_c,
-            data_start + (kd + 1.0) * tau_c - shrink_c)
-        seg_max = _segment_reduce(np.maximum, smooth, -np.inf, j0, j1)
-        seg_min = _segment_reduce(np.minimum, smooth, np.inf, j0, j1)
-        ranges = np.where(d_valid, seg_max - seg_min, 0.0)
-        counts = np.cumprod(d_valid, axis=-1).sum(axis=-1)
-        roughness = np.zeros(ok.shape)
-        # Group candidates by probe count so each group's mean reduces
-        # over a contiguous prefix — the same summation np.mean performs
-        # in the reference loop, keeping scores bit-identical.
-        for count in np.unique(counts):
-            if count < 1:
-                continue
-            sel = counts == count
-            roughness[sel] = np.mean(ranges[..., :int(count)],
-                                     axis=-1)[sel]
-
-        # All terms normalised by tau_r so the deviation penalty has a
-        # consistent meaning across signal amplitudes.
-        score = (min_margin / tau_r
-                 - 0.5 * roughness / tau_r
-                 - 0.9 * np.abs(scales - 1.0)[:, None]
-                 - 0.25 * np.abs(rel_deltas)[None, :])
-        score = np.where(ok, score, -np.inf)
-        s_idx, d_idx = np.unravel_index(int(np.argmax(score)), score.shape)
-        return float(cand_tau[s_idx]), float(anchors[s_idx, d_idx])
-
-    def _refine_clock_reference(self, smooth: np.ndarray, times: np.ndarray,
-                                points: tuple[Extremum, Extremum, Extremum],
-                                tau_t: float, tau_r: float, level: float,
-                                n_data_symbols: int | None = None,
-                                ) -> tuple[float, float]:
-        """The literal scale x delta x window triple loop.
-
-        Kept as the readable oracle for :meth:`_refine_clock`; the
-        equivalence suite asserts both return identical values.
-        """
-        a = points[0]
-        base_anchor = a.time_s - 0.5 * tau_t
-        shrink_frac = self.config.window_shrink_fraction
-        span = self.config.clock_search_span
-        expected_high = (True, False, True, False)
-        n_probe = min(n_data_symbols if n_data_symbols else 8, 12)
-        best: tuple[float, float] | None = None
-        best_score = -np.inf
-        for scale in np.linspace(1.0 - span, 1.0 + span, 13):
-            cand_tau = tau_t * scale
-            shrink = shrink_frac * cand_tau
-            for rel_delta in np.linspace(-0.35, 0.35, 15):
-                anchor = base_anchor + rel_delta * cand_tau
-                margins: list[float] = []
-                for k, is_high in enumerate(expected_high):
-                    w_max = self._window_max(
-                        smooth, times,
-                        anchor + k * cand_tau + shrink,
-                        anchor + (k + 1) * cand_tau - shrink)
-                    if w_max is None:
-                        margins = []
-                        break
-                    margins.append(w_max - level if is_high
-                                   else level - w_max)
-                if not margins or min(margins) <= 0.0:
-                    continue
-                ranges: list[float] = []
-                data_start = anchor + 4.0 * cand_tau
-                for k in range(n_probe):
-                    w_range = self._window_range(
-                        smooth, times,
-                        data_start + k * cand_tau + shrink,
-                        data_start + (k + 1) * cand_tau - shrink)
-                    if w_range is None:
-                        break
-                    ranges.append(w_range)
-                roughness = float(np.mean(ranges)) if ranges else 0.0
-                # All terms normalised by tau_r so the deviation penalty
-                # has a consistent meaning across signal amplitudes.
-                score = (min(margins) / tau_r
-                         - 0.5 * roughness / tau_r
-                         - 0.9 * abs(scale - 1.0)
-                         - 0.25 * abs(rel_delta))
-                if score > best_score:
-                    best_score = score
-                    best = (cand_tau, anchor)
-        if best is None:
-            return tau_t, base_anchor
-        return best
-
     # ------------------------------------------------------------------
     def decode(self, trace: SignalTrace,
                n_data_symbols: int | None = None,
                stage_trace: StageTrace | None = None) -> DecodeResult:
         """Decode one packet from an RSS trace.
+
+        A batch of one: clock refinement and the decision windows run
+        the same row kernels as the tensor backend, over max/min tables
+        built for this trace's single smoothed row.
 
         Args:
             trace: the captured RSS stream (raw counts or normalised —
@@ -640,25 +602,29 @@ class AdaptiveThresholdDecoder:
             DecodeError: when no decision windows fit in the trace.
         """
         points, smooth = self._acquire(trace, stage_trace=stage_trace)
+        cfg = self.config
+        fs = trace.sample_rate_hz
         with maybe_stage(stage_trace, ExecStage.ACQUIRE):
             tau_r, tau_t = self.thresholds(points)
-            a, b, c = points
-            level = self._threshold_level(tau_r, b.value)
+            level = self._threshold_level(tau_r, points[1].value)
+            anchor = points[0].time_s - 0.5 * tau_t
             times = trace.times()
+            log = log_table(len(times))
+            tmax, tmin = window_tables(smooth[None, :], tau_t, cfg, fs)
 
-        if self.config.clock_refinement:
+        if cfg.clock_refinement:
             with maybe_stage(stage_trace, ExecStage.REFINE_CLOCK):
-                tau_t, anchor = self._refine_clock(
-                    smooth, times, points, tau_t, tau_r, level,
-                    n_data_symbols=n_data_symbols)
-        else:
-            anchor = a.time_s - 0.5 * tau_t
+                n_probe = min(n_data_symbols if n_data_symbols else 8, 12)
+                taus, anchors = refine_clock_rows(
+                    cfg, times, trace.start_time_s, fs, tmax, tmin, log,
+                    np.array([anchor]), np.array([tau_t]),
+                    np.array([tau_r]), np.array([level]), n_probe)
+                tau_t, anchor = float(taus[0]), float(anchors[0])
         with maybe_stage(stage_trace, ExecStage.DECIDE):
-            return self._decide(trace, smooth, times, points, tau_r, tau_t,
+            return self._decide(tmax, log, times, points, tau_r, tau_t,
                                 level, anchor, n_data_symbols)
 
-    def _decide(self, trace: SignalTrace, smooth: np.ndarray,
-                times: np.ndarray,
+    def _decide(self, tmax: np.ndarray, log: np.ndarray, times: np.ndarray,
                 points: tuple[Extremum, Extremum, Extremum],
                 tau_r: float, tau_t: float, level: float, anchor: float,
                 n_data_symbols: int | None) -> DecodeResult:
@@ -682,21 +648,15 @@ class AdaptiveThresholdDecoder:
         ks = np.arange(float(n_windows))
         w_starts = data_start + ks * tau_t
         w_ends = w_starts + tau_t
-        i0, i1, valid = _window_slices(times, w_starts + shrink,
-                                       w_ends - shrink)
-        # Windows are consumed in order until the first one falls off
-        # the trace.
-        n_good = int(np.cumprod(valid).sum())
-        windows: list[SymbolWindow] = []
-        if n_good:
-            maxima = _segment_reduce(np.maximum, smooth, -np.inf,
-                                     i0[:n_good], i1[:n_good])
-            for k in range(n_good):
-                w_max = float(maxima[k])
-                symbol = Symbol.HIGH if w_max > level else Symbol.LOW
-                windows.append(SymbolWindow(float(w_starts[k]),
-                                            float(w_ends[k]),
-                                            w_max, symbol))
+        maxima, n_good = window_maxima(tmax, log, times,
+                                       (w_starts + shrink)[None, :],
+                                       (w_ends - shrink)[None, :])
+        good = int(n_good[0])
+        windows = [SymbolWindow(start, end, w_max,
+                                Symbol.HIGH if w_max > level else Symbol.LOW)
+                   for start, end, w_max in zip(w_starts[:good].tolist(),
+                                                w_ends[:good].tolist(),
+                                                maxima[0, :good].tolist())]
         if not windows:
             raise DecodeError("all decision windows fell outside the trace")
 
@@ -721,6 +681,16 @@ class AdaptiveThresholdDecoder:
         except ManchesterError:
             bits = None
 
+        # Re-decode the preamble region with the derived thresholds; it
+        # must read HLHL, every window inside the trace.
+        ks = np.arange(4.0)
+        maxima, n_good = window_maxima(
+            tmax, log, times, (anchor + ks * tau_t + shrink)[None, :],
+            (anchor + (ks + 1.0) * tau_t - shrink)[None, :])
+        verified = (int(n_good[0]) == 4
+                    and tuple(Symbol.HIGH if w_max > level else Symbol.LOW
+                              for w_max in maxima[0]) == PREAMBLE)
+
         return DecodeResult(
             symbols=symbols,
             bits=bits,
@@ -729,22 +699,5 @@ class AdaptiveThresholdDecoder:
             threshold_level=level,
             anchor_points=points,
             windows=windows,
-            preamble_verified=self._verify_preamble(smooth, times, anchor,
-                                                    tau_t, level),
+            preamble_verified=verified,
         )
-
-    # ------------------------------------------------------------------
-    def _verify_preamble(self, smooth: np.ndarray, times: np.ndarray,
-                         anchor: float, tau_t: float, level: float) -> bool:
-        """Re-decode the preamble region; it must read HLHL."""
-        shrink = self.config.window_shrink_fraction * tau_t
-        ks = np.arange(4.0)
-        i0, i1, valid = _window_slices(times,
-                                       anchor + ks * tau_t + shrink,
-                                       anchor + (ks + 1.0) * tau_t - shrink)
-        if not valid.all():
-            return False
-        maxima = _segment_reduce(np.maximum, smooth, -np.inf, i0, i1)
-        decoded = tuple(Symbol.HIGH if w_max > level else Symbol.LOW
-                        for w_max in maxima)
-        return decoded == PREAMBLE

@@ -11,6 +11,7 @@ at the margins of the "maximal supported speed" analysis (Section 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -44,11 +45,25 @@ def first_order_lowpass(samples: np.ndarray, cutoff_hz: float,
     if cutoff_hz >= sample_rate_hz / 2.0:
         # Pole above Nyquist: the filter is transparent at this rate.
         return x.copy()
-    # Bilinear-transform single pole.
-    b, a = sp_signal.butter(1, cutoff_hz / (sample_rate_hz / 2.0))
-    zi = sp_signal.lfilter_zi(b, a) * x[0]
-    y, _ = sp_signal.lfilter(b, a, x, zi=zi)
+    b, a, zi = _rc_design(cutoff_hz / (sample_rate_hz / 2.0))
+    y, _ = sp_signal.lfilter(b, a, x, zi=zi * x[0])
     return y
+
+
+@lru_cache(maxsize=16)
+def _rc_design(wn: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bilinear-transform single pole at normalised cutoff ``wn``.
+
+    Returns ``(b, a, zi)``, with ``zi`` the unit-step initial state,
+    as read-only arrays shared by every caller.  Detector and
+    amplifier bandwidths are constants, so captures redesign the same
+    few filters; designing each once is exact.
+    """
+    b, a = sp_signal.butter(1, wn)
+    zi = sp_signal.lfilter_zi(b, a)
+    for arr in (b, a, zi):
+        arr.flags.writeable = False
+    return b, a, zi
 
 
 @dataclass

@@ -19,7 +19,7 @@ from ..optics.materials import ALUMINUM_TAPE, BLACK_NAPKIN, Material
 from ..optics.reflection import (
     OVERHEAD_GEOMETRY,
     IlluminationGeometry,
-    effective_reflectance,
+    effective_reflectance_profile,
 )
 from .encoding import Symbol
 from .packet import Packet
@@ -120,12 +120,11 @@ class TagSurface:
         substitutes the ground's own reflectance there).
         """
         xs = np.asarray(xs_local, dtype=float)
-        # Memoise per material: tags alternate between just two values.
-        values = {s.material.name: effective_reflectance(s.material, geometry)
-                  for s in self.strips}
+        # Memoised per material: tags alternate between just two values.
+        per_strip = effective_reflectance_profile(
+            [s.material for s in self.strips], geometry)
         idx = np.searchsorted(self._edges, xs, side="right") - 1
         idx = np.clip(idx, 0, len(self.strips) - 1)
-        per_strip = np.array([values[s.material.name] for s in self.strips])
         out = per_strip[idx]
         outside = (xs < 0.0) | (xs > self.length_m)
         return np.where(outside, 0.0, out)

@@ -11,10 +11,10 @@ passes in a single process with no pickling.
 
 Decoding is batched too.  Acquisition runs the serial decoder's own
 per-scale step (:func:`repro.core.decoder.scan_scale`) on every pending
-row; the clock-refinement search and the decision windows evaluate
-across the rows of a group at once through shared sparse max/min tables
-(:mod:`repro.tensor.rmq`), answering window for window the identical
-floats the serial decoder's segment reductions produce.
+row; the clock-refinement search and the decision windows run the
+serial decoder's own row kernels (:mod:`repro.core.decoder`, which the
+serial decoder calls with one row) across the rows of a group at once,
+over shared sparse max/min tables (:mod:`repro.tensor.rmq`).
 
 Equivalence contract: with ``dtype="float64"`` (the default) every
 :class:`~repro.engine.records.RunRecord` is **byte-identical**
@@ -48,13 +48,15 @@ import numpy as np
 
 from ..channel.trace import SignalTrace
 from ..core.decoder import (
-    _EXPECTED_HIGH,
     AdaptiveThresholdDecoder,
     DecoderConfig,
     ScaleScan,
     noise_sigma,
+    refine_clock_rows,
     scan_scale,
     smoothing_scales,
+    window_maxima,
+    window_tables,
 )
 from ..core.errors import PreambleNotFoundError
 from ..engine.executor import build_simulator, execute_scenario
@@ -71,7 +73,7 @@ from ..obs.registry import active_registry
 from ..hardware.amplifier import first_order_lowpass
 from ..tags.encoding import ManchesterError, Symbol, manchester_decode
 from ..tags.packet import Packet
-from .rmq import build_table, grid_searchsorted, log_table, range_query
+from .rmq import log_table
 
 __all__ = ["DTYPES", "execute_batch", "optical_key", "fast_path_eligible",
            "clear_plan_cache"]
@@ -239,15 +241,6 @@ def _capture_rows(plan: _GroupPlan, specs: list[ScenarioSpec],
 # Batched decode
 # ----------------------------------------------------------------------
 
-def _masked_query(table: np.ndarray, log: np.ndarray, op: np.ufunc,
-                  rows: np.ndarray, i0: np.ndarray, i1: np.ndarray,
-                  valid: np.ndarray) -> np.ndarray:
-    """Range-query ``[i0, i1)`` where ``valid``; junk elsewhere."""
-    qa = np.where(valid, i0, 0)
-    qb = np.where(valid, i1, 1)
-    return range_query(table, log, op, rows, qa, qb)
-
-
 class _RowDecode:
     """Mutable per-row decode state while the batch progresses."""
 
@@ -262,96 +255,6 @@ class _RowDecode:
         self.tau_t = 0.0
         self.level = 0.0
         self.anchor = 0.0
-
-
-def _refine_clock_rows(config: DecoderConfig, times: np.ndarray,
-                       t0: float, fs: float, tmax: np.ndarray,
-                       tmin: np.ndarray, log: np.ndarray,
-                       base_anchor: np.ndarray, tau_t: np.ndarray,
-                       tau_r: np.ndarray, level: np.ndarray,
-                       n_probe: int) -> tuple[np.ndarray, np.ndarray]:
-    """``AdaptiveThresholdDecoder._refine_clock`` over a leading row axis.
-
-    Identical candidate grid, identical window bounds, identical score
-    expression — evaluated for every row of the group at once, with the
-    data-roughness stage computed only for candidates that survive the
-    preamble-margin test (the serial path computes it for all
-    candidates; the survivors' values are the same either way, and
-    rejected candidates score ``-inf`` in both).  Returns per-row
-    ``(tau_t, anchor)``.
-    """
-    rows, n = len(tau_t), len(times)
-    span = config.clock_search_span
-
-    scales = np.linspace(1.0 - span, 1.0 + span, 13)
-    rel_deltas = np.linspace(-0.35, 0.35, 15)
-    cand_tau = tau_t[:, None] * scales[None, :]                # (R, 13)
-    shrink = config.window_shrink_fraction * cand_tau
-    anchors = (base_anchor[:, None, None]
-               + rel_deltas[None, None, :] * cand_tau[:, :, None])
-
-    tau_c = cand_tau[:, :, None, None]
-    shrink_c = shrink[:, :, None, None]
-    anchor_c = anchors[:, :, :, None]
-
-    ks = np.arange(4.0)
-    i0, i1 = grid_searchsorted(times, t0, fs, np.stack((
-        anchor_c + ks * tau_c + shrink_c,
-        anchor_c + (ks + 1.0) * tau_c - shrink_c)))
-    valid = (i1 > i0) & (i0 < n)
-    rows4 = np.broadcast_to(
-        np.arange(rows)[:, None, None, None], valid.shape)
-    w_max = _masked_query(tmax, log, np.maximum, rows4, i0, i1, valid)
-    level_c = level[:, None, None, None]
-    margins = np.where(_EXPECTED_HIGH, w_max - level_c, level_c - w_max)
-    min_margin = margins.min(axis=-1)
-    ok = valid.all(axis=-1) & (min_margin > 0.0)
-
-    out_tau = tau_t.copy()
-    out_anchor = base_anchor.copy()
-    okr, oks, okd = np.nonzero(ok)
-    if len(okr) == 0:
-        return out_tau, out_anchor
-
-    # Data-window roughness, survivors only.
-    dtau = cand_tau[okr, oks]
-    dshrink = shrink[okr, oks]
-    data_start = anchors[okr, oks, okd] + 4.0 * dtau
-    kd = np.arange(float(max(n_probe, 0)))
-    j0, j1 = grid_searchsorted(times, t0, fs, np.stack(
-        (data_start[:, None] + kd * dtau[:, None] + dshrink[:, None],
-         data_start[:, None] + (kd + 1.0) * dtau[:, None]
-         - dshrink[:, None])))
-    d_valid = (j1 > j0) & (j0 < n)
-    rows_d = np.broadcast_to(okr[:, None], d_valid.shape)
-    seg_max = _masked_query(tmax, log, np.maximum, rows_d, j0, j1, d_valid)
-    seg_min = _masked_query(tmin, log, np.minimum, rows_d, j0, j1, d_valid)
-    ranges = np.where(d_valid, seg_max - seg_min, 0.0)
-    counts = np.cumprod(d_valid, axis=-1).sum(axis=-1)
-    roughness = np.zeros(len(okr))
-    for count in np.unique(counts):
-        if count < 1:
-            continue
-        sel = counts == count
-        roughness[sel] = np.mean(ranges[:, :int(count)], axis=-1)[sel]
-
-    score = (min_margin[okr, oks, okd] / tau_r[okr]
-             - 0.5 * roughness / tau_r[okr]
-             - 0.9 * np.abs(scales - 1.0)[oks]
-             - 0.25 * np.abs(rel_deltas)[okd])
-
-    # Row-major first-max tie-breaking, exactly like the serial
-    # ``np.argmax`` over the (13, 15) candidate grid.
-    full = np.full((rows, len(scales) * len(rel_deltas)), -np.inf)
-    full[okr, oks * len(rel_deltas) + okd] = score
-    flat_idx = np.argmax(full, axis=1)
-    s_idx, d_idx = np.divmod(flat_idx, len(rel_deltas))
-    has = np.zeros(rows, dtype=bool)
-    has[okr] = True
-    r = np.flatnonzero(has)
-    out_tau[r] = cand_tau[r, s_idx[r]]
-    out_anchor[r] = anchors[r, s_idx[r], d_idx[r]]
-    return out_tau, out_anchor
 
 
 def _acquire_rows(decoder: AdaptiveThresholdDecoder,
@@ -390,9 +293,11 @@ def _decode_rows(traces: list[SignalTrace], n_data_symbols: int,
     """Batched adaptive decode of same-grid traces.
 
     Acquisition runs row by row (:func:`_acquire_rows`); clock
-    refinement and the decision windows run as fused passes over the
-    whole row stack, answering every "max/min inside this window"
-    question through shared sparse tables (:mod:`repro.tensor.rmq`).
+    refinement and the decision windows run the serial decoder's row
+    kernels (:func:`~repro.core.decoder.refine_clock_rows`,
+    :func:`~repro.core.decoder.window_maxima`) over the whole row
+    stack, answering every "max/min inside this window" question
+    through shared sparse tables (:mod:`repro.tensor.rmq`).
     When profiled, group-level time lands in the same
     ``normalize``/``acquire``/``refine_clock``/``decide`` stages the
     serial decoder reports per scenario.
@@ -445,21 +350,12 @@ def _decode_rows(traces: list[SignalTrace], n_data_symbols: int,
         base_anchor = np.array([row.anchor for row in live])
 
         log = log_table(n)
-        # Longest range any query below can ask for: one symbol window
-        # at the widest refinement candidate, in samples.  Levels
-        # beyond that are never touched, so the tables stop there (an
-        # underestimate would fault in ``range_query``, never answer
-        # wrongly).
-        wide = ((1.0 + cfg.clock_search_span)
-                * (1.0 + 2.0 * abs(cfg.window_shrink_fraction)))
-        lmax = int(np.ceil(float(tau_t.max()) * wide * fs)) + 4
-        tmax = build_table(smooths, np.maximum, max_len=lmax)
-        tmin = build_table(smooths, np.minimum, max_len=lmax)
+        tmax, tmin = window_tables(smooths, float(tau_t.max()), cfg, fs)
 
     with maybe_stage(stage_trace, ExecStage.REFINE_CLOCK):
         if cfg.clock_refinement:
             n_probe = min(n_data_symbols if n_data_symbols else 8, 12)
-            tau_t, anchor = _refine_clock_rows(
+            tau_t, anchor = refine_clock_rows(
                 cfg, times, t0, fs, tmax, tmin, log, base_anchor,
                 tau_t, tau_r, level, n_probe)
         else:
@@ -475,12 +371,9 @@ def _decode_rows(traces: list[SignalTrace], n_data_symbols: int,
         ks = np.arange(float(n_data_symbols))
         w_starts = data_start[:, None] + ks[None, :] * tau_t[:, None]
         w_ends = w_starts + tau_t[:, None]
-        i0, i1 = grid_searchsorted(times, t0, fs, np.stack(
-            (w_starts + shrink[:, None], w_ends - shrink[:, None])))
-        valid = (i1 > i0) & (i0 < n)
-        n_good = np.cumprod(valid, axis=1).sum(axis=1)
-        rows2 = np.broadcast_to(np.arange(len(live))[:, None], valid.shape)
-        maxima = _masked_query(tmax, log, np.maximum, rows2, i0, i1, valid)
+        maxima, n_good = window_maxima(tmax, log, times,
+                                       w_starts + shrink[:, None],
+                                       w_ends - shrink[:, None])
 
         for r, row in enumerate(live):
             good = int(n_good[r])

@@ -1,10 +1,10 @@
-"""Exact range-query primitives for the batched decoder.
+"""Exact range-query primitives for the decoder's window questions.
 
-The serial decoder answers thousands of "max/min of the smoothed signal
-inside [a, b)" questions per trace (clock-refinement candidates and
-decision windows, via per-window ``searchsorted`` + slice reductions).
-The batched tier answers the same questions for every row of a group at
-once through two shared structures:
+Decoding asks thousands of "max/min of the smoothed signal inside
+[a, b)" questions per trace (clock-refinement candidates, decision
+windows, the preamble check).  The serial decoder (one row) and the
+tensor backend (every row of a group at once) answer them through the
+same two structures:
 
 * **Sparse tables** (:func:`build_table`): O(n log n) precompute, O(1)
   range max/min via two overlapping power-of-two windows.  ``max`` and
@@ -22,26 +22,37 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["log_table", "build_table", "range_query", "grid_searchsorted"]
+__all__ = ["log_table", "build_table", "range_query", "masked_query",
+           "grid_searchsorted"]
 
-_LOG_CACHE: dict[int, np.ndarray] = {}
+#: One ``floor(log2(i))`` table for every length: grown to the largest
+#: ``n`` asked for so far, handed out as read-only prefix views.
+_LOG = np.zeros(1, dtype=np.intp)
+_LOG.flags.writeable = False
 
 
 def log_table(n: int) -> np.ndarray:
-    """``floor(log2(i))`` for ``i`` in ``[1, n]`` (index 0 unused)."""
-    table = _LOG_CACHE.get(n)
-    if table is None:
+    """``floor(log2(i))`` for ``i`` in ``[1, n]`` (index 0 unused).
+
+    ``floor(log2(i))`` does not depend on ``n``, so one table serves
+    every length: it is rebuilt only when a longer trace arrives, and
+    memory stays bounded by the longest trace instead of growing with
+    the number of distinct lengths seen.
+    """
+    global _LOG
+    table = _LOG
+    if len(table) <= n:
         i = np.arange(1, n + 1)
+        k = np.floor(np.log2(i)).astype(np.intp)
+        # log2 is exact at powers of two and comfortably accurate
+        # between them, but enforce the defining inequality anyway.
+        k -= (1 << k) > i
+        k += (2 << k) <= i
         table = np.zeros(n + 1, dtype=np.intp)
-        if n >= 1:
-            k = np.floor(np.log2(i)).astype(np.intp)
-            # log2 is exact at powers of two and comfortably accurate
-            # between them, but enforce the defining inequality anyway.
-            k -= (1 << k) > i
-            k += (2 << k) <= i
-            table[1:] = k
-        _LOG_CACHE[n] = table
-    return table
+        table[1:] = k
+        table.flags.writeable = False
+        _LOG = table
+    return table[:n + 1]
 
 
 def build_table(x: np.ndarray, op: np.ufunc,
@@ -83,6 +94,15 @@ def range_query(table: np.ndarray, log: np.ndarray, op: np.ufunc,
     base = (k * n_rows + rows) * n
     flat = table.reshape(-1)
     return op(flat.take(base + a), flat.take(base + b - (1 << k)))
+
+
+def masked_query(table: np.ndarray, log: np.ndarray, op: np.ufunc,
+                 rows: np.ndarray, i0: np.ndarray, i1: np.ndarray,
+                 valid: np.ndarray) -> np.ndarray:
+    """Range-query ``[i0, i1)`` where ``valid``; junk elsewhere."""
+    qa = np.where(valid, i0, 0)
+    qb = np.where(valid, i1, 1)
+    return range_query(table, log, op, rows, qa, qb)
 
 
 def grid_searchsorted(times: np.ndarray, t0: float, fs: float,

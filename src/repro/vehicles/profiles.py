@@ -28,7 +28,7 @@ from ..optics.materials import CAR_GLASS, CAR_PAINT_METAL, Material
 from ..optics.reflection import (
     OVERHEAD_GEOMETRY,
     IlluminationGeometry,
-    effective_reflectance,
+    effective_reflectance_profile,
 )
 
 __all__ = ["CarSegment", "CarProfile", "volvo_v40", "bmw_3_series",
@@ -107,11 +107,10 @@ class CarProfile:
                             ) -> np.ndarray:
         """Effective-reflectance profile along the roof line."""
         xs = np.asarray(xs_local, dtype=float)
-        values = {s.material.name: effective_reflectance(s.material, geometry)
-                  for s in self.segments}
+        per_seg = effective_reflectance_profile(
+            [s.material for s in self.segments], geometry)
         idx = np.searchsorted(self._edges, xs, side="right") - 1
         idx = np.clip(idx, 0, len(self.segments) - 1)
-        per_seg = np.array([values[s.material.name] for s in self.segments])
         out = per_seg[idx]
         outside = (xs < 0.0) | (xs > self.length_m)
         return np.where(outside, 0.0, out)

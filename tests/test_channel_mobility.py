@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel.mobility import (
     KMH_TO_MPS,
@@ -138,3 +140,47 @@ class TestTimeToReach:
         m = PiecewiseConstantSpeed(breakpoints_m=[1.0],
                                    speeds_mps=[1.0, 2.0])
         assert time_to_reach(m, 3.0) == pytest.approx(2.0, abs=1e-6)
+
+
+class _ArrayTimeSpeed(ConstantSpeed):
+    """``ConstantSpeed`` with the 0-d-array ``position`` it used to have."""
+
+    def position(self, t):
+        return (self.start_position_m
+                + self.speed_mps * np.asarray(t, dtype=float))
+
+
+def _reach(profile, target, t_max):
+    try:
+        return time_to_reach(profile, target, t_max)
+    except ValueError:
+        return ValueError
+
+
+class TestFloatTimeExact:
+    """Float-time ``ConstantSpeed`` bisects exactly as the array form."""
+
+    @given(speed=st.floats(1e-3, 60.0), start=st.floats(-50.0, 5.0),
+           frac=st.floats(0.0, 1.0), ulps=st.integers(1, 4),
+           t_max=st.sampled_from([2.5, 10.0, 3600.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_time_to_reach_matches_array_time(self, speed, start, frac,
+                                              ulps, t_max):
+        new = ConstantSpeed(speed, start)
+        old = _ArrayTimeSpeed(speed, start)
+        end = float(old.position(t_max))
+        targets = [start, end, start + frac * (end - start)]
+        lo, below, above = start, end, end
+        for _ in range(ulps):
+            # A few ulps past the start and on both sides of the end.
+            lo = float(np.nextafter(lo, np.inf))
+            below = float(np.nextafter(below, -np.inf))
+            above = float(np.nextafter(above, np.inf))
+            targets += [lo, below, above]
+        for target in targets:
+            assert _reach(new, target, t_max) == _reach(old, target, t_max)
+        for t in (0.0, frac * t_max, t_max):
+            assert type(new.position(t)) is float
+            assert new.position(t) == float(old.position(t))
+        t = np.linspace(0.0, t_max, 7)
+        assert new.position(t).tobytes() == old.position(t).tobytes()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.channel.simulator import ChannelSimulator, SimulatorConfig
 from repro.channel.trace import SignalTrace
@@ -9,11 +11,15 @@ from repro.core.decoder import (
     AdaptiveThresholdDecoder,
     DecodeResult,
     DecoderConfig,
+    refine_clock_rows,
+    window_tables,
 )
 from repro.core.errors import DecodeError, PreambleNotFoundError
 from repro.tags.encoding import Symbol
+from repro.tensor.rmq import log_table
 
 from .conftest import build_indoor_scene
+from .reference_decode import refine_clock_reference, reference_decode
 
 
 def synthetic_packet_trace(symbols="HLHLHLHL", symbol_duration_s=0.4,
@@ -199,7 +205,7 @@ class TestEndToEnd:
 
 
 class TestVectorizedRefineClock:
-    """The broadcast clock search is bit-identical to the triple loop."""
+    """The table-based clock search is bit-identical to the triple loop."""
 
     def _prepared(self, trace):
         decoder = AdaptiveThresholdDecoder()
@@ -215,57 +221,91 @@ class TestVectorizedRefineClock:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("symbols", ["HLHLHLLH", "HLHLLHHLHLLH"])
     def test_matches_reference_on_noisy_traces(self, seed, symbols):
+        """The row kernel, run on one row as ``decode`` runs it."""
         trace = synthetic_packet_trace(symbols, noise=3.0, seed=seed)
         decoder, points, smooth, tau_r, tau_t, level = self._prepared(trace)
-        times = trace.times()
+        cfg = decoder.config
+        times, fs = trace.times(), trace.sample_rate_hz
+        tmax, tmin = window_tables(smooth[None, :], tau_t, cfg, fs)
         for n_data in (None, len(symbols) - 4):
-            vec = decoder._refine_clock(smooth, times, points, tau_t,
-                                        tau_r, level, n_data_symbols=n_data)
-            ref = decoder._refine_clock_reference(
-                smooth, times, points, tau_t, tau_r, level,
-                n_data_symbols=n_data)
-            assert vec == ref
+            taus, anchors = refine_clock_rows(
+                cfg, times, trace.start_time_s, fs, tmax, tmin,
+                log_table(len(times)),
+                np.array([points[0].time_s - 0.5 * tau_t]),
+                np.array([tau_t]), np.array([tau_r]), np.array([level]),
+                min(n_data if n_data else 8, 12))
+            ref = refine_clock_reference(cfg, smooth, times, points, tau_t,
+                                         tau_r, level, n_data_symbols=n_data)
+            assert (float(taus[0]), float(anchors[0])) == ref
 
     def test_decode_matches_reference_end_to_end(self):
-        """Full decodes driven by either clock search agree exactly."""
+        """Full decodes agree exactly with the window-by-window oracle."""
         trace = synthetic_packet_trace("HLHLHLLHHLLH", noise=2.0, seed=3)
-        vec = AdaptiveThresholdDecoder().decode(trace)
+        assert_same_decode(AdaptiveThresholdDecoder().decode(trace),
+                           reference_decode(trace))
 
-        class ReferenceDecoder(AdaptiveThresholdDecoder):
-            _refine_clock = AdaptiveThresholdDecoder._refine_clock_reference
 
-        ref = ReferenceDecoder().decode(trace)
-        assert vec.symbols == ref.symbols
-        assert vec.bits == ref.bits
-        assert vec.tau_t == ref.tau_t
-        assert vec.threshold_level == ref.threshold_level
-        assert [(w.t_start_s, w.t_end_s, w.max_value, w.symbol)
-                for w in vec.windows] == [
-                    (w.t_start_s, w.t_end_s, w.max_value, w.symbol)
-                    for w in ref.windows]
+def assert_same_decode(got, ref):
+    assert got.symbols == ref.symbols
+    assert got.bits == ref.bits
+    assert got.tau_r == ref.tau_r
+    assert got.tau_t == ref.tau_t
+    assert got.threshold_level == ref.threshold_level
+    assert got.anchor_points == ref.anchor_points
+    assert [(w.t_start_s, w.t_end_s, w.max_value, w.symbol)
+            for w in got.windows] == [
+                (w.t_start_s, w.t_end_s, w.max_value, w.symbol)
+                for w in ref.windows]
+    assert got.preamble_verified == ref.preamble_verified
 
-    def test_segment_reduce_matches_scalar_windows(self):
-        """The reduceat window extraction equals _window_max/_window_range
-        on randomly placed (including empty) windows."""
-        from repro.core.decoder import _segment_reduce, _window_slices
 
-        rng = np.random.default_rng(11)
-        trace = synthetic_packet_trace("HLHLHLLH", noise=1.0, seed=5)
-        decoder = AdaptiveThresholdDecoder()
-        _, smooth = decoder._acquire(trace)
-        times = trace.times()
-        starts = rng.uniform(times[0] - 0.5, times[-1] + 0.5, size=200)
-        ends = starts + rng.uniform(-0.05, 0.4, size=200)
-        i0, i1, valid = _window_slices(times, starts, ends)
-        maxima = _segment_reduce(np.maximum, smooth, -np.inf, i0, i1)
-        minima = _segment_reduce(np.minimum, smooth, np.inf, i0, i1)
-        for k in range(200):
-            w_max = decoder._window_max(smooth, times, starts[k], ends[k])
-            w_range = decoder._window_range(smooth, times, starts[k],
-                                            ends[k])
-            if w_max is None:
-                assert not valid[k]
-            else:
-                assert valid[k]
-                assert maxima[k] == w_max
-                assert maxima[k] - minima[k] == w_range
+def _outcome(decode, trace, n_data, config):
+    try:
+        return decode(trace, n_data, config)
+    except (PreambleNotFoundError, DecodeError, ValueError) as exc:
+        return type(exc)
+
+
+class TestDecodeDifferential:
+    """``decode()`` against the reference decode on drawn packets."""
+
+    @given(bits=st.text("01", min_size=1, max_size=6),
+           symbol_s=st.floats(0.12, 0.6),
+           fs=st.sampled_from([100.0, 200.0, 500.0]),
+           high=st.floats(30.0, 200.0), low=st.floats(0.0, 30.0),
+           base=st.floats(0.0, 30.0), noise=st.floats(0.0, 12.0),
+           seed=st.integers(0, 2**16), lead_s=st.floats(0.1, 1.5),
+           tail_s=st.floats(0.0, 1.5),
+           n_data=st.one_of(st.none(), st.just(-1), st.integers(1, 30)),
+           rule=st.sampled_from(["midpoint", "paper"]),
+           shrink=st.sampled_from([0.0, 0.1, 0.22, 0.4]),
+           span=st.sampled_from([0.05, 0.15, 0.3]),
+           refine=st.booleans())
+    # The longest windows a decode asks for: no shrink, widest span.
+    @example(bits="01", symbol_s=0.25, fs=200.0, high=100.0, low=20.0,
+             base=10.0, noise=1.0, seed=1, lead_s=1.0, tail_s=1.0,
+             n_data=-1, rule="midpoint", shrink=0.0, span=0.3, refine=True)
+    @settings(max_examples=200, deadline=None)
+    def test_decode_matches_reference(self, bits, symbol_s, fs, high, low,
+                                      base, noise, seed, lead_s, tail_s,
+                                      n_data, rule, shrink, span, refine):
+        symbols = "HLHL" + "".join("HL" if b == "0" else "LH" for b in bits)
+        trace = synthetic_packet_trace(
+            symbols, symbol_duration_s=symbol_s, fs=fs, high=high, low=low,
+            base=base, noise=noise, seed=seed, lead_s=lead_s,
+            tail_s=tail_s)
+        if n_data == -1:
+            n_data = len(symbols) - 4      # the true data-symbol count
+        config = DecoderConfig(threshold_rule=rule,
+                               window_shrink_fraction=shrink,
+                               clock_search_span=span,
+                               clock_refinement=refine)
+        got = _outcome(
+            lambda t, n, c: AdaptiveThresholdDecoder(c).decode(t, n),
+            trace, n_data, config)
+        ref = _outcome(reference_decode, trace, n_data, config)
+        if isinstance(ref, type):
+            assert got is ref
+        else:
+            assert not isinstance(got, type), got
+            assert_same_decode(got, ref)

@@ -44,6 +44,36 @@ class TestLowpass:
             first_order_lowpass(np.zeros(10), 10.0, 0.0)
 
 
+    def test_matches_inline_design_bit_for_bit(self):
+        """The memoised design equals the inline butter / lfilter_zi /
+        lfilter sequence, including repeated and same-cutoff calls."""
+        from scipy import signal as sp_signal
+
+        rng = np.random.default_rng(3)
+        for cutoff, fs in [(50.0, 1000.0), (20.0, 2000.0), (20.0, 500.0),
+                           (349.9, 700.0), (50.0, 1000.0), (0.5, 2000.0)]:
+            x = rng.normal(size=300) + 2.0
+            b, a = sp_signal.butter(1, cutoff / (fs / 2.0))
+            zi = sp_signal.lfilter_zi(b, a) * x[0]
+            expected, _ = sp_signal.lfilter(b, a, x, zi=zi)
+            got = first_order_lowpass(x, cutoff, fs)
+            assert got.tobytes() == expected.tobytes()
+            got[:] = 0.0       # outputs are the caller's to mutate
+            assert first_order_lowpass(x, cutoff, fs).tobytes() == \
+                expected.tobytes()
+
+    def test_cached_design_is_read_only(self):
+        from repro.hardware.amplifier import _rc_design
+
+        first_order_lowpass(np.ones(8), 50.0, 1000.0)
+        design = _rc_design(50.0 / (1000.0 / 2.0))
+        assert design is _rc_design(0.1)
+        for arr in design:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
 class TestAmplifier:
     def test_gain_applied(self):
         amp = Amplifier(gain=2.0, rail_high=10.0)

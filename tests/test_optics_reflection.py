@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.optics import reflection
 from repro.optics.geometry import Vec3
 from repro.optics.materials import ALUMINUM_TAPE, BLACK_NAPKIN, MIRROR
 from repro.optics.reflection import (
@@ -15,6 +16,11 @@ from repro.optics.reflection import (
     mirror_direction,
     phong_lobe_value,
 )
+from repro.tags import surface as surface_module
+from repro.tags.packet import Packet
+from repro.tags.surface import TagSurface
+from repro.vehicles import profiles as profiles_module
+from repro.vehicles.profiles import bmw_3_series, volvo_v40
 
 
 class TestMirrorDirection:
@@ -137,3 +143,45 @@ class TestProfile:
         profile = effective_reflectance_profile(mats, OVERHEAD_GEOMETRY)
         assert len(set(np.round(profile[:50], 12))) == 1
         assert len(set(np.round(profile[50:], 12))) == 1
+
+
+class TestSurfaceProfileMemo:
+    """Tag and car profiles evaluate each distinct material once."""
+
+    @pytest.mark.parametrize("name", ["tag", "dirty_tag", "volvo", "bmw"])
+    def test_one_call_per_material_and_exact(self, name, monkeypatch):
+        tag = TagSurface.from_packet(
+            Packet.from_bitstring("011010", symbol_width_m=0.05))
+        if name in ("tag", "dirty_tag"):
+            surface = tag if name == "tag" else tag.degraded(0.35)
+            parts, material_at = surface.strips, surface.material_at
+        else:
+            surface = volvo_v40() if name == "volvo" else bmw_3_series()
+            parts = surface.segments
+
+            def material_at(x):
+                segment = surface.segment_at(x)
+                return None if segment is None else segment.material
+        geometry = IlluminationGeometry(
+            incident_direction=Vec3(0.4, 0.1, -1.0).normalized(),
+            view_direction=Vec3(0.0, 0.0, 1.0), diffuse_fraction=0.15)
+        xs = np.linspace(-0.2, surface.length_m + 0.2, 1001)
+        # Per-strip evaluation: one material lookup per sample.
+        expected = np.array([
+            0.0 if (m := material_at(x)) is None
+            else effective_reflectance(m, geometry) for x in xs])
+
+        calls: list[str] = []
+
+        def spy(material, geom=OVERHEAD_GEOMETRY):
+            calls.append(material.name)
+            return effective_reflectance(material, geom)
+
+        for module in (reflection, surface_module, profiles_module):
+            monkeypatch.setattr(module, "effective_reflectance", spy,
+                                raising=False)
+        got = surface.reflectance_samples(xs, geometry)
+        monkeypatch.undo()
+
+        assert sorted(calls) == sorted({p.material.name for p in parts})
+        assert got.tobytes() == expected.tobytes()

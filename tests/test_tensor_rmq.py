@@ -23,7 +23,18 @@ class TestLogTable:
             assert table[i] == i.bit_length() - 1
 
     def test_cached_instance_reused(self):
-        assert log_table(64) is log_table(64)
+        """One shared buffer serves every length, with the values a
+        per-length construction gives."""
+        for n in (64, 7, 300, 64, 1, 0):
+            table = log_table(n)
+            i = np.arange(1, n + 1)
+            expected = np.zeros(n + 1, dtype=np.intp)
+            expected[1:] = np.floor(np.log2(i)).astype(np.intp)
+            assert table.dtype == np.intp
+            np.testing.assert_array_equal(table, expected)
+        assert np.shares_memory(log_table(64), log_table(64))
+        assert np.shares_memory(log_table(64), log_table(300))
+        assert not log_table(64).flags.writeable
 
 
 class TestRangeQuery:
