@@ -22,12 +22,12 @@ The same sweep from the shell::
 """
 
 import argparse
-import os
 
 from repro.engine import (
     BatchRunner,
     ResultCache,
     ScenarioSpec,
+    available_cpus,
     expand_grid,
     group_table,
     summarize,
@@ -44,7 +44,7 @@ AXES = {
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int,
-                        default=max(1, os.cpu_count() or 1))
+                        default=available_cpus())
     parser.add_argument("--cache-dir", default=".engine-cache")
     args = parser.parse_args()
 

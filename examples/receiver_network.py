@@ -23,7 +23,6 @@ The same sweep from the shell::
 
 import argparse
 import dataclasses
-import os
 
 from repro.analysis.sweeps import sweep_fusion_gain
 from repro.channel.simulator import ChannelSimulator, SimulatorConfig
@@ -31,6 +30,7 @@ from repro.engine import (
     BatchRunner,
     ResultCache,
     ScenarioSpec,
+    available_cpus,
     build_network,
     build_scene,
     summarize,
@@ -94,7 +94,7 @@ def act_three(workers: int, cache_dir: str) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int,
-                        default=max(1, os.cpu_count() or 1))
+                        default=available_cpus())
     parser.add_argument("--cache-dir", default=".engine-cache")
     args = parser.parse_args()
     act_one()

@@ -21,9 +21,14 @@ The same sweeps from the shell::
 """
 
 import argparse
-import os
 
-from repro.engine import BatchRunner, ResultCache, group_table, summarize
+from repro.engine import (
+    BatchRunner,
+    ResultCache,
+    available_cpus,
+    group_table,
+    summarize,
+)
 from repro.scenarios import expand_family
 
 COMPOSITIONS = ("convoy*fog", "highway*night", "fleet_mix*variable_speed")
@@ -33,7 +38,7 @@ COUNT = 60
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int,
-                        default=max(1, os.cpu_count() or 1))
+                        default=available_cpus())
     parser.add_argument("--cache-dir", default=".engine-cache")
     args = parser.parse_args()
 

@@ -63,7 +63,8 @@ from .report import (
     success_rate_by,
     summarize,
 )
-from .runner import BatchResult, BatchRunner, RunStats, run_grid
+from .runner import (BatchResult, BatchRunner, RunStats, available_cpus,
+                     run_grid)
 from .spec import GridSpec, ScenarioSpec, SpecIdentity, expand_grid, grid_size
 from .streaming import SessionOutcome, StreamRunResult, run_stream
 
@@ -71,7 +72,7 @@ __all__ = [
     "BatchResult", "BatchRunner", "CacheBackend", "CacheStats", "GridSpec",
     "RecordStage", "ResultCache", "RunRecord", "RunStats", "ScenarioSpec",
     "SessionOutcome", "SpecIdentity", "SqliteResultCache",
-    "StreamRunResult", "run_stream",
+    "StreamRunResult", "available_cpus", "run_stream",
     "build_frontend", "build_network", "build_scene", "build_simulator",
     "execute_scenario", "expand_grid", "fusion_stats", "fusion_table",
     "grid_size", "group_table", "latency_stats", "latency_table",

@@ -20,6 +20,12 @@ them.  :func:`open_cache` selects a backend by name (CLI
 ``--cache-backend``, or the ``REPRO_CACHE_BACKEND`` environment
 variable for CI legs).
 
+The batch runner makes one cache round trip each way per batch: one
+:meth:`~CacheBackend.get_many` before dispatch and one
+:meth:`~CacheBackend.put_many` after (on SQLite, one ``IN (...)``
+query per chunk of keys and one write transaction).  Per-key ``get``
+and ``put`` are batches of one.
+
 Any spec change — a different seed, a nudged height, a new decoder —
 changes the content hash and therefore misses the cache; stale entries
 are never returned, only orphaned (and reclaimable via ``clear``).
@@ -33,7 +39,8 @@ import sqlite3
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol, runtime_checkable
+from typing import (Callable, Iterator, Mapping, Protocol, Sequence,
+                    runtime_checkable)
 
 from ..faults.retry import RetryExhausted, RetryPolicy
 from ..obs.events import active_events
@@ -41,7 +48,8 @@ from ..obs.registry import MetricsRegistry, active_registry
 from .records import RunRecord
 
 __all__ = ["BACKEND_ENV", "CACHE_BACKENDS", "CacheBackend", "CacheStats",
-           "ResultCache", "SqliteResultCache", "open_cache"]
+           "ResultCache", "SQLITE_MAX_VARIABLES", "SqliteResultCache",
+           "open_cache"]
 
 #: Recognised backend names, in default-preference order.
 CACHE_BACKENDS = ("disk", "sqlite")
@@ -49,6 +57,10 @@ CACHE_BACKENDS = ("disk", "sqlite")
 #: Environment override consulted when no backend is named explicitly
 #: (CI legs run whole suites against one backend through this).
 BACKEND_ENV = "REPRO_CACHE_BACKEND"
+
+#: Keys per ``IN (...)`` lookup on SQLite: the bound-variable limit of
+#: builds before 3.32, so every build accepts a full chunk.
+SQLITE_MAX_VARIABLES = 999
 
 _HEX = set("0123456789abcdef")
 
@@ -87,28 +99,64 @@ class CacheStats:
                 {"backend": backend}).inc(self.write_retries)
 
 
-def _observe_lookup(backend: str, key: str, hit: bool) -> None:
-    """Incremental telemetry for one cache lookup (no-op when off)."""
+def _parse(payload: str) -> RunRecord | None:
+    """A stored payload as a record, or None when it does not parse."""
+    try:
+        return RunRecord.from_dict(json.loads(payload))
+    except (ValueError, TypeError):
+        return None
+
+
+def _observe_lookups(cache: ResultCache | SqliteResultCache,
+                     keys: Sequence[str],
+                     found: Mapping[str, RunRecord]) -> None:
+    """Account one batch of lookups: stats, and per-key telemetry in
+    key order (counters and events are no-ops when off)."""
+    hits = sum(key in found for key in keys)
+    cache.stats.hits += hits
+    cache.stats.misses += len(keys) - hits
+    backend = cache.backend_name
     registry = active_registry()
     if registry is not None:
-        registry.counter("cache_lookups_total",
-                         {"backend": backend,
-                          "result": "hit" if hit else "miss"}).inc()
+        for result, count in (("hit", hits), ("miss", len(keys) - hits)):
+            if count:
+                registry.counter("cache_lookups_total",
+                                 {"backend": backend,
+                                  "result": result}).inc(count)
     log = active_events()
     if log is not None:
-        log.emit("cache_hit" if hit else "cache_miss",
-                 backend=backend, key=key)
+        for key in keys:
+            log.emit("cache_hit" if key in found else "cache_miss",
+                     backend=backend, key=key)
 
 
-def _observe_write(backend: str, retries: int) -> None:
-    """Incremental telemetry for one cache write (no-op when off)."""
+def _write_retried(cache: ResultCache | SqliteResultCache,
+                   write: Callable[[], None],
+                   retry_on: tuple[type[BaseException], ...],
+                   n_records: int) -> None:
+    """Run one write of ``n_records`` under the cache's retry policy.
+
+    Absorbed retries are counted either way; the records count as
+    written only on success.  Once the budget is spent the last
+    attempt's original exception propagates, so callers see the same
+    exception type as an unretried write.
+    """
+    policy = cache.retry_policy
+    before = policy.retries
+    try:
+        policy.call(write, retry_on=retry_on)
+    except RetryExhausted as exc:
+        raise exc.last from exc
+    finally:
+        cache.stats.write_retries += policy.retries - before
+    cache.stats.writes += n_records
     registry = active_registry()
-    if registry is None:
-        return
-    registry.counter("cache_writes_total", {"backend": backend}).inc()
-    if retries:
-        registry.counter("cache_write_retries_total",
-                         {"backend": backend}).inc(retries)
+    if registry is not None:
+        labels = {"backend": cache.backend_name}
+        registry.counter("cache_writes_total", labels).inc(n_records)
+        if policy.retries > before:
+            registry.counter("cache_write_retries_total",
+                             labels).inc(policy.retries - before)
 
 
 @runtime_checkable
@@ -123,6 +171,21 @@ class CacheBackend(Protocol):
     """
 
     stats: CacheStats
+    #: Telemetry label (``cache_lookups_total{backend}`` and events).
+    backend_name: str
+
+    def get_many(self, keys: Sequence[str]) -> dict[str, RunRecord]:
+        """The cached records among ``keys`` (hits only), by key.
+
+        Stats and telemetry count every key, duplicates included, and
+        ``cache_hit``/``cache_miss`` events follow the order of
+        ``keys``.
+        """
+        ...
+
+    def put_many(self, records: Sequence[RunRecord]) -> None:
+        """Persist records under their spec hashes."""
+        ...
 
     def get(self, key: str) -> RunRecord | None:
         """The cached record for a spec hash, or None."""
@@ -186,24 +249,28 @@ class ResultCache:
     def _read(self, key: str) -> RunRecord | None:
         """Parse the record under ``key``, or None when unreadable."""
         try:
-            data = json.loads(self._path(key).read_text())
-            return RunRecord.from_dict(data)
-        except (OSError, ValueError, TypeError):
+            payload = self._path(key).read_text()
+        except OSError:
             return None
+        return _parse(payload)
 
-    def get(self, key: str) -> RunRecord | None:
-        """The cached record for a spec hash, or None.
+    def get_many(self, keys: Sequence[str]) -> dict[str, RunRecord]:
+        """The cached records among ``keys``: one file read per key.
 
         Corrupt or half-written files count as misses rather than
         errors — the scenario simply re-executes and overwrites them.
         """
-        record = self._read(key)
-        _observe_lookup(self.backend_name, key, hit=record is not None)
-        if record is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return record
+        found = {}
+        for key in dict.fromkeys(keys):
+            record = self._read(key)
+            if record is not None:
+                found[key] = record
+        _observe_lookups(self, keys, found)
+        return found
+
+    def get(self, key: str) -> RunRecord | None:
+        """The cached record for a spec hash, or None."""
+        return self.get_many((key,)).get(key)
 
     def _write_atomic(self, path: Path, payload: str) -> None:
         """One atomic write attempt: temp file in-dir, then rename."""
@@ -220,28 +287,23 @@ class ResultCache:
                 pass
             raise
 
-    def put(self, record: RunRecord) -> None:
-        """Persist a record atomically under its spec hash.
+    def put_many(self, records: Sequence[RunRecord]) -> None:
+        """Persist each record atomically under its spec hash.
 
         Transient ``OSError`` (network-storage hiccup, inode pressure)
-        is retried under :attr:`retry_policy`; a persistent error
-        propagates as the original ``OSError`` once the budget is
-        spent, so callers see the same exception type as before.
+        is retried per file under :attr:`retry_policy`; a persistent
+        error propagates as the original ``OSError`` once the budget is
+        spent, with the records before it written.
         """
-        path = self._path(record.spec_hash)
-        payload = json.dumps(record.to_dict())
-        before = self.retry_policy.retries
-        try:
-            self.retry_policy.call(
-                lambda: self._write_atomic(path, payload),
-                retry_on=(OSError,))
-        except RetryExhausted as exc:
-            self.stats.write_retries += self.retry_policy.retries - before
-            raise exc.last from exc
-        self.stats.write_retries += self.retry_policy.retries - before
-        self.stats.writes += 1
-        _observe_write(self.backend_name,
-                       self.retry_policy.retries - before)
+        for record in records:
+            path = self._path(record.spec_hash)
+            payload = json.dumps(record.to_dict())
+            _write_retried(self, lambda: self._write_atomic(path, payload),
+                           (OSError,), 1)
+
+    def put(self, record: RunRecord) -> None:
+        """Persist a record atomically under its spec hash."""
+        self.put_many((record,))
 
     def __contains__(self, key: str) -> bool:
         """Membership mirrors :meth:`get`: a corrupt or torn file that
@@ -325,65 +387,71 @@ class SqliteResultCache:
             "key TEXT PRIMARY KEY, payload TEXT NOT NULL)")
         self._conn.commit()
 
-    def get(self, key: str) -> RunRecord | None:
-        """The cached record for a spec hash, or None.
+    def get_many(self, keys: Sequence[str]) -> dict[str, RunRecord]:
+        """The cached records among ``keys``: one ``SELECT ... WHERE
+        key IN (...)`` per :data:`SQLITE_MAX_VARIABLES` distinct keys.
 
         An unparsable payload counts as a miss, mirroring the disk
-        backend's treatment of corrupt files.
+        backend's treatment of corrupt files; a chunk whose query fails
+        is a run of misses.
         """
-        try:
-            row = self._conn.execute(
-                "SELECT payload FROM records WHERE key = ?",
-                (key,)).fetchone()
-            record = (RunRecord.from_dict(json.loads(row[0]))
-                      if row is not None else None)
-        except (sqlite3.Error, ValueError, TypeError):
-            record = None
-        _observe_lookup(self.backend_name, key, hit=record is not None)
-        if record is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return record
+        unique = list(dict.fromkeys(keys))
+        payloads: dict[str, str] = {}
+        for start in range(0, len(unique), SQLITE_MAX_VARIABLES):
+            chunk = unique[start:start + SQLITE_MAX_VARIABLES]
+            marks = ",".join("?" * len(chunk))
+            try:
+                payloads.update(self._conn.execute(
+                    "SELECT key, payload FROM records "
+                    f"WHERE key IN ({marks})", chunk))
+            except sqlite3.Error:
+                pass
+        found = {}
+        for key in unique:
+            record = _parse(payloads[key]) if key in payloads else None
+            if record is not None:
+                found[key] = record
+        _observe_lookups(self, keys, found)
+        return found
 
-    def _upsert(self, key: str, payload: str) -> None:
+    def get(self, key: str) -> RunRecord | None:
+        """The cached record for a spec hash, or None."""
+        return self.get_many((key,)).get(key)
+
+    def _upsert(self, rows: list[tuple[str, str]]) -> None:
         with self._conn:
-            self._conn.execute(
+            self._conn.executemany(
                 "INSERT OR REPLACE INTO records (key, payload) "
-                "VALUES (?, ?)", (key, payload))
+                "VALUES (?, ?)", rows)
 
-    def put(self, record: RunRecord) -> None:
-        """Persist a record under its spec hash.
+    def put_many(self, records: Sequence[RunRecord]) -> None:
+        """Persist records in one transaction (one ``executemany``
+        upsert).
 
         Transient failures (a writer lock outlasting the busy
-        timeout) are retried under :attr:`retry_policy`; a persistent
-        error propagates as the original exception once the budget is
-        spent.
+        timeout) retry the whole transaction under
+        :attr:`retry_policy`; a persistent error propagates as the
+        original exception once the budget is spent, with nothing
+        written.
         """
-        payload = json.dumps(record.to_dict())
-        before = self.retry_policy.retries
-        try:
-            self.retry_policy.call(
-                lambda: self._upsert(record.spec_hash, payload),
-                retry_on=(sqlite3.OperationalError, OSError))
-        except RetryExhausted as exc:
-            self.stats.write_retries += self.retry_policy.retries - before
-            raise exc.last from exc
-        self.stats.write_retries += self.retry_policy.retries - before
-        self.stats.writes += 1
-        _observe_write(self.backend_name,
-                       self.retry_policy.retries - before)
+        rows = [(record.spec_hash, json.dumps(record.to_dict()))
+                for record in records]
+        if rows:
+            _write_retried(self, lambda: self._upsert(rows),
+                           (sqlite3.OperationalError, OSError), len(rows))
+
+    def put(self, record: RunRecord) -> None:
+        """Persist a record under its spec hash."""
+        self.put_many((record,))
 
     def __contains__(self, key: str) -> bool:
         """Membership mirrors :meth:`get` (and the disk backend): an
         unparsable stored payload is not "in" the cache."""
         try:
             payload = self.get_payload(key)
-            if payload is None:
-                return False
-            return RunRecord.from_dict(json.loads(payload)) is not None
-        except (sqlite3.Error, ValueError, TypeError):
+        except sqlite3.Error:
             return False
+        return payload is not None and _parse(payload) is not None
 
     def get_payload(self, key: str) -> str | None:
         """The raw stored JSON for a key (tests and diagnostics)."""

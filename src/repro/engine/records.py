@@ -245,15 +245,23 @@ class RunRecord:
         ``fault_events`` is omitted when empty, and ``stage_trace``
         when absent (or when timing is excluded), so unprofiled and
         fault-free records serialize byte-identically to records from
-        before those features existed.
+        before those features existed.  Built field by field in
+        declaration order: the key order and values are those of
+        ``dataclasses.asdict``, with fresh copies of the ``spec``,
+        ``nodes`` and ``fault_events`` containers, but without its
+        recursive deep-copy walk (this sits on every cache write).
         """
-        data = dataclasses.asdict(self)
+        data = {name: getattr(self, name) for name in _FIELD_ORDER}
+        data["spec"] = _copy_plain(self.spec)
+        data["nodes"] = _copy_plain(self.nodes)
+        if self.fault_events:
+            data["fault_events"] = dict(self.fault_events)
+        else:
+            del data["fault_events"]
+        del data["stage_trace"]
         if not include_timing:
-            data.pop("elapsed_s")
-        if not data["fault_events"]:
-            data.pop("fault_events")
-        data.pop("stage_trace")  # asdict's naive copy; re-add canonically
-        if include_timing and self.stage_trace is not None:
+            del data["elapsed_s"]
+        elif self.stage_trace is not None:
             data["stage_trace"] = self.stage_trace.to_dict()
         return data
 
@@ -267,8 +275,7 @@ class RunRecord:
         single-receiver records) — without this, pre-fusion records in
         a mixed results file would read as fused failures.
         """
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - _FIELD_NAMES
         if unknown:
             raise ValueError(f"unknown record fields: {sorted(unknown)}")
         data = dict(data)
@@ -286,6 +293,22 @@ class RunRecord:
         of worker count."""
         return json.dumps(self.to_dict(include_timing=False),
                           sort_keys=True, separators=(",", ":"))
+
+
+#: Field names in declaration order (the :meth:`RunRecord.to_dict` key
+#: order), and as a set for :meth:`RunRecord.from_dict`, resolved once.
+_FIELD_ORDER = tuple(f.name for f in dataclasses.fields(RunRecord))
+_FIELD_NAMES = frozenset(_FIELD_ORDER)
+
+
+def _copy_plain(value: Any) -> Any:
+    """A fresh copy of nested dicts and lists; other values are shared
+    (record payloads hold only immutable scalars below them)."""
+    if isinstance(value, dict):
+        return {key: _copy_plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy_plain(item) for item in value]
+    return value
 
 
 def make_record(*, spec_hash: str, spec: dict[str, Any], seed: int,

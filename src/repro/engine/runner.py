@@ -4,7 +4,9 @@
 iterable of :class:`ScenarioSpec`, resolves them (auto fields -> concrete
 values, per-scenario deterministic seeds), consults the optional result
 cache, and runs the remaining scenarios either serially or across a
-``concurrent.futures.ProcessPoolExecutor`` with chunked dispatch.
+``concurrent.futures.ProcessPoolExecutor`` with chunked dispatch.  The
+cache sees one batched lookup before dispatch and one batched write
+after.
 
 Determinism contract: because every resolved spec carries its own seed
 and :func:`execute_scenario` touches no shared state, ``workers=N``
@@ -35,7 +37,16 @@ from .records import RecordStage, RunRecord
 from .spec import ScenarioSpec, expand_grid
 
 __all__ = ["RunStats", "BatchResult", "BatchRunner", "BatchAborted",
-           "FAILURE_STAGES", "run_grid"]
+           "FAILURE_STAGES", "available_cpus", "run_grid"]
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS
+    exposes one (a pinned process or a cgroup-limited container sees
+    fewer than ``os.cpu_count()``), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 #: Stages counted against a ``max_failures`` fail-fast budget: the
@@ -323,8 +334,8 @@ class BatchRunner:
     @classmethod
     def local(cls, cache: CacheBackend | str | Path | None = None,
               ) -> "BatchRunner":
-        """A runner sized to this machine's cores."""
-        return cls(workers=max(1, os.cpu_count() or 1), cache=cache)
+        """A runner with one worker per CPU this process may use."""
+        return cls(workers=max(1, available_cpus()), cache=cache)
 
     # ------------------------------------------------------------------
     def run(self, specs: Iterable[ScenarioSpec]) -> BatchResult:
@@ -352,16 +363,11 @@ class BatchRunner:
         # they must neither consult nor populate the cache.
         cache = self.cache if self.dtype == "float64" else None
 
-        pending: list[int] = []
         if cache is not None:
-            for i, spec in enumerate(resolved):
-                hit = cache.get(spec.content_hash())
-                if hit is not None:
-                    records[i] = hit
-                else:
-                    pending.append(i)
-        else:
-            pending = list(range(len(resolved)))
+            keys = [spec.content_hash() for spec in resolved]
+            hits = cache.get_many(keys)
+            records = [hits.get(key) for key in keys]
+        pending = [i for i, record in enumerate(records) if record is None]
 
         # Cached failures count against the fail-fast budget too — a
         # rerun of a known-broken grid should stop just as fast.
@@ -380,23 +386,21 @@ class BatchRunner:
                 fresh += [None] * (len(pending) - len(fresh))
                 aborted = True
 
-        executed = 0
-        for i, record in zip(pending, fresh):
-            if record is None:
-                continue
-            executed += 1
+        done = [(i, record) for i, record in zip(pending, fresh)
+                if record is not None]
+        for i, record in done:
             records[i] = record
-            # Runner-synthesized records describe this run's executor,
-            # not the scenario: never cache them.
-            if (cache is not None
-                    and record.stage != RecordStage.EXECUTOR_ERROR):
-                cache.put(record)
+        # Runner-synthesized records describe this run's executor, not
+        # the scenario: never cache them.
+        if cache is not None:
+            cache.put_many([record for _, record in done
+                            if record.stage != RecordStage.EXECUTOR_ERROR])
 
         kept = [r for r in records if r is not None]
         stats = RunStats(
             total=len(resolved),
             cache_hits=len(resolved) - len(pending),
-            executed=executed,
+            executed=len(done),
             workers=self.workers,
             elapsed_s=time.perf_counter() - started,
             backend=self.backend,

@@ -17,7 +17,6 @@ so the whole suite stays cheap enough to run on every pull request.
 from __future__ import annotations
 
 import math
-import os
 import platform
 import time
 from dataclasses import dataclass, field
@@ -186,12 +185,14 @@ class PerfReport:
 
 
 def _environment_meta() -> dict:
+    from ..engine.runner import available_cpus
+
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
         "system": platform.system(),
-        "cpu_count": os.cpu_count(),
+        "cpu_count": available_cpus(),
     }
 
 

@@ -6,6 +6,11 @@ repeated sweep must answer entirely from the cache without invoking the
 simulator once.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.engine.runner as runner_mod
@@ -333,3 +338,24 @@ class TestBrokenPoolRecovery:
         stats = runner.run(self._specs()).stats
         assert stats.pool_restarts == 0
         assert not stats.serial_fallback
+
+
+class TestCpuAffinity:
+    """Worker counts follow the CPUs a process may use, not the box."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity API on this platform")
+    def test_pinned_process_sizes_to_one_cpu(self):
+        cpu = min(os.sched_getaffinity(0))
+        code = (f"import os; os.sched_setaffinity(0, {{{cpu}}})\n"
+                "from repro.engine.runner import BatchRunner\n"
+                "from repro.perf.suite import _environment_meta\n"
+                "print(BatchRunner.local().workers,"
+                " _environment_meta()['cpu_count'])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        assert out.stdout.split() == ["1", "1"]

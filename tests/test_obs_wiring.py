@@ -212,7 +212,7 @@ class TestRunnerWiring:
             assert ends[1].fields["cached"] == len(subset)
             # Incremental cache instrumentation rode along.
             assert counter_value(reg, "cache_lookups_total",
-                                 {"backend": "disk",
+                                 {"backend": runner.cache.backend_name,
                                   "result": "hit"}) == len(subset)
 
 
