@@ -23,14 +23,10 @@ normalisation.  Two interchangeable dynamic-program kernels exist:
   It fills exactly the same cells in the same arithmetic order as the
   reference, so the accumulated-cost matrix — and therefore distances,
   normalised distances and paths — are bit-identical.
-* ``implementation="compiled"`` — the numba-JIT banded loop from
-  :mod:`repro.tensor.kernels`.  Optional: it raises ``RuntimeError``
-  when numba is absent or disabled via ``REPRO_DISABLE_NUMBA``.
 
-``implementation="auto"`` (the default) picks the compiled kernel when
-available, else the vectorized one, once the cost matrix is large
-enough to amortise per-call overhead; small problems stay on the
-pure-Python loop.
+``implementation="auto"`` (the default) picks the vectorized kernel
+once the cost matrix is large enough to amortise per-call overhead;
+small problems stay on the pure-Python loop.
 """
 
 from __future__ import annotations
@@ -45,25 +41,6 @@ __all__ = ["DtwResult", "dtw_distance", "dtw"]
 #: pure-Python loop (the crossover sits around a few thousand cells;
 #: below it the per-diagonal NumPy call overhead dominates).
 VECTORIZE_MIN_CELLS = 4096
-
-_COMPILED_STATE: bool | None = None
-
-
-def _compiled_available() -> bool:
-    """Cached probe for the optional compiled kernel.
-
-    Lazy so this module never imports :mod:`repro.tensor` (which itself
-    imports ``_band_limits`` from here) at load time, and cached so the
-    ``auto`` path pays the probe exactly once per process.
-    """
-    global _COMPILED_STATE
-    if _COMPILED_STATE is None:
-        try:
-            from ..tensor.kernels import HAVE_NUMBA
-            _COMPILED_STATE = bool(HAVE_NUMBA)
-        except Exception:
-            _COMPILED_STATE = False
-    return _COMPILED_STATE
 
 
 @dataclass
@@ -200,21 +177,17 @@ def dtw(a: np.ndarray, b: np.ndarray, band_fraction: float | None = 0.2,
             (the paper's speed never changes by more than 2x).
         return_path: include the alignment path in the result.
         implementation: ``"auto"`` (size-based choice), ``"reference"``
-            (pure-Python loop), ``"vectorized"`` (wavefront kernel) or
-            ``"compiled"`` (optional numba kernel).  All kernels
-            produce bit-identical results.
+            (pure-Python loop) or ``"vectorized"`` (wavefront kernel).
+            Both kernels produce bit-identical results.
 
     Raises:
         ValueError: on empty inputs, an infeasible band, or an unknown
             implementation name.
-        RuntimeError: on ``implementation="compiled"`` when numba is
-            unavailable or disabled.
     """
-    if implementation not in ("auto", "reference", "vectorized",
-                              "compiled"):
+    if implementation not in ("auto", "reference", "vectorized"):
         raise ValueError(
-            f"implementation must be 'auto', 'reference', 'vectorized' "
-            f"or 'compiled', got {implementation!r}")
+            f"implementation must be 'auto', 'reference' or "
+            f"'vectorized', got {implementation!r}")
     x = np.asarray(a, dtype=float).ravel()
     y = np.asarray(b, dtype=float).ravel()
     if len(x) == 0 or len(y) == 0:
@@ -233,17 +206,12 @@ def dtw(a: np.ndarray, b: np.ndarray, band_fraction: float | None = 0.2,
         # the loop's small constant beats per-diagonal NumPy overhead.
         columns = len(y) if band is None else min(len(y), 2 * band + 1)
         if len(x) * columns >= VECTORIZE_MIN_CELLS:
-            implementation = ("compiled" if _compiled_available()
-                              else "vectorized")
+            implementation = "vectorized"
         else:
             implementation = "reference"
-    if implementation == "compiled":
-        from ..tensor.kernels import compiled_cost_matrix
-        acc = compiled_cost_matrix(x, y, band)
-    else:
-        kernel = (_cost_matrix_vectorized
-                  if implementation == "vectorized" else _cost_matrix)
-        acc = kernel(x, y, band)
+    kernel = (_cost_matrix_vectorized
+              if implementation == "vectorized" else _cost_matrix)
+    acc = kernel(x, y, band)
     distance = float(acc[-1, -1])
     if not np.isfinite(distance):
         raise ValueError("no feasible alignment path (band too narrow)")

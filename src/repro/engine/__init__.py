@@ -12,8 +12,8 @@ service-shaped system:
   result stores (sharded JSON files, or one WAL-mode SQLite database)
   behind the :class:`CacheBackend` protocol, so repeated sweeps are
   near-free; :func:`open_cache` selects by name;
-* :mod:`repro.exec` — the instrumented stage graph all three execution
-  paths (serial, tensor batch, streaming replay) drive;
+* :mod:`repro.exec` — the named, instrumented pipeline all three
+  execution paths (serial, tensor batch, streaming replay) run;
 * :mod:`repro.engine.report` — decode-rate aggregation over records;
 * the ``repro-engine`` CLI (:mod:`repro.engine.cli`) — run / sweep /
   report from the shell.

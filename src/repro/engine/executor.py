@@ -1,4 +1,4 @@
-"""Spec -> simulation: the serial driver of the shared stage graph.
+"""Spec -> simulation: the per-scenario driver of the shared pipeline.
 
 :func:`execute_scenario` is the single choke point through which every
 engine-driven simulation passes.  It reconstructs exactly the scene /
@@ -7,14 +7,14 @@ front-end / simulator assembly the analysis layer used to hand-roll
 engine results are bit-identical to the legacy code paths for the same
 parameters and seed.
 
-Execution is declared, not hand-sequenced: :data:`SERIAL_GRAPH` and
-:data:`NETWORK_GRAPH` are :class:`repro.exec.StageGraph` instances over
-the canonical ``build → simulate → inject_faults → … → decide → fuse``
-pipeline, and this module is merely the per-scenario *driver* of that
-graph (the tensor backend drives the same stages vectorized over a
-batch; the streaming runtime drives them incrementally per chunk).
-With profiling on (``REPRO_EXEC_PROFILE`` / ``--profile``) every record
-carries a :class:`repro.exec.StageTrace` of per-stage wall time.
+One scenario runs the canonical ``build → simulate → inject_faults →
+… → decide → fuse`` pipeline (:class:`repro.exec.ExecStage`) as plain
+straight-line code: one function for a single receiver, one for a
+receiver array (the tensor backend runs the same stages vectorized
+over a batch; the streaming runtime runs them incrementally per
+chunk).  With profiling on (``REPRO_EXEC_PROFILE`` / ``--profile``)
+every record carries a :class:`repro.exec.StageTrace` of per-stage
+wall time.
 
 The function is a module-level callable of one picklable argument on
 purpose: it is what :class:`repro.engine.BatchRunner` ships to worker
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import field
-from typing import Any
 
 from ..channel.distortion import CLEAR, Atmosphere
 from ..faults.inject import (
@@ -47,14 +45,7 @@ from ..channel.scene import MovingObject, PassiveScene
 from ..channel.simulator import ChannelSimulator, SimulatorConfig
 from ..core.decoder import AdaptiveThresholdDecoder, DecoderConfig
 from ..core.errors import DecodeError, PreambleNotFoundError
-from ..exec.graph import (
-    ExecStage,
-    FuncStage,
-    StageGraph,
-    StageTrace,
-    maybe_stage,
-    new_trace,
-)
+from ..exec.graph import ExecStage, StageTrace, maybe_stage, new_trace
 from ..hardware.frontend import FovCap, ReceiverFrontEnd
 from ..obs.export import publish_stage_trace
 from ..obs.registry import active_registry
@@ -67,19 +58,13 @@ from ..tags.packet import Packet
 from ..tags.surface import TagSurface
 from ..vehicles.profiles import bmw_3_series, volvo_v40
 from ..vehicles.rooftag import TaggedCar, TwoPhaseDecoder
-from .records import (
-    RecordStage,
-    RunRecord,
-    bit_error_rate,
-    make_record,
-    outcome_stage,
-)
+from .records import RecordStage, RunRecord, make_record, outcome_stage
 from .spec import ScenarioSpec, SpecIdentity, derive_seed
 
-__all__ = ["NETWORK_GRAPH", "SERIAL_GRAPH", "build_scene", "build_decoder",
-           "build_frontend", "build_simulator", "build_network",
-           "capture_trace", "error_record", "execute_scenario",
-           "node_positions", "node_seed"]
+__all__ = ["build_scene", "build_decoder", "build_frontend",
+           "build_simulator", "build_network", "capture_trace",
+           "error_record", "execute_scenario", "node_positions",
+           "node_seed"]
 
 
 _CAR_FACTORIES = {"volvo_v40": volvo_v40, "bmw_3_series": bmw_3_series}
@@ -194,11 +179,6 @@ def build_decoder(spec: ScenarioSpec):
     return adaptive
 
 
-# Backwards-compatible alias: the one BER definition now lives with
-# the records (every driver shares it through ``make_record``).
-_bit_error_rate = bit_error_rate
-
-
 # ----------------------------------------------------------------------
 # Networked receivers (Section 6)
 # ----------------------------------------------------------------------
@@ -293,186 +273,47 @@ def _select_track(tracks):
 
 
 # ----------------------------------------------------------------------
-# The serial drivers of the shared stage graph
+# The per-scenario drivers
 # ----------------------------------------------------------------------
 
-@dataclasses.dataclass
-class _Run:
-    """Mutable context one single-receiver scenario threads through
-    :data:`SERIAL_GRAPH`."""
+def _publish_profile(profile: StageTrace | None, driver: str) -> None:
+    """Fold a completed trace into the active metrics registry.
 
-    spec: ScenarioSpec
-    ident: SpecIdentity
-    started: float
-    packet: Packet
-    sent: str
-    n_data_symbols: int
-    profile: StageTrace | None = None
-    sim: ChannelSimulator | None = None
-    trace: Any = None
-    chunks: Any = None
-    fault_log: FaultLog = field(default_factory=FaultLog)
-    decoded: str = ""
-    stage: str = RecordStage.DECODE_FAILED.value
-    stream_fields: dict[str, Any] = field(default_factory=dict)
-
-
-def _stage_build(run: _Run) -> None:
-    run.sim = build_simulator(run.spec)
-
-
-def _stage_simulate(run: _Run) -> None:
-    run.trace = run.sim.capture_pass()
-
-
-def _has_signal_faults(run: _Run) -> bool:
-    plan = run.spec.fault_plan
-    return plan is not None and plan.signals
-
-
-def _stage_signal_faults(run: _Run) -> None:
-    plan = run.spec.fault_plan
-    run.trace, sig_log = apply_signal_faults(
-        run.trace, plan, fault_rng("signal", run.spec.seed, plan))
-    run.fault_log.merge(sig_log)
-
-
-def _has_stream_faults(run: _Run) -> bool:
-    plan = run.spec.fault_plan
-    return (run.spec.stream_chunk > 0
-            and plan is not None and plan.streams)
-
-
-def _stage_stream_faults(run: _Run) -> None:
-    """Corrupt the chunk transport before the streamed decode sees it.
-
-    A fault plan with stream knobs perturbs chunk boundaries first;
-    the verdict then describes the corrupted stream, by design.
-    (``repro.stream`` is imported lazily, like ``repro.net``, to keep
-    engine import light.)
+    Telemetry reuses the timings the drivers' ``maybe_stage`` hooks
+    already collected — nothing here runs inside a stage.  No-op with
+    profiling or telemetry off (and in pool workers, whose registries
+    are per-process; pooled stage histograms follow the same
+    single-process caveat as ``collect_traces``).
     """
-    from ..stream.replay import iter_chunks
-
-    plan = run.spec.fault_plan
-    run.chunks, chunk_log = perturb_chunks(
-        list(iter_chunks(run.trace.samples, run.spec.stream_chunk)),
-        plan, fault_rng("stream", run.spec.seed, plan))
-    run.fault_log.merge(chunk_log)
+    if profile is None:
+        return
+    registry = active_registry()
+    if registry is not None:
+        publish_stage_trace(registry, profile, driver)
 
 
-def _stage_decode_streamed(run: _Run) -> None:
-    """Online replay: feed the captured pass chunk-by-chunk through
-    the streaming runtime.
-
-    The flush verdict is byte-identical to the offline decode (parity
-    guarantee), so the headline outcome matches an offline run of the
-    same spec — streaming adds the latency telemetry, nothing else.
-    Untimed at the graph level: the streaming runtime attributes its
-    own normalize/acquire/decide interior per pushed chunk.
-    """
-    from ..stream.replay import replay_trace
-
-    spec = run.spec
-    replay = replay_trace(run.trace, spec.stream_chunk,
-                          n_data_symbols=run.n_data_symbols,
-                          decoder=build_decoder(spec),
-                          chunks=run.chunks,
-                          stage_trace=run.profile)
-    verdict = replay.verdict
-    if replay.decoder.result is not None:
-        # The decode call returned: stage by payload comparison,
-        # exactly as the offline driver labels it.
-        run.decoded = replay.decoder.result.bit_string()
-        run.stage = outcome_stage(run.decoded, run.sent)
-    else:
-        run.stage = verdict.stage
-    run.stream_fields = dict(
-        stream_chunks=replay.n_chunks,
-        onset_latency_s=replay.latency("onset"),
-        first_bit_latency_s=replay.latency("first_bit"),
-        # Gated on decode success inside the decoder: a failed
-        # decode's placeholder event time must not skew latency
-        # percentiles.
-        verdict_latency_s=replay.decoder.verdict_latency_s,
-    )
-
-
-def _stage_decode_offline(run: _Run) -> None:
-    """Whole-trace decode; untimed at the graph level because the
-    decoder attributes its own normalize/acquire/refine/decide
-    interior."""
-    try:
-        result = build_decoder(run.spec).decode(
-            run.trace, n_data_symbols=run.n_data_symbols,
-            stage_trace=run.profile)
-        run.decoded = result.bit_string()
-        run.stage = outcome_stage(run.decoded, run.sent)
-    except PreambleNotFoundError:
-        run.stage = RecordStage.PREAMBLE_NOT_FOUND.value
-    except DecodeError:
-        run.stage = RecordStage.DECODE_FAILED.value
-
-
-#: The single-receiver pipeline, declared once.  ``execute_scenario``
-#: runs it in two slices (build+simulate inside the failure-containment
-#: boundary, the rest outside) — same graph, same order.
-SERIAL_GRAPH = StageGraph([
-    FuncStage(ExecStage.BUILD, _stage_build),
-    FuncStage(ExecStage.SIMULATE, _stage_simulate),
-    FuncStage(ExecStage.INJECT_FAULTS, _stage_signal_faults,
-              when=_has_signal_faults),
-    FuncStage(ExecStage.INJECT_FAULTS, _stage_stream_faults,
-              when=_has_stream_faults),
-    FuncStage(ExecStage.DECIDE, _stage_decode_streamed,
-              when=lambda run: run.spec.stream_chunk > 0, timed=False),
-    FuncStage(ExecStage.DECIDE, _stage_decode_offline,
-              when=lambda run: run.spec.stream_chunk == 0, timed=False),
-], name="serial")
-
-
-@dataclasses.dataclass
-class _NetRun:
-    """Mutable context one networked pass threads through
-    :data:`NETWORK_GRAPH`."""
-
-    spec: ScenarioSpec
-    ident: SpecIdentity
-    started: float
-    packet: Packet
-    sent: str
-    n_data_symbols: int
-    profile: StageTrace | None = None
-    scene: Any = None
-    network: Any = None
-    node_rows: list[dict] = field(default_factory=list)
-    fault_log: FaultLog = field(default_factory=FaultLog)
-    first_trace: Any = None
-    noise_floor: float = 0.0
-    decoded: str = ""
-    stage: str = RecordStage.DECODE_FAILED.value
-    best_node: bool = False
-    speed_est: float | None = None
-    speed_error: float | None = None
-
-
-def _net_build(run: _NetRun) -> None:
-    run.scene = build_scene(run.spec)
-    run.network = build_network(run.spec)
-
-
-def _net_observe(run: _NetRun) -> None:
-    """Per-node capture, fault injection and local decode.
+def _execute_networked(spec: ScenarioSpec, ident: SpecIdentity,
+                       sent: str, n_data_symbols: int, started: float,
+                       profile: StageTrace | None) -> RunRecord:
+    """One pass over a receiver array: build, observe per node, fuse.
 
     Every node captures its *own* trace of the same moving object
     (same scene, receiver shifted to the node's position, independent
     noise), decodes locally, and shares the detection over the
-    connectivity graph.  Untimed at the graph level: the loop
-    attributes simulate/inject_faults/decide per node.
+    connectivity graph.  The record's headline verdict is the
+    network's fused one, computed from the most upstream node's
+    viewpoint (``rx0``) — with a ``partitioned`` topology that is
+    deliberately only rx0's island.
     """
-    spec = run.spec
     plan = spec.fault_plan
-    profile = run.profile
-    for i, node in enumerate(run.network.nodes):
+    with maybe_stage(profile, ExecStage.BUILD):
+        scene = build_scene(spec)
+        network = build_network(spec)
+    fault_log = FaultLog()
+    node_rows: list[dict] = []
+    first_trace = None
+    noise_floor = 0.0
+    for i, node in enumerate(network.nodes):
         # Per-node fault streams: the node roll (dropout/intermittent)
         # and the node's signal corruption draw from independent,
         # node-indexed generators, so enabling one knob never shifts
@@ -484,8 +325,8 @@ def _net_observe(run: _NetRun) -> None:
         if fate == "dropped":
             # A silent node: no capture, no detection, no report — the
             # fusion layer simply sees fewer viewpoints.
-            run.fault_log.nodes_dropped += 1
-            run.node_rows.append({
+            fault_log.nodes_dropped += 1
+            node_rows.append({
                 "node_id": node.node_id,
                 "position_m": float(node.position_m),
                 "bits": "",
@@ -499,7 +340,7 @@ def _net_observe(run: _NetRun) -> None:
         if profile is not None:
             profile.count("nodes_observed")
         with maybe_stage(profile, ExecStage.SIMULATE):
-            node_scene = dataclasses.replace(run.scene,
+            node_scene = dataclasses.replace(scene,
                                              receiver_x_m=node.position_m)
             sim = ChannelSimulator(
                 node_scene, node.frontend,
@@ -511,104 +352,61 @@ def _net_observe(run: _NetRun) -> None:
             if plan is not None and plan.signals:
                 trace, sig_log = apply_signal_faults(
                     trace, plan, fault_rng(f"signal:{i}", spec.seed, plan))
-                run.fault_log.merge(sig_log)
+                fault_log.merge(sig_log)
             if fate == "intermittent":
-                run.fault_log.nodes_intermittent += 1
+                fault_log.nodes_intermittent += 1
                 trace = intermittent_window(trace, plan, node_rng)
-        if run.first_trace is None:
-            run.first_trace = trace
-            run.noise_floor = node_scene.nominal_noise_floor_lux()
+        if first_trace is None:
+            first_trace = trace
+            noise_floor = node_scene.nominal_noise_floor_lux()
         with maybe_stage(profile, ExecStage.DECIDE):
-            detection = node.observe(trace,
-                                     n_data_symbols=run.n_data_symbols)
-        run.network.record(detection)
-        run.node_rows.append({
+            detection = node.observe(trace, n_data_symbols=n_data_symbols)
+        network.record(detection)
+        node_rows.append({
             "node_id": node.node_id,
             "position_m": float(node.position_m),
             "bits": detection.bits,
-            "success": detection.bits == run.sent,
+            "success": detection.bits == sent,
             "confidence": float(detection.confidence),
             "timestamp_s": float(detection.timestamp_s),
             "timestamp_source": detection.timestamp_source,
-            "stage": outcome_stage(detection.bits, run.sent,
+            "stage": outcome_stage(detection.bits, sent,
                                    empty=RecordStage.NO_DECODE),
         })
-
-
-def _net_fuse(run: _NetRun) -> None:
-    """Network-level fusion and tracking: the ``fuse`` stage.
-
-    The record's headline verdict is the network's fused one, computed
-    from the most upstream node's viewpoint (``rx0``) — with a
-    ``partitioned`` topology that is deliberately only rx0's island.
-    """
-    query = run.network.nodes[0].node_id
-    fused = _select_fused(run.network.fuse_at(query, run.spec.speed_mps))
-    estimate = _select_track(run.network.track_at(query,
-                                                  run.spec.speed_mps))
-    run.decoded = fused.bits if fused is not None else ""
-    run.stage = outcome_stage(run.decoded, run.sent,
+    with maybe_stage(profile, ExecStage.FUSE):
+        query = network.nodes[0].node_id
+        fused = _select_fused(network.fuse_at(query, spec.speed_mps))
+        estimate = _select_track(network.track_at(query, spec.speed_mps))
+        decoded = fused.bits if fused is not None else ""
+        stage = outcome_stage(decoded, sent,
                               empty=RecordStage.DECODE_FAILED)
-    run.best_node = any(row["success"] for row in run.node_rows)
-    run.speed_est = (float(estimate.speed_mps)
+        speed_est = (float(estimate.speed_mps)
                      if estimate is not None else None)
-    run.speed_error = (abs(run.speed_est - run.spec.speed_mps)
-                       / run.spec.speed_mps
-                       if run.speed_est is not None else None)
-
-
-#: The networked pipeline: one build, per-node simulate/observe, one
-#: fuse.  Run in full inside the failure-containment boundary.
-NETWORK_GRAPH = StageGraph([
-    FuncStage(ExecStage.BUILD, _net_build),
-    FuncStage(ExecStage.SIMULATE, _net_observe, timed=False),
-    FuncStage(ExecStage.FUSE, _net_fuse),
-], name="networked")
-
-
-def _publish_profile(profile: StageTrace | None, driver: str) -> None:
-    """Fold a completed trace into the active metrics registry.
-
-    Telemetry reuses the timings the graph's ``maybe_stage`` hooks
-    already collected — nothing here runs inside a stage.  No-op with
-    profiling or telemetry off (and in pool workers, whose registries
-    are per-process; pooled stage histograms follow the same
-    single-process caveat as ``collect_traces``).
-    """
-    if profile is None:
-        return
-    registry = active_registry()
-    if registry is not None:
-        publish_stage_trace(registry, profile, driver)
-
-
-def _execute_networked(run: _NetRun) -> RunRecord:
-    """Drive :data:`NETWORK_GRAPH` and stamp the fused record."""
-    NETWORK_GRAPH.run(run, run.profile)
+        speed_error = (abs(speed_est - spec.speed_mps) / spec.speed_mps
+                       if speed_est is not None else None)
     # Every node can be dropped by an aggressive fault plan: the pass
     # was simply never captured anywhere.
-    first = run.first_trace
-    n_samples = len(first.samples) if first is not None else 0
-    sample_rate = (first.sample_rate_hz if first is not None
-                   else run.spec.sample_rate_hz)
-    _publish_profile(run.profile, "network")
+    n_samples = len(first_trace.samples) if first_trace is not None else 0
+    sample_rate = (first_trace.sample_rate_hz if first_trace is not None
+                   else spec.sample_rate_hz)
+    _publish_profile(profile, "network")
     return make_record(
-        spec_hash=run.ident.content_hash,
-        spec=run.ident.payload,
-        seed=run.spec.seed,
-        sent_bits=run.sent,
-        decoded_bits=run.decoded,
-        stage=run.stage,
+        spec_hash=ident.content_hash,
+        spec=ident.payload,
+        seed=spec.seed,
+        sent_bits=sent,
+        decoded_bits=decoded,
+        stage=stage,
         n_samples=n_samples,
         sample_rate_hz=sample_rate,
-        noise_floor_lux=run.noise_floor,
-        fault_events=run.fault_log.counts(),
-        nodes=run.node_rows,
-        best_node_success=run.best_node,
-        speed_est_mps=run.speed_est,
-        speed_error=run.speed_error,
-        elapsed_s=time.perf_counter() - run.started,
-        stage_trace=run.profile,
+        noise_floor_lux=noise_floor,
+        fault_events=fault_log.counts(),
+        nodes=node_rows,
+        best_node_success=any(row["success"] for row in node_rows),
+        speed_est_mps=speed_est,
+        speed_error=speed_error,
+        elapsed_s=time.perf_counter() - started,
+        stage_trace=profile,
     )
 
 
@@ -629,24 +427,24 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
     sent = packet.bit_string()
     plan = spec.fault_plan
     n_data_symbols = 2 * len(packet.data_bits)
+    networked = spec.n_receivers > 1
     if plan is not None and plan.exec_sleep_s > 0.0:
         # The chaos harness's deterministic stuck worker: a wall-clock
         # stall the runner's per-scenario timeout is expected to catch.
         time.sleep(plan.exec_sleep_s)
-    run = _Run(spec=spec, ident=ident, started=started, packet=packet,
-               sent=sent, n_data_symbols=n_data_symbols, profile=profile)
     try:
-        if spec.n_receivers > 1:
-            return _execute_networked(_NetRun(
-                spec=spec, ident=ident, started=started, packet=packet,
-                sent=sent, n_data_symbols=n_data_symbols, profile=profile))
-        SERIAL_GRAPH.run(run, profile,
-                         stages=(ExecStage.BUILD, ExecStage.SIMULATE))
+        if networked:
+            return _execute_networked(spec, ident, sent, n_data_symbols,
+                                      started, profile)
+        with maybe_stage(profile, ExecStage.BUILD):
+            sim = build_simulator(spec)
+        with maybe_stage(profile, ExecStage.SIMULATE):
+            trace = sim.capture_pass()
     except Exception as exc:
         # Contain per-scenario failures (a tag that does not fit the
         # car roof, a degenerate geometry): one bad grid point must
         # not abort a thousand-scenario batch.
-        _publish_profile(profile, "serial")
+        _publish_profile(profile, "network" if networked else "serial")
         return make_record(
             spec_hash=ident.content_hash,
             spec=ident.payload,
@@ -661,23 +459,78 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
     # Fault injection and decode run *outside* the containment
     # boundary: their failures are verdicts (or bugs), not per-grid-
     # point simulation hazards.
-    SERIAL_GRAPH.run(run, profile,
-                     stages=(ExecStage.INJECT_FAULTS, ExecStage.DECIDE))
+    fault_log = FaultLog()
+    if plan is not None and plan.signals:
+        with maybe_stage(profile, ExecStage.INJECT_FAULTS):
+            trace, sig_log = apply_signal_faults(
+                trace, plan, fault_rng("signal", spec.seed, plan))
+            fault_log.merge(sig_log)
+    decoded = ""
+    stream_fields: dict = {}
+    if spec.stream_chunk > 0:
+        # Online replay through the streaming runtime (imported lazily,
+        # like ``repro.net``, to keep engine import light).  The flush
+        # verdict is byte-identical to the offline decode, so streaming
+        # adds the latency telemetry, nothing else.  The runtime times
+        # its own normalize/acquire/decide interior per pushed chunk.
+        from ..stream.replay import iter_chunks, replay_trace
+
+        chunks = None
+        if plan is not None and plan.streams:
+            # Corrupt the chunk transport first: the verdict then
+            # describes the corrupted stream, by design.
+            with maybe_stage(profile, ExecStage.INJECT_FAULTS):
+                chunks, chunk_log = perturb_chunks(
+                    list(iter_chunks(trace.samples, spec.stream_chunk)),
+                    plan, fault_rng("stream", spec.seed, plan))
+                fault_log.merge(chunk_log)
+        replay = replay_trace(trace, spec.stream_chunk,
+                              n_data_symbols=n_data_symbols,
+                              decoder=build_decoder(spec), chunks=chunks,
+                              stage_trace=profile)
+        if replay.decoder.result is not None:
+            # The decode call returned: stage by payload comparison,
+            # exactly as the offline decode labels it.
+            decoded = replay.decoder.result.bit_string()
+            stage = outcome_stage(decoded, sent)
+        else:
+            stage = replay.verdict.stage
+        stream_fields = dict(
+            stream_chunks=replay.n_chunks,
+            onset_latency_s=replay.latency("onset"),
+            first_bit_latency_s=replay.latency("first_bit"),
+            # Gated on decode success inside the decoder: a failed
+            # decode's placeholder event time must not skew latency
+            # percentiles.
+            verdict_latency_s=replay.decoder.verdict_latency_s,
+        )
+    else:
+        # The decoder times its own normalize/acquire/refine/decide
+        # interior.
+        try:
+            result = build_decoder(spec).decode(
+                trace, n_data_symbols=n_data_symbols, stage_trace=profile)
+            decoded = result.bit_string()
+            stage = outcome_stage(decoded, sent)
+        except PreambleNotFoundError:
+            stage = RecordStage.PREAMBLE_NOT_FOUND.value
+        except DecodeError:
+            stage = RecordStage.DECODE_FAILED.value
     _publish_profile(profile, "serial")
     return make_record(
         spec_hash=ident.content_hash,
         spec=ident.payload,
         seed=spec.seed,
         sent_bits=sent,
-        decoded_bits=run.decoded,
-        stage=run.stage,
-        n_samples=len(run.trace.samples),
-        sample_rate_hz=run.trace.sample_rate_hz,
-        noise_floor_lux=run.sim.scene.nominal_noise_floor_lux(),
-        fault_events=run.fault_log.counts(),
+        decoded_bits=decoded,
+        stage=stage,
+        n_samples=len(trace.samples),
+        sample_rate_hz=trace.sample_rate_hz,
+        noise_floor_lux=sim.scene.nominal_noise_floor_lux(),
+        fault_events=fault_log.counts(),
         elapsed_s=time.perf_counter() - started,
         stage_trace=profile,
-        **run.stream_fields,
+        **stream_fields,
     )
 
 

@@ -237,7 +237,7 @@ def stage_stats(records: Sequence[RunRecord]) -> dict[str, Any]:
         ``n_profiled`` (records with a trace), ``total_s`` (summed
         stage time across them), ``stages`` (per-stage ``total_s`` /
         ``mean_s`` per profiled record / ``share`` of the total) and
-        ``counters`` (summed stage-graph counters, sorted by name).
+        ``counters`` (summed stage-trace counters, sorted by name).
     """
     traces = [r.stage_trace for r in records if r.stage_trace is not None]
     timings: dict[str, float] = {}

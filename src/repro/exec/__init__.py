@@ -1,20 +1,18 @@
 """repro.exec — the shared execution core.
 
-One declared stage graph (``build → simulate → inject_faults →
-normalize → acquire → refine_clock → decide → fuse``) with per-stage
-instrumentation, driven three ways: serially per scenario
+One named pipeline (``build → simulate → inject_faults → normalize →
+acquire → refine_clock → decide → fuse``) with per-stage
+instrumentation, run three ways: serially per scenario
 (:mod:`repro.engine.executor`), vectorized over a batch axis
 (:mod:`repro.tensor.batch`), and incrementally per chunk
-(:mod:`repro.stream.decode`).
+(:mod:`repro.stream.decode`).  Each driver times its stages with
+:func:`maybe_stage`.
 """
 
 from .graph import (
     PIPELINE_STAGES,
     PROFILE_ENV,
     ExecStage,
-    FuncStage,
-    Stage,
-    StageGraph,
     StageTrace,
     collect_traces,
     maybe_stage,
@@ -25,8 +23,7 @@ from .graph import (
 )
 
 __all__ = [
-    "ExecStage", "PIPELINE_STAGES", "PROFILE_ENV",
-    "Stage", "FuncStage", "StageGraph", "StageTrace",
+    "ExecStage", "PIPELINE_STAGES", "PROFILE_ENV", "StageTrace",
     "collect_traces", "maybe_stage", "new_trace", "profiled",
     "profiling_enabled", "set_profiling",
 ]

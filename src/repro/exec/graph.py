@@ -1,17 +1,14 @@
-"""The declared stage graph every execution driver runs.
+"""The named pipeline every execution driver runs, and its timing hooks.
 
 The paper's pipeline is one sequence of stages — build the optical
 scene, simulate the capture, inject faults, normalize, acquire the
-preamble, refine the symbol clock, decide bits, fuse receivers — but
-the repo grew three divergent implementations of that sequencing
-(serial, vectorized, streaming).  This module names the stages once
-(:class:`ExecStage`), gives them a tiny execution protocol
-(:class:`Stage`, :class:`StageGraph`) and a shared instrumentation
-carrier (:class:`StageTrace`), so the drivers in
-:mod:`repro.engine.executor`, :mod:`repro.tensor.batch` and
-:mod:`repro.stream.decode` differ only in *how* they traverse the
-graph — per scenario, per batch row, or per pushed chunk — never in
-what the stages are.
+preamble, refine the symbol clock, decide bits, fuse receivers.  This
+module names the stages once (:class:`ExecStage`) and gives them a
+shared instrumentation carrier (:class:`StageTrace`) with one hook,
+:func:`maybe_stage`, so the drivers in :mod:`repro.engine.executor`,
+:mod:`repro.tensor.batch` and :mod:`repro.stream.decode` differ only in
+*how* they run the stages — per scenario, per batch row, or per pushed
+chunk — never in what the stages are called.
 
 Profiling is opt-in (:func:`set_profiling` /
 ``REPRO_EXEC_PROFILE=1``): when off, every hook degrades to a shared
@@ -27,11 +24,10 @@ import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterator
 
 __all__ = [
-    "ExecStage", "PIPELINE_STAGES", "PROFILE_ENV",
-    "Stage", "FuncStage", "StageGraph", "StageTrace",
+    "ExecStage", "PIPELINE_STAGES", "PROFILE_ENV", "StageTrace",
     "collect_traces", "maybe_stage", "new_trace", "profiled",
     "profiling_enabled", "set_profiling",
 ]
@@ -230,117 +226,3 @@ def maybe_stage(trace: StageTrace | None, name: str):
     check when profiling is off.
     """
     return _NULL_CONTEXT if trace is None else trace.stage(name)
-
-
-@runtime_checkable
-class Stage(Protocol):
-    """One node of the execution graph.
-
-    Attributes:
-        name: which :class:`ExecStage` this node implements.
-        timed: whether :meth:`StageGraph.run` should wrap the call in
-            stage timing (False for stages that instrument their own
-            interior, e.g. a decode that splits acquire/refine/decide).
-    """
-
-    name: str
-    timed: bool
-
-    def should_run(self, ctx: Any) -> bool:
-        """Whether this node applies to the given run context."""
-        ...
-
-    def __call__(self, ctx: Any) -> None:
-        """Execute against the mutable run context."""
-        ...
-
-
-@dataclass(frozen=True)
-class FuncStage:
-    """A :class:`Stage` wrapping a plain function.
-
-    Attributes:
-        name: the :class:`ExecStage` it implements.
-        fn: ``fn(ctx)`` mutating the run context.
-        when: optional ``when(ctx) -> bool`` gate (default: always).
-        timed: see :class:`Stage`.
-    """
-
-    name: str
-    fn: Callable[[Any], None]
-    when: Callable[[Any], bool] | None = None
-    timed: bool = True
-
-    def __post_init__(self) -> None:
-        if str(self.name) not in _STAGE_INDEX:
-            raise ValueError(
-                f"unknown stage {self.name!r}; expected one of "
-                f"{PIPELINE_STAGES}")
-
-    def should_run(self, ctx: Any) -> bool:
-        return self.when is None or bool(self.when(ctx))
-
-    def __call__(self, ctx: Any) -> None:
-        self.fn(ctx)
-
-
-class StageGraph:
-    """An ordered, validated sequence of :class:`Stage` nodes.
-
-    Stage names must be drawn from :class:`ExecStage` and appear in
-    non-decreasing pipeline order; multiple nodes may implement the
-    same stage (e.g. mutually exclusive ``decide`` variants gated by
-    ``when``).
-    """
-
-    def __init__(self, stages: Sequence[Stage], name: str = "") -> None:
-        self.name = name
-        self.stages = tuple(stages)
-        last = -1
-        for stage in self.stages:
-            label = str(stage.name)
-            index = _STAGE_INDEX.get(label)
-            if index is None:
-                raise ValueError(
-                    f"unknown stage {label!r} in graph {name!r}; "
-                    f"expected one of {PIPELINE_STAGES}")
-            if index < last:
-                raise ValueError(
-                    f"stage {label!r} out of pipeline order in graph "
-                    f"{name!r} (expected {PIPELINE_STAGES} order)")
-            last = index
-
-    def __iter__(self) -> Iterator[Stage]:
-        return iter(self.stages)
-
-    def __len__(self) -> int:
-        return len(self.stages)
-
-    def run(self, ctx: Any, trace: StageTrace | None = None,
-            stages: Sequence[str] | None = None) -> Any:
-        """Execute the (selected) stages in declared order.
-
-        Args:
-            ctx: mutable run context shared by the stage functions.
-                When it exposes a truthy ``done`` attribute, remaining
-                stages are skipped (a driver settled the verdict
-                early).
-            trace: optional :class:`StageTrace` for instrumentation.
-            stages: optional subset of stage names to run — drivers
-                use this to slice the one declared graph around
-                exception boundaries without re-declaring it.
-        """
-        wanted = None if stages is None else {str(s) for s in stages}
-        for stage in self.stages:
-            if getattr(ctx, "done", False):
-                break
-            if wanted is not None and str(stage.name) not in wanted:
-                continue
-            if not stage.should_run(ctx):
-                continue
-            if trace is not None and stage.timed:
-                with trace.stage(str(stage.name)):
-                    stage(ctx)
-            else:
-                stage(ctx)
-        return ctx

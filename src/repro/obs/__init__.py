@@ -1,4 +1,4 @@
-"""repro.obs — unified telemetry over the instrumented stage graph.
+"""repro.obs — unified telemetry over the instrumented pipeline stages.
 
 One process-wide :class:`MetricsRegistry` (counters / gauges /
 fixed-bucket histograms, all labelled and lock-protected), one

@@ -111,7 +111,7 @@ class WorkloadTiming:
 
         Derived from the ``stage_<name>_s`` extras written by
         :func:`_profile_stages`; empty for unprofiled runs and for
-        workloads that never touch the stage graph.
+        workloads that never run a pipeline stage.
         """
         out: dict[str, float] = {}
         for key, value in self.extras.items():
@@ -491,7 +491,7 @@ def _profile_stages(thunk: Callable[[], Any],
     Collects every :class:`~repro.exec.graph.StageTrace` the thunk's
     interior creates (single process only — forked workers keep
     theirs) and reports ``stage_<name>_s`` medians.  Workloads that
-    never touch the stage graph contribute nothing.
+    never run a pipeline stage contribute nothing.
     """
     from ..exec.graph import StageTrace, collect_traces, profiled
 
@@ -512,7 +512,7 @@ def format_stage_medians(report: PerfReport) -> str:
     """Aligned per-workload stage-median table for ``--profile`` runs.
 
     Empty string when no workload recorded stage timings (run without
-    ``--profile``, or none touched the stage graph).
+    ``--profile``, or none ran a pipeline stage).
     """
     from ..analysis.reporting import format_table
 

@@ -1,33 +1,23 @@
 """Cross-scenario batched tensor execution.
 
-Public surface:
+Public surface: :func:`execute_batch` runs N scenarios as fused
+``(N, T)`` array passes in one process (see :mod:`repro.tensor.batch`).
 
-* :func:`execute_batch` — run N scenarios as fused ``(N, T)`` array
-  passes in one process (see :mod:`repro.tensor.batch`).
-* :data:`HAVE_NUMBA` / :func:`numba_disabled` — compiled-kernel
-  availability (see :mod:`repro.tensor.kernels`).
-
-The package init stays import-light: :mod:`.kernels` needs only numpy
-(plus an optional numba probe), while the heavy batch executor loads
-lazily on first attribute access so that :mod:`repro.dsp.dtw`'s
-``implementation="auto"`` probe can ask about the compiled kernel
-without dragging in the whole engine.
+The package init stays import-light: the batch executor loads lazily
+on first attribute access, because :mod:`repro.core.decoder` imports
+:mod:`repro.tensor.rmq` and an eager ``batch`` import here would be
+circular.
 """
 
 from __future__ import annotations
 
-from .kernels import HAVE_NUMBA, NUMBA_DISABLED_ENV, numba_disabled
-
-__all__ = ["HAVE_NUMBA", "NUMBA_DISABLED_ENV", "numba_disabled",
-           "DTYPES", "execute_batch", "optical_key",
+__all__ = ["DTYPES", "execute_batch", "optical_key",
            "fast_path_eligible", "clear_plan_cache"]
 
-_BATCH_EXPORTS = ("DTYPES", "execute_batch", "optical_key",
-                  "fast_path_eligible", "clear_plan_cache")
 
 
 def __getattr__(name: str):
-    if name in _BATCH_EXPORTS:
+    if name in __all__:
         from . import batch
 
         return getattr(batch, name)

@@ -149,15 +149,6 @@ def _expected_pattern(car: CarProfile) -> str:
                    for seg in car.segments)
 
 
-def _normalized_positions(values: list[float]) -> np.ndarray | None:
-    """Map a monotone value list onto [0, 1] (None if degenerate)."""
-    arr = np.asarray(values, dtype=float)
-    span = arr[-1] - arr[0]
-    if span <= 0.0:
-        return None
-    return (arr - arr[0]) / span
-
-
 def match_car(signature: CarSignature,
               candidates: list[CarProfile],
               max_width_rms: float = 0.08) -> CarProfile | None:

@@ -150,8 +150,9 @@ class TestVectorizedEquivalence:
         assert not calls, "narrow-band inputs should stay on the loop"
 
     def test_unknown_implementation_rejected(self):
-        with pytest.raises(ValueError):
-            dtw(np.zeros(4), np.zeros(4), implementation="numba")
+        for name in ("numba", "compiled"):
+            with pytest.raises(ValueError):
+                dtw(np.zeros(4), np.zeros(4), implementation=name)
 
 
 class TestPath:

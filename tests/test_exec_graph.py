@@ -1,4 +1,4 @@
-"""Tests for repro.exec.graph — the shared instrumented stage graph."""
+"""Tests for repro.exec.graph — the named pipeline and its timing hooks."""
 
 import json
 
@@ -8,8 +8,6 @@ from repro.exec import (
     PIPELINE_STAGES,
     PROFILE_ENV,
     ExecStage,
-    FuncStage,
-    StageGraph,
     StageTrace,
     collect_traces,
     maybe_stage,
@@ -182,81 +180,3 @@ class TestCollectTraces:
                     t = new_trace()
                 assert len(inner) == 1 and inner[0] is t
             assert outer == []
-
-
-class TestStageGraph:
-    def test_runs_in_order(self):
-        order = []
-        graph = StageGraph([
-            FuncStage(ExecStage.BUILD, lambda ctx: order.append("b")),
-            FuncStage(ExecStage.DECIDE, lambda ctx: order.append("d")),
-        ])
-        graph.run(object())
-        assert order == ["b", "d"]
-
-    def test_rejects_unknown_stage(self):
-        with pytest.raises(ValueError, match="unknown stage"):
-            FuncStage("banana", lambda ctx: None)
-
-    def test_rejects_out_of_order(self):
-        with pytest.raises(ValueError, match="out of pipeline order"):
-            StageGraph([
-                FuncStage(ExecStage.DECIDE, lambda ctx: None),
-                FuncStage(ExecStage.BUILD, lambda ctx: None),
-            ])
-
-    def test_duplicate_stage_allowed_for_gated_variants(self):
-        ran = []
-        graph = StageGraph([
-            FuncStage(ExecStage.DECIDE, lambda ctx: ran.append("a"),
-                      when=lambda ctx: False),
-            FuncStage(ExecStage.DECIDE, lambda ctx: ran.append("b"),
-                      when=lambda ctx: True),
-        ])
-        graph.run(object())
-        assert ran == ["b"]
-
-    def test_stage_subset(self):
-        ran = []
-        graph = StageGraph([
-            FuncStage(ExecStage.BUILD, lambda ctx: ran.append("b")),
-            FuncStage(ExecStage.SIMULATE, lambda ctx: ran.append("s")),
-            FuncStage(ExecStage.DECIDE, lambda ctx: ran.append("d")),
-        ])
-        graph.run(object(), stages=(ExecStage.BUILD, ExecStage.SIMULATE))
-        assert ran == ["b", "s"]
-        graph.run(object(), stages=("decide",))
-        assert ran == ["b", "s", "d"]
-
-    def test_done_short_circuits(self):
-        class Ctx:
-            done = False
-
-        ran = []
-
-        def first(ctx):
-            ran.append("first")
-            ctx.done = True
-
-        graph = StageGraph([
-            FuncStage(ExecStage.BUILD, first),
-            FuncStage(ExecStage.DECIDE, lambda ctx: ran.append("second")),
-        ])
-        graph.run(Ctx())
-        assert ran == ["first"]
-
-    def test_timed_stages_land_in_trace(self):
-        trace = StageTrace()
-        graph = StageGraph([
-            FuncStage(ExecStage.BUILD, lambda ctx: None),
-            FuncStage(ExecStage.DECIDE, lambda ctx: None, timed=False),
-        ])
-        graph.run(object(), trace)
-        assert "build" in trace.timings_s
-        # timed=False stages attribute their own interior.
-        assert "decide" not in trace.timings_s
-
-    def test_len_and_iter(self):
-        graph = StageGraph([FuncStage(ExecStage.BUILD, lambda ctx: None)])
-        assert len(graph) == 1
-        assert [str(s.name) for s in graph] == ["build"]

@@ -1,4 +1,4 @@
-"""Byte-parity referee for the unified stage graph.
+"""Byte-parity and stage-key referee for the three execution drivers.
 
 ``tests/baselines/stage_parity.json`` pins the SHA-256 of
 ``RunRecord.canonical_json()`` for a spread of scenarios (offline,
@@ -18,6 +18,8 @@ from repro.engine import BatchRunner, ScenarioSpec
 from repro.engine.executor import execute_scenario
 from repro.exec import profiled
 
+from tests.test_net_engine import road_spec
+
 GOLDEN_PATH = Path(__file__).parent / "baselines" / "stage_parity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 ENTRIES = GOLDEN["records"]
@@ -26,6 +28,56 @@ SPECS = [ScenarioSpec.from_dict(e["spec"]) for e in ENTRIES]
 #: One representative per driver family, for the slower matrix tests:
 #: plain offline, networked fusion, fault-injected network, streamed.
 REPRESENTATIVES = (0, 13, 16, 17)
+
+#: Scene builds that fail inside the containment boundary: a packet too
+#: long for the car roof, on one receiver and on a receiver array.
+SERIAL_FAILURE = road_spec(car="volvo_v40", decoder="two_phase",
+                           bits="0" * 40, seed=3)
+NETWORK_FAILURE = road_spec(n_receivers=2, car="volvo_v40",
+                            decoder="two_phase", bits="01100110",
+                            symbol_width_m=0.4)
+
+FULL_DECODE = {"build", "simulate", "normalize", "acquire",
+               "refine_clock", "decide"}
+NO_PREAMBLE = {"build", "simulate", "normalize", "acquire"}
+NO_CLOCK = {"build", "simulate", "normalize", "acquire", "decide"}
+FAULTED_NO_PREAMBLE = {"build", "simulate", "inject_faults",
+                       "normalize", "acquire"}
+NETWORKED = {"build", "simulate", "inject_faults", "decide", "fuse"}
+
+#: Per golden spec: the stage keys and counters of one profiled serial
+#: run.  A driver that skips, renames or re-enters a stage changes the
+#: key set; one that re-counts a node or chunk changes the counters.
+STAGE_KEYS = [
+    (FULL_DECODE, {}),                            # 0  offline
+    (FULL_DECODE, {}),                            # 1
+    (FULL_DECODE, {}),                            # 2
+    (FULL_DECODE, {}),                            # 3
+    (NO_PREAMBLE, {}),                            # 4  preamble not found
+    (FULL_DECODE, {}),                            # 5  two-phase car
+    (FULL_DECODE, {}),                            # 6
+    (FULL_DECODE, {}),                            # 7
+    (FULL_DECODE, {}),                            # 8
+    (FULL_DECODE, {}),                            # 9
+    (FULL_DECODE, {}),                            # 10
+    (FULL_DECODE, {}),                            # 11
+    (FULL_DECODE, {}),                            # 12
+    (NETWORKED, {"nodes_observed": 3}),           # 13 networked
+    (NETWORKED, {"nodes_observed": 3}),           # 14
+    (NETWORKED, {"nodes_observed": 3}),           # 15
+    (NETWORKED, {"nodes_observed": 2}),           # 16 node dropped
+    (FULL_DECODE, {"stream_chunks": 13}),         # 17 streamed
+    (FULL_DECODE, {"stream_chunks": 813}),        # 18
+    (FAULTED_NO_PREAMBLE, {"stream_chunks": 9}),  # 19 stream faults
+    (NO_CLOCK, {"stream_chunks": 44}),            # 20 streamed car
+    (FAULTED_NO_PREAMBLE, {}),                    # 21 signal faults
+    (FULL_DECODE, {"stream_chunks": 84}),         # 22
+    (FULL_DECODE, {"stream_chunks": 10}),         # 23
+    (FULL_DECODE, {"stream_chunks": 102}),        # 24
+    (FULL_DECODE, {"stream_chunks": 12}),         # 25
+    (NO_CLOCK, {"stream_chunks": 328}),           # 26
+    (NO_CLOCK, {"stream_chunks": 36}),            # 27
+]
 
 
 def record_sha(record) -> str:
@@ -72,6 +124,37 @@ class TestSerialParity:
     def test_unprofiled_records_carry_no_trace(self):
         record = execute_scenario(SPECS[0])
         assert record.stage_trace is None
+
+
+def stage_keys(record) -> tuple[set, dict]:
+    return set(record.stage_trace.timings_s), record.stage_trace.counters
+
+
+class TestStageKeys:
+    """Each execution path times exactly its own stages, once."""
+
+    def test_every_golden_path(self):
+        assert len(STAGE_KEYS) == len(SPECS)
+        with profiled():
+            for i, spec in enumerate(SPECS):
+                record = execute_scenario(spec)
+                assert stage_keys(record) == STAGE_KEYS[i], f"record {i}"
+
+    @pytest.mark.parametrize("spec", [SERIAL_FAILURE, NETWORK_FAILURE],
+                             ids=["serial", "network"])
+    def test_contained_failure_times_build_only(self, spec):
+        with profiled():
+            record = execute_scenario(spec)
+        assert record.stage == "simulation_failed"
+        assert stage_keys(record) == ({"build"}, {})
+
+    def test_keys_survive_pool_pickling(self):
+        subset = [SPECS[i] for i in REPRESENTATIVES]
+        with profiled(), BatchRunner(workers=2) as runner:
+            result = runner.run(subset)
+        assert not result.stats.serial_fallback
+        for i, record in zip(REPRESENTATIVES, result.records):
+            assert stage_keys(record) == STAGE_KEYS[i], f"record {i}"
 
 
 class TestTensorParity:

@@ -35,6 +35,7 @@ from repro.obs import (
 from repro.stream.session import SessionStats
 
 from tests.test_engine_cache_backends import make_record
+from tests.test_exec_parity import NETWORK_FAILURE
 
 GOLDEN_PATH = Path(__file__).parent / "baselines" / "stage_parity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -295,3 +296,19 @@ class TestByteParityWithTelemetry:
                             if h["name"] == "exec_stage_seconds"
                             and h["labels"]["driver"] == "serial"]
             assert stage_series, "no stage histograms published"
+
+    @pytest.mark.parametrize("spec", [SPECS[13], NETWORK_FAILURE],
+                             ids=["clean", "contained_failure"])
+    def test_networked_stages_publish_network_driver(self, spec):
+        # A networked pass labels its stage series driver="network",
+        # also when its scene build fails inside the containment
+        # boundary and only the partial trace is published.
+        from repro.exec import profiled
+
+        with telemetry_session() as (reg, _):
+            with profiled():
+                execute_scenario(spec)
+            drivers = {h["labels"]["driver"]
+                       for h in reg.snapshot()["histograms"]
+                       if h["name"] == "exec_stage_seconds"}
+        assert drivers == {"network"}
