@@ -40,7 +40,6 @@ from ..dsp.filters import moving_average
 from ..dsp.peaks import Extremum, _prominent_peaks
 from ..exec.graph import ExecStage, StageTrace, maybe_stage
 from ..tags.encoding import ManchesterError, Symbol, manchester_decode
-from ..tags.packet import PREAMBLE
 from ..tensor.rmq import (
     build_table,
     grid_searchsorted,
@@ -52,7 +51,7 @@ from .errors import DecodeError, PreambleNotFoundError
 __all__ = ["DecoderConfig", "SymbolWindow", "DecodeResult",
            "AdaptiveThresholdDecoder", "ScaleScan", "scan_scale",
            "smoothing_scales", "noise_sigma", "refine_clock_rows",
-           "window_maxima", "window_tables"]
+           "window_maxima", "window_tables", "DecodedRows", "decode_rows"]
 
 #: The preamble's known symbol pattern as HIGH flags (H, L, H, L).
 _EXPECTED_HIGH = np.array([True, False, True, False])
@@ -481,6 +480,204 @@ def refine_clock_rows(config: DecoderConfig, times: np.ndarray,
     return out_tau, out_anchor
 
 
+#: The symbol a window reads, indexed by whether its max clears the level.
+_SYMBOL = (Symbol.LOW, Symbol.HIGH)
+
+
+class DecodedRows:
+    """What :func:`decode_rows` recovered from each row of a stack.
+
+    ``errors[r]`` is the exception :meth:`AdaptiveThresholdDecoder.decode`
+    raises for row ``r``, else None; ``bits[r]`` is its Manchester
+    payload (None when the symbols are not Manchester).  ``live`` maps
+    each acquired row to its index into the per-row arrays.
+    """
+
+    __slots__ = ("errors", "bits", "points", "symbols", "kept", "live",
+                 "tau_r", "tau_t", "level", "starts", "maxima", "verified")
+
+    def __init__(self, n_rows: int) -> None:
+        self.errors: list[Exception | None] = [None] * n_rows
+        self.bits: list[list[int] | None] = [None] * n_rows
+        self.points: list[tuple[Extremum, Extremum, Extremum] | None] = (
+            [None] * n_rows)
+        self.symbols: list[list[Symbol] | None] = [None] * n_rows
+        self.kept = [0] * n_rows        # data windows read, ground trimmed
+        self.live: dict[int, int] = {}
+        self.tau_r = self.tau_t = self.level = np.empty(0)
+        self.starts = self.maxima = np.empty((0, 0))
+        self.verified: list[bool] = []
+
+    def bit_string(self, r: int) -> str:
+        """Row ``r``'s payload as '0'/'1' characters ('' when none)."""
+        bits = self.bits[r]
+        return "" if bits is None else "".join(str(b) for b in bits)
+
+    def result(self, r: int) -> DecodeResult:
+        """Row ``r`` as a :class:`DecodeResult`; raises the row's error."""
+        if self.errors[r] is not None:
+            raise self.errors[r]
+        j, kept, symbols = self.live[r], self.kept[r], self.symbols[r]
+        tau_t, level = float(self.tau_t[j]), float(self.level[j])
+        starts = self.starts[j, :kept]
+        windows = [SymbolWindow(*w) for w in zip(
+            starts.tolist(), (starts + tau_t).tolist(),
+            self.maxima[j, :kept].tolist(), symbols)]
+        if len(symbols) > kept:
+            # The LOW half of a trailing '0' bit, trimmed with the ground.
+            end = windows[-1].t_end_s
+            windows.append(SymbolWindow(end, end + tau_t, level, Symbol.LOW))
+        return DecodeResult(
+            symbols=symbols,
+            bits=self.bits[r],
+            tau_r=float(self.tau_r[j]),
+            tau_t=tau_t,
+            threshold_level=level,
+            anchor_points=self.points[r],
+            windows=windows,
+            preamble_verified=self.verified[j],
+        )
+
+
+def decode_rows(raw: np.ndarray, fs: float, t0: float,
+                n_data_symbols: int | None = None,
+                config: DecoderConfig | None = None,
+                stage_trace: StageTrace | None = None) -> DecodedRows:
+    """Section 4.1's decode of ``(R, T)`` rows sampled on one time grid.
+
+    The one decode every driver runs: the serial decoder on one row,
+    the tensor backend on every row of an optics group.  Each row
+    acquires by :func:`scan_scale` at each of :func:`smoothing_scales`,
+    finest first, until one accepts an A/B/C triple (scipy's C peak
+    routines beat any vectorised reformulation at this trace length).
+    The acquired rows then share sparse max/min tables
+    (:func:`window_tables`) through which the clock search
+    (:func:`refine_clock_rows`), the decision windows and the HLHL
+    preamble check read every row's windows at once.  Profiled stages
+    time the whole stack once.
+
+    Args:
+        raw: ``(R, T)`` samples (raw counts or normalised — the
+            thresholds adapt either way).
+        fs: sample rate.
+        t0: timestamp of column 0.
+        n_data_symbols: expected number of data symbols (2N for an
+            N-bit payload).  None switches every row to auto length:
+            windows are consumed until the trace ends, then trailing
+            LOW windows (the empty ground after the tag) are trimmed
+            and an odd count is padded with a LOW.
+        config: decoder tuning.
+        stage_trace: optional per-stage timing sink.
+
+    Raises:
+        ValueError: ``n_data_symbols < 1`` once a row has acquired.
+    """
+    decoder = AdaptiveThresholdDecoder(config)
+    cfg = decoder.config
+    out = DecodedRows(len(raw))
+    n = raw.shape[1]
+    if n == 0:
+        # Streaming probes degenerate windows (empty suffixes, sub-symbol
+        # fragments); acquisition must answer "no preamble", not crash.
+        out.errors = [PreambleNotFoundError("empty trace; no preamble")
+                      for _ in out.errors]
+        return out
+    sigma = noise_sigma(raw)
+    scans: list = [None] * len(raw)
+    pending = range(len(raw))
+    for window in smoothing_scales(n):
+        for r in pending:
+            scans[r] = scan_scale(raw[r], window, float(sigma[r]), fs, t0,
+                                  cfg.min_preamble_swing_fraction,
+                                  stage_trace=stage_trace)
+        pending = [r for r in pending if scans[r].points is None]
+
+    with maybe_stage(stage_trace, ExecStage.ACQUIRE):
+        params = []
+        for r, scan in enumerate(scans):
+            if scan.points is None:
+                out.errors[r] = PreambleNotFoundError(scan.reason)
+                continue
+            tau_r, tau_t = decoder.thresholds(scan.points)
+            a, b, _ = out.points[r] = scan.points
+            out.live[r] = len(params)
+            params.append((tau_r, tau_t,
+                           decoder._threshold_level(tau_r, b.value),
+                           a.time_s - 0.5 * tau_t))
+        if not params:
+            return out
+        tau_r, tau_t, level, anchor = map(np.array, zip(*params))
+        times = t0 + np.arange(n) / fs
+        log = log_table(n)
+        tmax, tmin = window_tables(
+            np.array([scans[r].smooth for r in out.live]),
+            float(tau_t.max()), cfg, fs)
+
+    if cfg.clock_refinement:
+        with maybe_stage(stage_trace, ExecStage.REFINE_CLOCK):
+            tau_t, anchor = refine_clock_rows(
+                cfg, times, t0, fs, tmax, tmin, log, anchor, tau_t, tau_r,
+                level, min(n_data_symbols if n_data_symbols else 8, 12))
+
+    with maybe_stage(stage_trace, ExecStage.DECIDE):
+        # The preamble occupies symbols 1-4 from the anchor; data follows.
+        data_start = anchor + 4.0 * tau_t
+        if n_data_symbols is None:
+            n_windows = np.minimum(cfg.max_symbols, np.floor(
+                (times[-1] - data_start) / tau_t)).tolist()
+        elif n_data_symbols < 1:
+            raise ValueError("n_data_symbols must be >= 1")
+        else:
+            n_windows = [n_data_symbols] * len(params)
+        tau = tau_t[:, None]
+        shrink = cfg.window_shrink_fraction * tau
+        ks = np.arange(float(max(1, max(n_windows))))
+        starts = data_start[:, None] + ks * tau
+        maxima, n_good = window_maxima(tmax, log, times, starts + shrink,
+                                       starts + tau - shrink)
+        # Re-decode the preamble region with the derived thresholds; it
+        # must read HLHL, every window inside the trace.
+        ks = np.arange(4.0)
+        pre_max, pre_good = window_maxima(
+            tmax, log, times, anchor[:, None] + ks * tau + shrink,
+            anchor[:, None] + (ks + 1.0) * tau - shrink)
+        hlhl = _EXPECTED_HIGH.tolist()
+        verified = [count == 4 and read == hlhl for count, read in zip(
+            pre_good.tolist(), (pre_max > level[:, None]).tolist())]
+        high = (maxima > level[:, None]).tolist()
+        n_good = n_good.tolist()
+        for r, j in out.live.items():
+            if n_windows[j] < 1:
+                out.errors[r] = DecodeError(
+                    "no decision windows fit between the preamble and "
+                    "the end of the trace")
+                continue
+            good = min(n_good[j], int(n_windows[j]))
+            if good == 0:
+                out.errors[r] = DecodeError(
+                    "all decision windows fell outside the trace")
+                continue
+            symbols = [_SYMBOL[h] for h in high[j][:good]]
+            if n_data_symbols is None:
+                # Trim the trailing ground (LOW) and keep an even count:
+                # a last HIGH is the first half of a '0' bit whose LOW
+                # half went with the ground.
+                while symbols and symbols[-1] is Symbol.LOW:
+                    symbols.pop()
+                good = len(symbols)
+                if good % 2 == 1:
+                    symbols.append(Symbol.LOW)
+            out.kept[r], out.symbols[r] = good, symbols
+            try:
+                out.bits[r] = manchester_decode(symbols)
+            except ManchesterError:
+                pass
+    out.tau_r, out.tau_t, out.level, out.verified = (tau_r, tau_t, level,
+                                                     verified)
+    out.starts, out.maxima = starts, maxima
+    return out
+
+
 class AdaptiveThresholdDecoder:
     """Implements the paper's calibration-free RSS decoder."""
 
@@ -518,39 +715,20 @@ class AdaptiveThresholdDecoder:
                 break
         return scans
 
-    def _acquire(self, trace: SignalTrace,
-                 stage_trace: StageTrace | None = None,
-                 ) -> tuple[tuple[Extremum, Extremum, Extremum], np.ndarray]:
-        """The accepted anchor triple and its smoothed waveform.
-
-        The smoothed waveform is reused for the decision windows so
-        thresholds and decisions see the same signal.
-
-        Raises:
-            PreambleNotFoundError: when no scale yields a plausible
-                peak-valley-peak triple.
-        """
-        scans = self.scan_preamble(trace, stage_trace=stage_trace)
-        if not scans:
-            # Streaming probes degenerate windows (empty suffixes,
-            # sub-symbol fragments); acquisition must answer "no
-            # preamble", not crash.
-            raise PreambleNotFoundError("empty trace; no preamble")
-        last = scans[-1]
-        if last.points is None:
-            raise PreambleNotFoundError(last.reason)
-        return last.points, last.smooth
-
     def acquire_preamble(self, trace: SignalTrace,
                          ) -> tuple[Extremum, Extremum, Extremum]:
         """Find the A/B/C anchor points of the preamble.
 
         Raises:
-            PreambleNotFoundError: when no peak-valley-peak triple with
-                sufficient prominence exists.
+            PreambleNotFoundError: when no scale yields a plausible
+                peak-valley-peak triple.
         """
-        points, _ = self._acquire(trace)
-        return points
+        scans = self.scan_preamble(trace)
+        if not scans:
+            raise PreambleNotFoundError("empty trace; no preamble")
+        if scans[-1].points is None:
+            raise PreambleNotFoundError(scans[-1].reason)
+        return scans[-1].points
 
     @staticmethod
     def thresholds(points: tuple[Extremum, Extremum, Extremum],
@@ -579,9 +757,7 @@ class AdaptiveThresholdDecoder:
                stage_trace: StageTrace | None = None) -> DecodeResult:
         """Decode one packet from an RSS trace.
 
-        A batch of one: clock refinement and the decision windows run
-        the same row kernels as the tensor backend, over max/min tables
-        built for this trace's single smoothed row.
+        A batch of one: :func:`decode_rows` on the trace's single row.
 
         Args:
             trace: the captured RSS stream (raw counts or normalised —
@@ -590,7 +766,7 @@ class AdaptiveThresholdDecoder:
                 N-bit payload).  None switches to auto-length mode:
                 windows are consumed until the trace ends, then trailing
                 LOW windows (the empty ground after the tag) are
-                trimmed and the count is rounded down to even.
+                trimmed and an odd count is padded with a LOW.
             stage_trace: optional per-stage instrumentation sink; when
                 given, smoothing/acquisition/clock-refinement/decision
                 wall time is attributed to the corresponding
@@ -601,103 +777,6 @@ class AdaptiveThresholdDecoder:
             PreambleNotFoundError: when acquisition fails.
             DecodeError: when no decision windows fit in the trace.
         """
-        points, smooth = self._acquire(trace, stage_trace=stage_trace)
-        cfg = self.config
-        fs = trace.sample_rate_hz
-        with maybe_stage(stage_trace, ExecStage.ACQUIRE):
-            tau_r, tau_t = self.thresholds(points)
-            level = self._threshold_level(tau_r, points[1].value)
-            anchor = points[0].time_s - 0.5 * tau_t
-            times = trace.times()
-            log = log_table(len(times))
-            tmax, tmin = window_tables(smooth[None, :], tau_t, cfg, fs)
-
-        if cfg.clock_refinement:
-            with maybe_stage(stage_trace, ExecStage.REFINE_CLOCK):
-                n_probe = min(n_data_symbols if n_data_symbols else 8, 12)
-                taus, anchors = refine_clock_rows(
-                    cfg, times, trace.start_time_s, fs, tmax, tmin, log,
-                    np.array([anchor]), np.array([tau_t]),
-                    np.array([tau_r]), np.array([level]), n_probe)
-                tau_t, anchor = float(taus[0]), float(anchors[0])
-        with maybe_stage(stage_trace, ExecStage.DECIDE):
-            return self._decide(tmax, log, times, points, tau_r, tau_t,
-                                level, anchor, n_data_symbols)
-
-    def _decide(self, tmax: np.ndarray, log: np.ndarray, times: np.ndarray,
-                points: tuple[Extremum, Extremum, Extremum],
-                tau_r: float, tau_t: float, level: float, anchor: float,
-                n_data_symbols: int | None) -> DecodeResult:
-        """Decision windows -> symbols -> payload (the ``decide`` stage)."""
-        # The preamble occupies symbols 1-4 from the anchor; data follows.
-        data_start = anchor + 4.0 * tau_t
-        if n_data_symbols is not None:
-            if n_data_symbols < 1:
-                raise ValueError("n_data_symbols must be >= 1")
-            n_windows = n_data_symbols
-        else:
-            remaining = times[-1] - data_start
-            n_windows = min(self.config.max_symbols,
-                            int(np.floor(remaining / tau_t)))
-        if n_windows < 1:
-            raise DecodeError(
-                "no decision windows fit between the preamble and the "
-                "end of the trace")
-
-        shrink = self.config.window_shrink_fraction * tau_t
-        ks = np.arange(float(n_windows))
-        w_starts = data_start + ks * tau_t
-        w_ends = w_starts + tau_t
-        maxima, n_good = window_maxima(tmax, log, times,
-                                       (w_starts + shrink)[None, :],
-                                       (w_ends - shrink)[None, :])
-        good = int(n_good[0])
-        windows = [SymbolWindow(start, end, w_max,
-                                Symbol.HIGH if w_max > level else Symbol.LOW)
-                   for start, end, w_max in zip(w_starts[:good].tolist(),
-                                                w_ends[:good].tolist(),
-                                                maxima[0, :good].tolist())]
-        if not windows:
-            raise DecodeError("all decision windows fell outside the trace")
-
-        symbols = [w.symbol for w in windows]
-        if n_data_symbols is None:
-            # Trim the trailing ground (LOW) and keep an even count.
-            while symbols and symbols[-1] is Symbol.LOW:
-                symbols.pop()
-                windows.pop()
-            if len(symbols) % 2 == 1:
-                # A Manchester stream is even; the last HIGH must be the
-                # first half of a trailing '0' bit whose LOW half was
-                # trimmed with the ground.
-                symbols.append(Symbol.LOW)
-                last = windows[-1]
-                windows.append(SymbolWindow(last.t_end_s,
-                                            last.t_end_s + tau_t,
-                                            level, Symbol.LOW))
-
-        try:
-            bits: list[int] | None = manchester_decode(symbols)
-        except ManchesterError:
-            bits = None
-
-        # Re-decode the preamble region with the derived thresholds; it
-        # must read HLHL, every window inside the trace.
-        ks = np.arange(4.0)
-        maxima, n_good = window_maxima(
-            tmax, log, times, (anchor + ks * tau_t + shrink)[None, :],
-            (anchor + (ks + 1.0) * tau_t - shrink)[None, :])
-        verified = (int(n_good[0]) == 4
-                    and tuple(Symbol.HIGH if w_max > level else Symbol.LOW
-                              for w_max in maxima[0]) == PREAMBLE)
-
-        return DecodeResult(
-            symbols=symbols,
-            bits=bits,
-            tau_r=tau_r,
-            tau_t=tau_t,
-            threshold_level=level,
-            anchor_points=points,
-            windows=windows,
-            preamble_verified=verified,
-        )
+        return decode_rows(trace.samples[None, :], trace.sample_rate_hz,
+                           trace.start_time_s, n_data_symbols, self.config,
+                           stage_trace).result(0)

@@ -167,7 +167,6 @@ def _make_runner(args: argparse.Namespace) -> BatchRunner:
                        cache=cache_dir or None,
                        cache_backend=cache_backend,
                        backend=getattr(args, "backend", "process"),
-                       dtype=getattr(args, "dtype", "float64"),
                        scenario_timeout_s=getattr(args, "timeout", None),
                        max_failures=getattr(args, "max_failures", None))
 
@@ -648,12 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="execution backend: 'process' (worker "
                               "pool) or 'tensor' (fused single-process "
                               "array passes; ignores --workers)")
-    sweep_p.add_argument("--dtype", choices=["float64", "float32"],
-                         default="float64",
-                         help="tensor-backend dtype; float64 matches "
-                              "the serial executor byte for byte, "
-                              "float32 is a faster approximation "
-                              "(bypasses the cache)")
     sweep_p.add_argument("--workers", type=int, default=1,
                          help="worker processes (default: 1, serial)")
     sweep_p.add_argument("--group-by", action="append", metavar="FIELD",

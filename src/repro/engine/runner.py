@@ -12,9 +12,11 @@ Determinism contract: because every resolved spec carries its own seed
 and :func:`execute_scenario` touches no shared state, ``workers=N``
 produces records byte-identical (``RunRecord.canonical_json``) to
 ``workers=1`` for the same scenario list, in the same order.  The same
-contract extends to ``backend="tensor"`` with the default ``float64``
-dtype: the fused array passes of :func:`repro.tensor.execute_batch`
-reproduce the serial records byte for byte.
+contract extends to ``backend="tensor"``: the fused array passes of
+:func:`repro.tensor.execute_batch` run the serial driver's own front
+end and decode over each optics group's rows (the serial driver is a
+batch of one), so they reproduce the serial records byte for byte and
+share the result cache with them.
 """
 
 from __future__ import annotations
@@ -228,11 +230,6 @@ class BatchRunner:
         backend: ``"process"`` (the pool / serial path above) or
             ``"tensor"`` (:func:`repro.tensor.execute_batch` — fused
             single-process array passes; ``workers`` is ignored).
-        dtype: tensor-backend accumulation dtype.  ``"float64"``
-            (default) is byte-identical to the serial executor;
-            ``"float32"`` is a faster, deterministic approximation and
-            therefore **bypasses the result cache**, whose keys do not
-            encode the dtype.
         retry_policy: :class:`~repro.faults.RetryPolicy` governing
             worker-pool recovery after a ``BrokenProcessPool``: one
             pool attempt per allowed attempt, backoff between them,
@@ -260,7 +257,6 @@ class BatchRunner:
     def __init__(self, workers: int = 1,
                  cache: CacheBackend | str | Path | None = None,
                  chunk_size: int = 8, backend: str = "process",
-                 dtype: str = "float64",
                  retry_policy: RetryPolicy | None = None,
                  scenario_timeout_s: float | None = None,
                  max_failures: int | None = None,
@@ -279,19 +275,10 @@ class BatchRunner:
         if backend not in self.BACKENDS:
             raise ValueError(
                 f"backend must be one of {self.BACKENDS}, got {backend!r}")
-        if backend == "tensor":
-            from ..tensor.batch import DTYPES
-            if dtype not in DTYPES:
-                raise ValueError(
-                    f"dtype must be one of {DTYPES}, got {dtype!r}")
-            if scenario_timeout_s is not None:
-                raise ValueError(
-                    "scenario_timeout_s requires backend='process': the "
-                    "tensor backend's fused passes cannot be preempted")
-        elif dtype != "float64":
+        if backend == "tensor" and scenario_timeout_s is not None:
             raise ValueError(
-                "dtype is only configurable with backend='tensor', got "
-                f"{dtype!r}")
+                "scenario_timeout_s requires backend='process': the "
+                "tensor backend's fused passes cannot be preempted")
         if scenario_timeout_s is not None and scenario_timeout_s <= 0.0:
             raise ValueError(f"scenario_timeout_s must be positive, "
                              f"got {scenario_timeout_s}")
@@ -302,7 +289,6 @@ class BatchRunner:
         self.cache = cache
         self.chunk_size = chunk_size
         self.backend = backend
-        self.dtype = dtype
         self.retry_policy = retry_policy or RetryPolicy(max_attempts=2)
         self.scenario_timeout_s = scenario_timeout_s
         self.max_failures = max_failures
@@ -358,14 +344,9 @@ class BatchRunner:
             log.emit("batch_start", n_specs=len(resolved),
                      backend=self.backend, workers=self.workers)
 
-        # float32 records are approximations keyed identically to the
-        # exact float64 ones (content_hash covers the spec only), so
-        # they must neither consult nor populate the cache.
-        cache = self.cache if self.dtype == "float64" else None
-
-        if cache is not None:
+        if self.cache is not None:
             keys = [spec.content_hash() for spec in resolved]
-            hits = cache.get_many(keys)
+            hits = self.cache.get_many(keys)
             records = [hits.get(key) for key in keys]
         pending = [i for i, record in enumerate(records) if record is None]
 
@@ -392,9 +373,10 @@ class BatchRunner:
             records[i] = record
         # Runner-synthesized records describe this run's executor, not
         # the scenario: never cache them.
-        if cache is not None:
-            cache.put_many([record for _, record in done
-                            if record.stage != RecordStage.EXECUTOR_ERROR])
+        if self.cache is not None:
+            self.cache.put_many(
+                [record for _, record in done
+                 if record.stage != RecordStage.EXECUTOR_ERROR])
 
         kept = [r for r in records if r is not None]
         stats = RunStats(
@@ -473,7 +455,7 @@ class BatchRunner:
         if self.backend == "tensor":
             from ..tensor.batch import execute_batch
 
-            records = execute_batch(specs, dtype=self.dtype)
+            records = execute_batch(specs)
             # The fused passes are all-or-nothing, so fail-fast can
             # only trim the already-computed tail.
             for k, record in enumerate(records):

@@ -28,26 +28,30 @@ def first_order_lowpass(samples: np.ndarray, cutoff_hz: float,
     they don't pre-ring), matching analogue behaviour.
 
     Args:
-        samples: input signal.
+        samples: input signal; a stack filters each row along the last
+            axis, starting from that row's own first sample.
         cutoff_hz: -3 dB frequency, > 0.
         sample_rate_hz: sampling frequency, > 0.
 
     Returns:
         Filtered signal, same shape as the input.
     """
+    x = np.asarray(samples, dtype=float)
+    if _transparent(cutoff_hz, sample_rate_hz) or x.size == 0:
+        return x.copy()
+    b, a, zi = _rc_design(cutoff_hz / (sample_rate_hz / 2.0))
+    y, _ = sp_signal.lfilter(b, a, x, axis=-1, zi=zi * x[..., :1])
+    return y
+
+
+def _transparent(cutoff_hz: float, sample_rate_hz: float) -> bool:
+    """Validate a band limit; True when its pole sits at or above
+    Nyquist, where the filter passes the samples through unchanged."""
     if cutoff_hz <= 0.0:
         raise ValueError(f"cutoff must be positive, got {cutoff_hz}")
     if sample_rate_hz <= 0.0:
         raise ValueError(f"sample rate must be positive, got {sample_rate_hz}")
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        return x.copy()
-    if cutoff_hz >= sample_rate_hz / 2.0:
-        # Pole above Nyquist: the filter is transparent at this rate.
-        return x.copy()
-    b, a, zi = _rc_design(cutoff_hz / (sample_rate_hz / 2.0))
-    y, _ = sp_signal.lfilter(b, a, x, zi=zi * x[0])
-    return y
+    return cutoff_hz >= sample_rate_hz / 2.0
 
 
 @lru_cache(maxsize=16)
@@ -99,8 +103,9 @@ class Amplifier:
                    rail_low=0.0, rail_high=1.0, input_offset=0.0)
 
     def amplify(self, samples: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-        """Amplify, band-limit and rail-clip a sampled signal."""
-        x = np.asarray(samples, dtype=float)
-        y = first_order_lowpass(x * self.gain + self.input_offset,
-                                self.bandwidth_hz, sample_rate_hz)
+        """Amplify, band-limit and rail-clip a signal (time on the last
+        axis, so an ``(R, T)`` stack amplifies row by row)."""
+        y = np.asarray(samples, dtype=float) * self.gain + self.input_offset
+        if not _transparent(self.bandwidth_hz, sample_rate_hz):
+            y = first_order_lowpass(y, self.bandwidth_hz, sample_rate_hz)
         return np.clip(y, self.rail_low, self.rail_high)

@@ -9,6 +9,13 @@ of Section 5.2: it narrows the acceptance cone (suppressing interference
 from surfaces adjacent to the tag, e.g. the car's metal roof) at the cost
 of less impinging light — the paper explicitly accepts "the RSS drop
 resulting from the smaller impinging light on the receiver".
+
+:class:`ReceiverFrontEnd` splits the chain at the noise draw.
+:meth:`~ReceiverFrontEnd.respond` is the seed-independent detector half
+and :meth:`~ReceiverFrontEnd.digitize` the seeded noise, amplifier and
+ADC half; both work along the last axis.  A serial capture runs them on
+one waveform; the tensor driver runs ``respond`` once per optics group
+and ``digitize`` once over the group's ``(R, T)`` noise rows.
 """
 
 from __future__ import annotations
@@ -133,6 +140,33 @@ class ReceiverFrontEnd:
         return (ambient_lux * self.ambient_transmission
                 >= self.detector.saturation_lux)
 
+    def respond(self, illuminance_lux: np.ndarray, sample_rate_hz: float,
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The seed-independent half of the chain, time on the last axis.
+
+        Returns ``(v0, sigma)``: the detector's band-limited, saturating
+        photoresponse and its noise sigma (thermal + shot, referred to
+        the output) at that response, both shaped like the input.
+        """
+        e = np.asarray(illuminance_lux, dtype=float)
+        if np.any(e < 0.0):
+            raise ValueError("illuminance cannot be negative")
+        v0 = self.detector.respond(first_order_lowpass(
+            e, self.detector.bandwidth_hz, sample_rate_hz))
+        return v0, self.detector.noise_sigma(v0)
+
+    def digitize(self, v0: np.ndarray, sigma: np.ndarray, noise: np.ndarray,
+                 sample_rate_hz: float) -> np.ndarray:
+        """The seeded half: add noise, clip, amplify, quantise.
+
+        ``noise`` holds standard-normal draws that ``v0`` and ``sigma``
+        (from :meth:`respond`) broadcast against, so ``R`` noise rows
+        digitize ``R`` captures of one response in one pass, each row
+        bit-identical to its own :meth:`capture`.
+        """
+        v = np.clip(v0 + noise * sigma, 0.0, 1.0)
+        return self.adc.convert(self.amplifier.amplify(v, sample_rate_hz))
+
     def capture(self, illuminance_lux: np.ndarray,
                 sample_rate_hz: float | None = None,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -141,7 +175,8 @@ class ReceiverFrontEnd:
         The input must already be the ambient-referred illuminance at the
         aperture *after* cap attenuation has been applied by the channel
         simulator (which knows which part of the light is footprint
-        signal and which is stray ambient).
+        signal and which is stray ambient): :meth:`respond`, one noise
+        draw, then :meth:`digitize`.
 
         Args:
             illuminance_lux: optical waveform at the detector (lux).
@@ -153,26 +188,13 @@ class ReceiverFrontEnd:
             Integer RSS codes, same length as the input.
         """
         fs = sample_rate_hz if sample_rate_hz is not None else self.adc.sample_rate_hz
-        if fs <= 0.0:
-            raise ValueError(f"sample rate must be positive, got {fs}")
-        e = np.asarray(illuminance_lux, dtype=float)
-        if e.ndim != 1:
+        if np.ndim(illuminance_lux) != 1:
             raise ValueError("expected a 1-D waveform")
-        if np.any(e < 0.0):
-            raise ValueError("illuminance cannot be negative")
+        v0, sigma = self.respond(illuminance_lux, fs)
         if rng is None:
             rng = np.random.default_rng(self.seed)
-
-        # 1. Detector photoresponse: band limit, then saturate.
-        smoothed = first_order_lowpass(e, self.detector.bandwidth_hz, fs)
-        v = self.detector.respond(smoothed)
-        # 2. Detector noise (thermal + shot), referred to the output.
-        v = v + rng.normal(0.0, 1.0, size=v.shape) * self.detector.noise_sigma(v)
-        v = np.clip(v, 0.0, 1.0)
-        # 3. Amplifier: gain, bandwidth, rails.
-        v = self.amplifier.amplify(v, fs)
-        # 4. Quantisation.
-        return self.adc.convert(v)
+        return self.digitize(v0, sigma, rng.normal(0.0, 1.0, size=v0.shape),
+                             fs)
 
     def describe(self) -> str:
         """One-line summary used in experiment reports."""

@@ -4,9 +4,9 @@ Offline acquisition re-scans the whole trace; doing that on every
 arriving chunk is quadratic in stream length.  :class:`PreambleDetector`
 runs the decoder's own multi-scale acquisition
 (:meth:`~repro.core.decoder.AdaptiveThresholdDecoder.scan_preamble`)
-only over the **unseen suffix plus an overlap**, and advances its scan
-start using what the failed scan learned, read off that scan's finest
-scale so that each check smooths and searches its window once:
+over a window from its scan start to the stream end, and advances
+that start using what the failed scan learned, read off that scan's
+finest scale so that each check smooths and searches its window once:
 
 * a scan that found *extrema* but no plausible A/B/C triple keeps its
   start anchored just before the first extremum — a partially-arrived
@@ -17,6 +17,11 @@ scale so that each check smooths and searches its window once:
   prominence thresholds only rise as the packet's swing arrives;
 * ``max_overlap_s`` caps the window either way, bounding per-check cost
   for arbitrarily long feeds.
+
+The start only moves once a check has ruled out more than
+``min_overlap_s`` of quiet stream.  On a pass shorter than that, every
+check rescans the buffer from its first sample, and nearly every
+failed check runs all three smoothing scales.
 
 Detection is an *event* estimate (when did the receiver know a packet
 had started); the byte-exact verdict always comes from the offline
@@ -101,7 +106,7 @@ class PreambleDetector:
 
     # ------------------------------------------------------------------
     def check(self, buffer: StreamBuffer) -> AcquiredPreamble | None:
-        """Scan the unseen suffix (plus overlap) for the preamble.
+        """Scan from the scan start to the stream end for the preamble.
 
         Returns the acquired anchor state on success, None otherwise.
         Never raises on degenerate windows (constant, tiny, empty) —

@@ -11,8 +11,8 @@ circular.
 
 from __future__ import annotations
 
-__all__ = ["DTYPES", "execute_batch", "optical_key",
-           "fast_path_eligible", "clear_plan_cache"]
+__all__ = ["execute_batch", "optical_key", "fast_path_eligible",
+           "clear_plan_cache"]
 
 
 

@@ -4,37 +4,30 @@
 :func:`repro.engine.execute_scenario` loop.  It groups resolved specs by
 their *optical key* — the resolved spec minus the noise seed — so the
 expensive seed-independent physics (footprint kernel, pass geometry,
-aperture illuminance, detector band limiting and response, the noise
-sigma profile) is computed **once per group**, and only the per-seed
-noise draw onward runs per scenario, batched as fused ``(N, T)`` array
-passes in a single process with no pickling.
+aperture illuminance and the front end's
+:meth:`~repro.hardware.frontend.ReceiverFrontEnd.respond`) is computed
+**once per group**.  Only the per-seed half runs per scenario, batched
+as fused ``(N, T)`` array passes in a single process with no pickling:
+one :meth:`~repro.hardware.frontend.ReceiverFrontEnd.digitize` over the
+group's noise rows, then one :func:`~repro.core.decoder.decode_rows`.
 
-Decoding is batched too.  Acquisition runs the serial decoder's own
-per-scale step (:func:`repro.core.decoder.scan_scale`) on every pending
-row; the clock-refinement search and the decision windows run the
-serial decoder's own row kernels (:mod:`repro.core.decoder`, which the
-serial decoder calls with one row) across the rows of a group at once,
-over shared sparse max/min tables (:mod:`repro.tensor.rmq`).
+This module holds only the grouping, the plan cache and record
+assembly; the receiver chain and the decode are the serial driver's own
+functions, which the serial driver calls as a batch of one.
 
-Equivalence contract: with ``dtype="float64"`` (the default) every
-:class:`~repro.engine.records.RunRecord` is **byte-identical**
-(``canonical_json``) to the serial executor's record for the same
-resolved spec.  This holds structurally:
+Equivalence contract: every :class:`~repro.engine.records.RunRecord` is
+**byte-identical** (``canonical_json``) to the serial executor's record
+for the same resolved spec, by construction:
 
 * shared stages are seed-independent and computed with the very same
   functions the serial path calls;
-* per-row stages replicate the serial expressions element for element
-  (IEEE arithmetic on broadcast rows equals the per-row expressions);
+* per-row stages run the serial functions on broadcast rows, which
+  perform the identical IEEE operations per element;
 * specs the fast path does not cover (networked receivers, streamed
-  replay, the two-phase car decoder) are delegated to
-  ``execute_scenario`` unchanged, as is any group whose fast path
-  raises — correctness never depends on the fast path succeeding.
-
-``dtype="float32"`` runs the per-row physics in single precision (half
-the memory traffic on the batched arrays).  Codes may differ from the
-float64 path by one ADC step on a tiny fraction of samples, so verdicts
-agree within a documented tolerance rather than byte-for-byte; the path
-stays fully deterministic (same seeds, same records on every run).
+  replay, fault-injected scenarios, the two-phase car decoder) are
+  delegated to ``execute_scenario`` unchanged, as is any group whose
+  fast path raises — correctness never depends on the fast path
+  succeeding.
 """
 
 from __future__ import annotations
@@ -46,18 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel.trace import SignalTrace
-from ..core.decoder import (
-    AdaptiveThresholdDecoder,
-    DecoderConfig,
-    ScaleScan,
-    noise_sigma,
-    refine_clock_rows,
-    scan_scale,
-    smoothing_scales,
-    window_maxima,
-    window_tables,
-)
+from ..core.decoder import DecoderConfig, decode_rows
 from ..core.errors import PreambleNotFoundError
 from ..engine.executor import build_simulator, execute_scenario
 from ..engine.records import (
@@ -67,19 +49,13 @@ from ..engine.records import (
     outcome_stage,
 )
 from ..engine.spec import ScenarioSpec, SpecIdentity
-from ..exec.graph import ExecStage, StageTrace, maybe_stage, new_trace
+from ..exec.graph import ExecStage, maybe_stage, new_trace
 from ..obs.export import publish_stage_trace
 from ..obs.registry import active_registry
-from ..hardware.amplifier import first_order_lowpass
-from ..tags.encoding import ManchesterError, Symbol, manchester_decode
 from ..tags.packet import Packet
-from .rmq import log_table
 
-__all__ = ["DTYPES", "execute_batch", "optical_key", "fast_path_eligible",
+__all__ = ["execute_batch", "optical_key", "fast_path_eligible",
            "clear_plan_cache"]
-
-#: Supported execution dtypes for the batched physics.
-DTYPES = ("float64", "float32")
 
 #: Bounded cache of per-group shared physics (see :class:`_GroupPlan`).
 _PLAN_CACHE_MAX = 32
@@ -125,38 +101,22 @@ class _GroupPlan:
 
     sim: object                # ChannelSimulator (caches kernel/profiles)
     t_start: float
-    times: np.ndarray          # shared sample-time grid
-    v0: np.ndarray             # detector response before noise (float64)
-    sigma: np.ndarray          # detector noise sigma at v0 (float64)
+    v0: np.ndarray             # detector response before noise
+    sigma: np.ndarray          # detector noise sigma at v0
     noise_floor: float
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.times)
 
 
 def _build_plan(spec: ScenarioSpec) -> _GroupPlan:
-    """Run the seed-independent half of ``sim.capture_pass`` once.
+    """The seed-independent half of ``sim.capture_pass``, run once.
 
-    Mirrors ``ChannelSimulator.capture_pass`` + the pre-noise stages of
-    ``ReceiverFrontEnd.capture`` exactly (same functions, same order),
-    stopping right before the per-seed noise draw.
+    The simulator's pass window, time grid and aperture illuminance,
+    then the front end's ``respond``: everything before the noise draw.
     """
     sim = build_simulator(spec)
     t_start, duration = sim.pass_window()
-    t = sim.time_grid(duration, t_start)
-    lux = sim.aperture_illuminance(t)
-    if lux.ndim != 1:
-        raise ValueError("expected a 1-D waveform")
-    if np.any(lux < 0.0):
-        raise ValueError("illuminance cannot be negative")
-    detector = sim.frontend.detector
-    fs = sim.config.sample_rate_hz
-    smoothed = first_order_lowpass(lux, detector.bandwidth_hz, fs)
-    v0 = detector.respond(smoothed)
-    sigma = detector.noise_sigma(v0)
-    return _GroupPlan(sim=sim, t_start=t_start, times=t, v0=v0,
-                      sigma=sigma,
+    lux = sim.aperture_illuminance(sim.time_grid(duration, t_start))
+    v0, sigma = sim.frontend.respond(lux, sim.config.sample_rate_hz)
+    return _GroupPlan(sim=sim, t_start=t_start, v0=v0, sigma=sigma,
                       noise_floor=sim.scene.nominal_noise_floor_lux())
 
 
@@ -174,222 +134,21 @@ def _plan_for(key: str, spec: ScenarioSpec) -> _GroupPlan:
     return plan
 
 
-# ----------------------------------------------------------------------
-# Batched capture (the per-seed half of the front end)
-# ----------------------------------------------------------------------
+def _capture_rows(plan: _GroupPlan, specs: list[ScenarioSpec]) -> np.ndarray:
+    """Each spec's noise row through the front end's ``digitize``.
 
-def _capture_rows(plan: _GroupPlan, specs: list[ScenarioSpec],
-                  dtype: str) -> np.ndarray:
-    """Noise + amplifier + ADC for every row as one (R, T) pass.
-
-    float64 replicates ``ReceiverFrontEnd.capture`` bit for bit: the
-    per-row expression ``v0 + normal(seed) * sigma`` (then clip,
-    amplify, quantise) is evaluated on broadcast rows, which performs
-    the identical IEEE operations per element.
+    Rows draw what the serial capture draws from the spec's seed
+    (zeros without noise), so every row's codes are bit-identical to
+    that spec's serial capture.
     """
     sim = plan.sim
-    fs = sim.config.sample_rate_hz
-    n = plan.n_samples
-    amp = sim.frontend.amplifier
-    adc = sim.frontend.adc
-    include_noise = sim.config.include_noise
-
-    if dtype == "float64":
-        if include_noise:
-            noise = np.empty((len(specs), n))
-            for i, spec in enumerate(specs):
-                rng = np.random.default_rng(spec.seed)
-                noise[i] = rng.normal(0.0, 1.0, size=n)
-            v = plan.v0[None, :] + noise * plan.sigma[None, :]
-        else:
-            # The serial path adds zeros * sigma — exactly + 0.0.
-            v = plan.v0[None, :] + np.zeros((len(specs), n))
-        v = np.clip(v, 0.0, 1.0)
-        if amp.bandwidth_hz >= fs / 2.0:
-            # The band limit is transparent at this rate (the lowpass
-            # returns a copy), so amplify reduces elementwise.
-            v = np.clip(v * amp.gain + amp.input_offset,
-                        amp.rail_low, amp.rail_high)
-        else:
-            v = np.stack([amp.amplify(row, fs) for row in v])
-        return adc.convert(v)
-
-    # float32 fast path: single-precision per-row physics.
-    f32 = np.float32
-    v0 = plan.v0.astype(f32)
-    sigma = plan.sigma.astype(f32)
-    if include_noise:
-        noise = np.empty((len(specs), n), dtype=f32)
-        for i, spec in enumerate(specs):
-            rng = np.random.default_rng(spec.seed)
-            noise[i] = rng.standard_normal(n, dtype=f32)
-        v = v0[None, :] + noise * sigma[None, :]
-    else:
-        v = np.broadcast_to(v0, (len(specs), n)).copy()
-    v = np.clip(v, f32(0.0), f32(1.0))
-    if amp.bandwidth_hz >= fs / 2.0:
-        v = np.clip(v * f32(amp.gain) + f32(amp.input_offset),
-                    f32(amp.rail_low), f32(amp.rail_high))
-    else:
-        v = np.stack([amp.amplify(row, fs) for row in v]).astype(f32)
-    codes = np.round(np.clip(v, f32(0.0), f32(adc.v_ref_fullscale))
-                     / f32(adc.lsb))
-    return codes.astype(np.int32)
-
-
-# ----------------------------------------------------------------------
-# Batched decode
-# ----------------------------------------------------------------------
-
-class _RowDecode:
-    """Mutable per-row decode state while the batch progresses."""
-
-    __slots__ = ("stage", "bits", "smooth", "tau_r", "tau_t", "level",
-                 "anchor")
-
-    def __init__(self) -> None:
-        self.stage: str | None = None   # terminal stage, once known
-        self.bits = ""
-        self.smooth: np.ndarray | None = None
-        self.tau_r = 0.0
-        self.tau_t = 0.0
-        self.level = 0.0
-        self.anchor = 0.0
-
-
-def _acquire_rows(decoder: AdaptiveThresholdDecoder,
-                  raw_stack: np.ndarray, fs: float, t0: float,
-                  stage_trace: StageTrace | None = None,
-                  ) -> dict[int, ScaleScan]:
-    """``AdaptiveThresholdDecoder._acquire`` for the whole row stack.
-
-    scipy's C peak routines beat any vectorised reformulation at this
-    trace length, so each pending row runs the serial path's own
-    :func:`~repro.core.decoder.scan_scale` per scale, finest first;
-    only the noise-sigma profile is computed across rows at once.
-
-    Returns ``{row_index: accepted scan}`` for rows that acquired.
-    """
-    sigma = noise_sigma(raw_stack)
-    swing = decoder.config.min_preamble_swing_fraction
-    acquired: dict[int, ScaleScan] = {}
-    pending = range(len(raw_stack))
-    for window in smoothing_scales(raw_stack.shape[1]):
-        still: list[int] = []
-        for ridx in pending:
-            scan = scan_scale(raw_stack[ridx], window, float(sigma[ridx]),
-                              fs, t0, swing, stage_trace=stage_trace)
-            if scan.points is None:
-                still.append(ridx)
-            else:
-                acquired[ridx] = scan
-        pending = still
-    return acquired
-
-
-def _decode_rows(traces: list[SignalTrace], n_data_symbols: int,
-                 config: DecoderConfig | None = None,
-                 stage_trace: StageTrace | None = None) -> list[_RowDecode]:
-    """Batched adaptive decode of same-grid traces.
-
-    Acquisition runs row by row (:func:`_acquire_rows`); clock
-    refinement and the decision windows run the serial decoder's row
-    kernels (:func:`~repro.core.decoder.refine_clock_rows`,
-    :func:`~repro.core.decoder.window_maxima`) over the whole row
-    stack, answering every "max/min inside this window" question
-    through shared sparse tables (:mod:`repro.tensor.rmq`).
-    When profiled, group-level time lands in the same
-    ``normalize``/``acquire``/``refine_clock``/``decide`` stages the
-    serial decoder reports per scenario.
-    """
-    decoder = AdaptiveThresholdDecoder(config)
-    cfg = decoder.config
-    rows = [_RowDecode() for _ in traces]
-    trace0 = traces[0]
-    fs = trace0.sample_rate_hz
-    t0 = trace0.start_time_s
-    times = trace0.times()
-    n = len(times)
-    if n == 0:
-        for row in rows:
-            row.stage = RecordStage.PREAMBLE_NOT_FOUND.value
-        return rows
-
-    raw_stack = np.stack(
-        [np.asarray(t.samples, dtype=float) for t in traces])
-    acquired = _acquire_rows(decoder, raw_stack, fs, t0,
-                             stage_trace=stage_trace)
-
-    with maybe_stage(stage_trace, ExecStage.ACQUIRE):
-        live: list[_RowDecode] = []
-        for ridx, row in enumerate(rows):
-            scan = acquired.get(ridx)
-            if scan is None:
-                row.stage = RecordStage.PREAMBLE_NOT_FOUND.value
-                continue
-            points, smooth = scan.points, scan.smooth
-            try:
-                tau_r, tau_t = decoder.thresholds(points)
-            except PreambleNotFoundError:
-                row.stage = RecordStage.PREAMBLE_NOT_FOUND.value
-                continue
-            row.smooth = smooth
-            row.tau_r = tau_r
-            row.tau_t = tau_t
-            row.level = decoder._threshold_level(tau_r, points[1].value)
-            row.anchor = points[0].time_s - 0.5 * tau_t
-            live.append(row)
-        if not live:
-            return rows
-
-        smooths = np.ascontiguousarray(
-            np.stack([row.smooth for row in live]))
-        tau_t = np.array([row.tau_t for row in live])
-        tau_r = np.array([row.tau_r for row in live])
-        level = np.array([row.level for row in live])
-        base_anchor = np.array([row.anchor for row in live])
-
-        log = log_table(n)
-        tmax, tmin = window_tables(smooths, float(tau_t.max()), cfg, fs)
-
-    with maybe_stage(stage_trace, ExecStage.REFINE_CLOCK):
-        if cfg.clock_refinement:
-            n_probe = min(n_data_symbols if n_data_symbols else 8, 12)
-            tau_t, anchor = refine_clock_rows(
-                cfg, times, t0, fs, tmax, tmin, log, base_anchor,
-                tau_t, tau_r, level, n_probe)
-        else:
-            anchor = base_anchor
-        for row, tau, anc in zip(live, tau_t, anchor):
-            row.tau_t = float(tau)
-            row.anchor = float(anc)
-
-    with maybe_stage(stage_trace, ExecStage.DECIDE):
-        # Decision windows, batched: same grid for every row.
-        data_start = anchor + 4.0 * tau_t
-        shrink = cfg.window_shrink_fraction * tau_t
-        ks = np.arange(float(n_data_symbols))
-        w_starts = data_start[:, None] + ks[None, :] * tau_t[:, None]
-        w_ends = w_starts + tau_t[:, None]
-        maxima, n_good = window_maxima(tmax, log, times,
-                                       w_starts + shrink[:, None],
-                                       w_ends - shrink[:, None])
-
-        for r, row in enumerate(live):
-            good = int(n_good[r])
-            if good == 0:
-                row.stage = RecordStage.DECODE_FAILED.value
-                continue
-            symbols = [Symbol.HIGH if float(maxima[r, k]) > row.level
-                       else Symbol.LOW for k in range(good)]
-            try:
-                bits = manchester_decode(symbols)
-            except ManchesterError:
-                bits = None
-            row.bits = ("" if bits is None
-                        else "".join(str(b) for b in bits))
-            row.stage = "ok"
-    return rows
+    noise = np.zeros((len(specs), len(plan.v0)))
+    if sim.config.include_noise:
+        for row, spec in zip(noise, specs):
+            row[:] = np.random.default_rng(spec.seed).normal(
+                0.0, 1.0, size=len(row))
+    return sim.frontend.digitize(plan.v0, plan.sigma, noise,
+                                 sim.config.sample_rate_hz)
 
 
 # ----------------------------------------------------------------------
@@ -397,31 +156,23 @@ def _decode_rows(traces: list[SignalTrace], n_data_symbols: int,
 # ----------------------------------------------------------------------
 
 def _run_group(key: str, specs: list[ScenarioSpec],
-               idents: list[SpecIdentity],
-               dtype: str) -> list[RunRecord]:
+               idents: list[SpecIdentity]) -> list[RunRecord]:
     started = time.perf_counter()
     spec0 = specs[0]
     profile = new_trace()
 
     with maybe_stage(profile, ExecStage.BUILD):
         plan = _plan_for(key, spec0)
-        sim = plan.sim
-        fs = sim.config.sample_rate_hz
+        fs = plan.sim.config.sample_rate_hz
         packet = Packet.from_bitstring(spec0.bits,
                                        symbol_width_m=spec0.symbol_width_m)
     sent = packet.bit_string()
-    n_data_symbols = 2 * len(packet.data_bits)
 
     with maybe_stage(profile, ExecStage.SIMULATE):
-        codes = _capture_rows(plan, specs, dtype)
-        meta = sim._meta(kind="rss")
-        traces = [SignalTrace(codes[i].astype(float), fs, plan.t_start,
-                              meta=dict(meta))
-                  for i in range(len(specs))]
-    decodes = _decode_rows(
-        traces, n_data_symbols,
-        DecoderConfig(threshold_rule=spec0.threshold_rule),
-        stage_trace=profile)
+        raw = _capture_rows(plan, specs).astype(float)
+    rows = decode_rows(raw, fs, plan.t_start, 2 * len(packet.data_bits),
+                       DecoderConfig(threshold_rule=spec0.threshold_rule),
+                       stage_trace=profile)
 
     elapsed = (time.perf_counter() - started) / max(1, len(specs))
     if profile is not None:
@@ -436,10 +187,16 @@ def _run_group(key: str, specs: list[ScenarioSpec],
             publish_stage_trace(registry, profile, "tensor")
         profile = profile.scaled(1.0 / max(1, len(specs)))
     records = []
-    for spec, ident, row in zip(specs, idents, decodes):
-        decoded = row.bits if row.stage == "ok" else ""
-        stage = (outcome_stage(decoded, sent) if row.stage == "ok"
-                 else row.stage)
+    for r, (spec, ident) in enumerate(zip(specs, idents)):
+        error = rows.errors[r]
+        if error is None:
+            decoded = rows.bit_string(r)
+            stage = outcome_stage(decoded, sent)
+        else:
+            decoded = ""
+            stage = (RecordStage.PREAMBLE_NOT_FOUND
+                     if isinstance(error, PreambleNotFoundError)
+                     else RecordStage.DECODE_FAILED).value
         records.append(make_record(
             spec_hash=ident.content_hash,
             spec=ident.payload,
@@ -447,7 +204,7 @@ def _run_group(key: str, specs: list[ScenarioSpec],
             sent_bits=sent,
             decoded_bits=decoded,
             stage=stage,
-            n_samples=plan.n_samples,
+            n_samples=raw.shape[1],
             sample_rate_hz=fs,
             noise_floor_lux=plan.noise_floor,
             elapsed_s=elapsed,
@@ -456,23 +213,16 @@ def _run_group(key: str, specs: list[ScenarioSpec],
     return records
 
 
-def execute_batch(specs, dtype: str = "float64") -> list[RunRecord]:
+def execute_batch(specs) -> list[RunRecord]:
     """Execute a batch of scenarios through the fused tensor path.
 
     Args:
         specs: iterable of :class:`ScenarioSpec` (resolved or not).
-        dtype: ``"float64"`` (bit-identical to the serial executor) or
-            ``"float32"`` (single-precision fast path; deterministic,
-            verdicts within one ADC step of the float64 path).
 
     Returns:
-        One :class:`RunRecord` per spec, in submission order.
-
-    Raises:
-        ValueError: on an unknown dtype.
+        One :class:`RunRecord` per spec, in submission order, each
+        byte-identical to the serial executor's.
     """
-    if dtype not in DTYPES:
-        raise ValueError(f"dtype must be one of {DTYPES}, got {dtype!r}")
     resolved = [spec.resolve() for spec in specs]
     records: list[RunRecord | None] = [None] * len(resolved)
 
@@ -490,7 +240,7 @@ def execute_batch(specs, dtype: str = "float64") -> list[RunRecord]:
         group = [resolved[i] for i in indices]
         try:
             group_records = _run_group(
-                key, group, [idents[i] for i in indices], dtype)
+                key, group, [idents[i] for i in indices])
         except Exception:
             # Correctness never rides on the fast path: any failure —
             # degenerate geometry, a scene that raises mid-physics —

@@ -110,7 +110,8 @@ def reference_decode(trace: SignalTrace,
     """
     decoder = AdaptiveThresholdDecoder(config)
     cfg = decoder.config
-    points, smooth = decoder._acquire(trace)
+    points = decoder.acquire_preamble(trace)
+    smooth = decoder.scan_preamble(trace)[-1].smooth
     tau_r, tau_t = decoder.thresholds(points)
     level = decoder._threshold_level(tau_r, points[1].value)
     times = trace.times()

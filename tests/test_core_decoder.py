@@ -11,10 +11,13 @@ from repro.core.decoder import (
     AdaptiveThresholdDecoder,
     DecodeResult,
     DecoderConfig,
+    decode_rows,
     refine_clock_rows,
     window_tables,
 )
 from repro.core.errors import DecodeError, PreambleNotFoundError
+from repro.engine.executor import build_simulator
+from repro.engine.spec import ScenarioSpec
 from repro.tags.encoding import Symbol
 from repro.tensor.rmq import log_table
 
@@ -209,9 +212,9 @@ class TestVectorizedRefineClock:
 
     def _prepared(self, trace):
         decoder = AdaptiveThresholdDecoder()
-        try:
-            points, smooth = decoder._acquire(trace)
-        except PreambleNotFoundError:
+        scan = decoder.scan_preamble(trace)[-1]
+        points, smooth = scan.points, scan.smooth
+        if points is None:
             pytest.skip("acquisition rejected this noise draw; the "
                         "clock search never runs")
         tau_r, tau_t = decoder.thresholds(points)
@@ -257,6 +260,47 @@ def assert_same_decode(got, ref):
                 (w.t_start_s, w.t_end_s, w.max_value, w.symbol)
                 for w in ref.windows]
     assert got.preamble_verified == ref.preamble_verified
+
+
+class TestDecodeRows:
+    """One ``decode_rows`` call over R rows equals R serial decodes."""
+
+    def test_per_row_auto_length(self):
+        # One simulator, six noise seeds: the rows share a time grid
+        # but acquire different tau_t, so each reads its own number of
+        # windows.  At 200 lux two rows miss the preamble and one pads
+        # a trimmed '0' bit.
+        spec = ScenarioSpec(source="sun", detector="led", cap=False,
+                            ground="tarmac", bits="1001",
+                            symbol_width_m=0.1, speed_mps=5.0,
+                            receiver_height_m=0.25, start_position_m=-1.5,
+                            sample_rate_hz=2000.0, ground_lux=200.0)
+        sim = build_simulator(spec.resolve())
+        fs = sim.config.sample_rate_hz
+        t_start, duration = sim.pass_window()
+        lux = sim.aperture_illuminance(sim.time_grid(duration, t_start))
+        traces = [SignalTrace(sim.frontend.capture(
+                      lux, fs, rng=np.random.default_rng(seed)), fs, t_start)
+                  for seed in range(2, 8)]
+        rows = decode_rows(np.stack([t.samples for t in traces]), fs,
+                           t_start, n_data_symbols=None)
+        decoded, tau_ts = 0, set()
+        for r, trace in enumerate(traces):
+            try:
+                one = AdaptiveThresholdDecoder().decode(trace)
+            except (PreambleNotFoundError, DecodeError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    rows.result(r)
+                assert str(got.value) == str(exc)
+                with pytest.raises(type(exc)):
+                    reference_decode(trace)
+                continue
+            decoded += 1
+            tau_ts.add(one.tau_t)
+            assert_same_decode(rows.result(r), one)
+            assert_same_decode(rows.result(r), reference_decode(trace))
+        assert decoded >= 3 and len(tau_ts) >= 3
+        assert len({rows.kept[r] for r in rows.live}) > 1
 
 
 def _outcome(decode, trace, n_data, config):

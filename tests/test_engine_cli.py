@@ -136,17 +136,6 @@ class TestSweepTensorBackend:
 
         assert load(out_p) == load(out_t)
 
-    def test_tensor_float32_runs(self, capsys):
-        assert main(["sweep", *FAST_SETS, "--set", "ground_lux=450",
-                     "--axis", "seed=2,3", "--backend", "tensor",
-                     "--dtype", "float32"]) == 0
-        assert "ran 2 scenarios" in capsys.readouterr().out
-
-    def test_float32_requires_tensor_backend(self, capsys):
-        assert main(["sweep", *FAST_SETS, "--axis", "seed=2,3",
-                     "--dtype", "float32"]) == 2
-        assert "tensor" in capsys.readouterr().err
-
 
 class TestFaultPlanField:
     def test_set_fault_plan_inline_json(self, capsys):

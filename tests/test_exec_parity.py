@@ -80,6 +80,21 @@ STAGE_KEYS = [
 ]
 
 
+#: Per golden spec: the stage keys and counters of a profiled
+#: ``execute_batch(SPECS)``.  A fused optics group times the serial
+#: decode stages once and counts its rows on every record (specs 0-2
+#: share one group; spec 4 never acquires); delegated specs keep their
+#: serial keys.
+FUSED_STAGE_KEYS = [
+    *[(FULL_DECODE, {"batch_rows": 3})] * 3,     # 0-2 one group
+    (FULL_DECODE, {"batch_rows": 1}),             # 3
+    (NO_PREAMBLE, {"batch_rows": 1}),             # 4  preamble not found
+    STAGE_KEYS[5],                                # 5  two-phase: serial
+    *[(FULL_DECODE, {"batch_rows": 1})] * 7,     # 6-12
+    *STAGE_KEYS[13:],                             # 13-27 delegated
+]
+
+
 def record_sha(record) -> str:
     return hashlib.sha256(record.canonical_json().encode()).hexdigest()
 
@@ -174,6 +189,15 @@ class TestTensorParity:
         for i, record in zip(REPRESENTATIVES, records):
             assert record_sha(record) == expect(i), f"record {i}"
             assert record.stage_trace is not None, f"record {i}"
+
+    def test_profiled_batch_stage_keys(self):
+        from repro.tensor.batch import execute_batch
+
+        assert len(FUSED_STAGE_KEYS) == len(SPECS)
+        with profiled():
+            records = execute_batch(SPECS)
+        for i, record in enumerate(records):
+            assert stage_keys(record) == FUSED_STAGE_KEYS[i], f"record {i}"
 
 
 class TestRunnerParity:

@@ -62,6 +62,17 @@ class TestLowpass:
             assert first_order_lowpass(x, cutoff, fs).tobytes() == \
                 expected.tobytes()
 
+    def test_stack_filters_each_row_from_its_first_sample(self):
+        """An ``(R, T)`` stack equals per-row 1-D calls bit for bit,
+        below Nyquist, where each row starts from its own sample."""
+        stack = (np.random.default_rng(4).normal(size=(3, 50))
+                 + np.array([[0.0], [5.0], [-2.0]]))
+        got = first_order_lowpass(stack, 300.0, 2000.0)
+        assert got.shape == stack.shape
+        for row, out in zip(stack, got):
+            assert out.tobytes() == \
+                first_order_lowpass(row, 300.0, 2000.0).tobytes()
+
     def test_cached_design_is_read_only(self):
         from repro.hardware.amplifier import _rc_design
 
@@ -85,6 +96,17 @@ class TestAmplifier:
         y = amp.amplify(np.full(300, 0.5), 1000.0)
         assert np.all(y <= 1.0)
         assert y[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bandwidth_hz", [300.0, 1.0e6])
+    def test_stack_amplifies_row_by_row(self, bandwidth_hz):
+        """Band-limited (300 Hz at 2 kS/s) or transparent, a stack
+        amplifies bit-identically to its rows one at a time."""
+        amp = Amplifier(gain=1.5, bandwidth_hz=bandwidth_hz,
+                        input_offset=0.01)
+        stack = np.random.default_rng(8).uniform(0.0, 0.8, size=(4, 120))
+        got = amp.amplify(stack, 2000.0)
+        for row, out in zip(stack, got):
+            assert out.tobytes() == amp.amplify(row, 2000.0).tobytes()
 
     def test_lm358_bandwidth_scales_with_gain(self):
         assert Amplifier.lm358(gain=10.0).bandwidth_hz == pytest.approx(1e5)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.hardware.amplifier import Amplifier
 from repro.hardware.frontend import FovCap, ReceiverFrontEnd
 from repro.hardware.led_receiver import LedReceiver
 from repro.hardware.photodiode import PdGain, Photodiode
@@ -104,3 +105,35 @@ class TestCapture:
     def test_describe_mentions_detector(self):
         fe = ReceiverFrontEnd(detector=LedReceiver.red_5mm())
         assert "RX-LED" in fe.describe()
+
+
+class TestBatchOfOne:
+    """``capture`` is ``respond`` + one noise draw + ``digitize``."""
+
+    @pytest.mark.parametrize("bandwidth_hz", [300.0, 1.0e6])
+    def test_digitized_noise_rows_match_serial_captures(self, bandwidth_hz):
+        # 300 Hz at 2 kS/s puts the amplifier's pole below Nyquist,
+        # which no default front end reaches (the LM358's band limit
+        # is 1 MHz divided by its gain).
+        fe = ReceiverFrontEnd(detector=Photodiode.opt101(),
+                              amplifier=Amplifier(bandwidth_hz=bandwidth_hz))
+        fs = 2000.0
+        lux = 600.0 + 500.0 * np.sin(np.linspace(0.0, 30.0, 400))
+        v0, sigma = fe.respond(lux, fs)
+        seeds = (1, 2, 3)
+        noise = np.stack([np.random.default_rng(s).normal(size=len(lux))
+                          for s in seeds])
+        codes = fe.digitize(v0, sigma, noise, fs)
+        assert codes.shape == noise.shape
+        for seed, row in zip(seeds, codes):
+            serial = fe.capture(lux, fs, rng=np.random.default_rng(seed))
+            assert row.tobytes() == serial.tobytes()
+
+    def test_respond_works_row_by_row(self):
+        fe = ReceiverFrontEnd(detector=LedReceiver.red_5mm())
+        lux = np.random.default_rng(2).uniform(0.0, 900.0, size=(3, 80))
+        v0, sigma = fe.respond(lux, 8000.0)
+        for row, r_v0, r_sigma in zip(lux, v0, sigma):
+            one_v0, one_sigma = fe.respond(row, 8000.0)
+            assert r_v0.tobytes() == one_v0.tobytes()
+            assert r_sigma.tobytes() == one_sigma.tobytes()

@@ -1,11 +1,10 @@
 """Tests for repro.tensor.batch — the fused cross-scenario executor.
 
-The headline contract is byte-identity: with ``dtype="float64"`` every
-record out of :func:`execute_batch` must serialize to exactly the same
+The headline contract is byte-identity: every record out of
+:func:`execute_batch` must serialize to exactly the same
 ``canonical_json`` as the serial :func:`execute_scenario` — across the
 bench grid, every registered scenario family, and hypothesis-drawn
-specs.  The float32 path trades that for speed and is held to a weaker
-(but still deterministic) contract.
+specs.
 """
 
 import numpy as np
@@ -18,6 +17,7 @@ from repro.channel.trace import SignalTrace
 from repro.core.decoder import (
     AdaptiveThresholdDecoder,
     _first_triple,
+    decode_rows,
     scan_scale,
     smoothing_scales,
 )
@@ -82,37 +82,6 @@ class TestFloat64ByteIdentity:
         template = FAST.replace(ground_lux=ground_lux, speed_mps=speed,
                                 bits=bits)
         _assert_byte_identical(expand_grid(template, {"seed": seeds}))
-
-
-class TestFloat32:
-    def test_deterministic_across_runs(self):
-        specs = expand_grid(FAST, {"seed": [2, 3, 4, 5]})
-        first = [r.canonical_json()
-                 for r in execute_batch(specs, dtype="float32")]
-        clear_plan_cache()
-        second = [r.canonical_json()
-                  for r in execute_batch(specs, dtype="float32")]
-        assert first == second
-
-    def test_verdicts_track_float64_within_tolerance(self):
-        # float32 codes can differ from float64 by one ADC step, which
-        # may flip a scenario sitting right on a symbol margin; the
-        # documented tolerance is that away from the SNR cliff the
-        # overwhelming majority of verdicts agree.
-        specs = expand_grid(FAST.replace(ground_lux=600.0),
-                            {"seed": list(range(2, 14))})
-        f64 = execute_batch(specs, dtype="float64")
-        f32 = execute_batch(specs, dtype="float32")
-        agree = sum(a.stage == b.stage and a.success == b.success
-                    for a, b in zip(f64, f32))
-        assert agree >= len(specs) - 2
-        # Structure is unchanged either way.
-        assert all(a.n_samples == b.n_samples
-                   for a, b in zip(f64, f32))
-
-    def test_unknown_dtype_rejected(self):
-        with pytest.raises(ValueError, match="dtype"):
-            execute_batch([FAST], dtype="float16")
 
 
 class TestGrouping:
@@ -242,9 +211,8 @@ class TestFirstTripleScan:
         expected = reference_acquire(trace)
         scans = AdaptiveThresholdDecoder().scan_preamble(trace)
         assert repr(scans[-1].points) == repr(expected)
-        rows = batch_mod._acquire_rows(AdaptiveThresholdDecoder(),
-                                       np.stack([raw, raw[::-1]]), fs, t0)
-        assert repr(rows[0].points if 0 in rows else None) == repr(expected)
+        rows = decode_rows(np.stack([raw, raw[::-1]]), fs, t0)
+        assert repr(rows.points[0]) == repr(expected)
 
 
 class TestRunnerIntegration:
@@ -265,21 +233,6 @@ class TestRunnerIntegration:
         result = BatchRunner(workers=1, cache=cache).run(specs)
         assert result.stats.cache_hits == len(specs)
 
-    def test_float32_bypasses_cache(self, tmp_path):
-        specs = expand_grid(FAST, {"seed": [2, 3]})
-        cache = ResultCache(tmp_path / "cache")
-        runner = BatchRunner(backend="tensor", dtype="float32",
-                             cache=cache)
-        runner.run(specs)
-        again = runner.run(specs)
-        # Nothing was stored, nothing is served.
-        assert again.stats.cache_hits == 0
-        assert BatchRunner(cache=cache).run(specs).stats.cache_hits == 0
-
     def test_dtype_validation(self):
-        with pytest.raises(ValueError):
-            BatchRunner(backend="tensor", dtype="float16")
-        with pytest.raises(ValueError):
-            BatchRunner(dtype="float32")  # process backend
         with pytest.raises(ValueError):
             BatchRunner(backend="gpu")
