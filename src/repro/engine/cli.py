@@ -644,9 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="expansion seed for --scenario (default: 0)")
     sweep_p.add_argument("--backend", choices=BatchRunner.BACKENDS,
                          default="process",
-                         help="execution backend: 'process' (worker "
-                              "pool) or 'tensor' (fused single-process "
-                              "array passes; ignores --workers)")
+                         help="execution backend: 'process' (scenario "
+                              "by scenario) or 'tensor' (fused array "
+                              "passes, one task per optics group)")
     sweep_p.add_argument("--workers", type=int, default=1,
                          help="worker processes (default: 1, serial)")
     sweep_p.add_argument("--group-by", action="append", metavar="FIELD",

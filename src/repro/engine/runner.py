@@ -3,8 +3,8 @@
 :class:`BatchRunner` is the engine's execution core.  It takes any
 iterable of :class:`ScenarioSpec`, resolves them (auto fields -> concrete
 values, per-scenario deterministic seeds), consults the optional result
-cache, and runs the remaining scenarios either serially or across a
-``concurrent.futures.ProcessPoolExecutor`` with chunked dispatch.  The
+cache, and runs the remaining scenarios as ordered tasks, in-process
+or on a persistent ``concurrent.futures.ProcessPoolExecutor``.  The
 cache sees one batched lookup before dispatch and one batched write
 after.
 
@@ -16,7 +16,7 @@ contract extends to ``backend="tensor"``: the fused array passes of
 :func:`repro.tensor.execute_batch` run the serial driver's own front
 end and decode over each optics group's rows (the serial driver is a
 batch of one), so they reproduce the serial records byte for byte and
-share the result cache with them.
+share the result cache with them, at any worker count.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ from .spec import ScenarioSpec, expand_grid
 
 __all__ = ["RunStats", "BatchResult", "BatchRunner", "BatchAborted",
            "FAILURE_STAGES", "available_cpus", "run_grid"]
+
+#: Most specs one pooled task carries (see :meth:`BatchRunner._tasks`).
+CHUNK_MAX = 8
 
 
 def available_cpus() -> int:
@@ -65,9 +68,9 @@ class BatchAborted(RuntimeError):
     Attributes:
         failures: failure count when the batch stopped.
         threshold: the ``max_failures`` budget that was hit.
-        result: partial :class:`BatchResult` — every record completed
-            before the abort, in submission order (later scenarios are
-            simply absent).
+        result: partial :class:`BatchResult` — the cached records and
+            the fresh prefix through the ``max_failures``-th failure, in
+            submission order at any worker count (the rest is absent).
     """
 
     def __init__(self, failures: int, threshold: int,
@@ -80,10 +83,10 @@ class BatchAborted(RuntimeError):
 
 
 class _Abort(Exception):
-    """Internal fail-fast carrier: partial fresh records for the
-    pending specs (aligned; unfinished entries are ``None``)."""
+    """Internal fail-fast carrier: the prefix of fresh records for the
+    pending specs through the failure that hit the budget."""
 
-    def __init__(self, records: list["RunRecord | None"]) -> None:
+    def __init__(self, records: list["RunRecord"]) -> None:
         self.records = records
 
 
@@ -207,7 +210,8 @@ class BatchResult:
 class BatchRunner:
     """Executes scenario batches with caching and optional parallelism.
 
-    The worker pool is created lazily on the first parallel batch and
+    Every batch runs through one dispatch loop (:meth:`_execute`).  The
+    worker pool is created lazily on the first pooled batch and
     **reused across** :meth:`run` calls — worker spawn cost (imports,
     interpreter start) is paid once per runner, not once per batch.
     Call :meth:`close` (or use the runner as a context manager) to tear
@@ -215,8 +219,8 @@ class BatchRunner:
     on garbage collection as a fallback.
 
     Attributes:
-        workers: worker processes; 1 runs everything in-process (the
-            serial fallback — no pool, no pickling, easiest to debug).
+        workers: worker processes; 1 runs everything in-process (no
+            pool, no pickling, easiest to debug).
         cache: optional :class:`CacheBackend` instance, or a cache
             *directory* (str/Path) opened via :func:`open_cache` with
             ``cache_backend``; hits skip simulation.
@@ -225,26 +229,23 @@ class BatchRunner:
             ``REPRO_CACHE_BACKEND`` environment variable.  Only valid
             alongside a path — passing it with a ready-made backend
             instance is a contradiction and raises.
-        chunk_size: scenarios per pool task — amortizes IPC overhead
-            for thousand-scenario grids of cheap simulations.
-        backend: ``"process"`` (the pool / serial path above) or
-            ``"tensor"`` (:func:`repro.tensor.execute_batch` — fused
-            single-process array passes; ``workers`` is ignored).
+        backend: what a task runs: ``"process"`` runs each spec
+            through :func:`execute_scenario`, ``"tensor"`` fused array
+            passes (:func:`repro.tensor.execute_batch`) over the whole
+            batch in-process, or over one optics group per pool task.
         retry_policy: :class:`~repro.faults.RetryPolicy` governing
             worker-pool recovery after a ``BrokenProcessPool``: one
             pool attempt per allowed attempt, backoff between them,
             then the in-process serial fallback.  The default
             (``RetryPolicy(max_attempts=2)``) replicates the classic
             behaviour: one immediate restart, then serial.
-        scenario_timeout_s: per-scenario wall-clock budget.  When set,
-            scenarios run as individual pool futures (even with
-            ``workers=1`` — in-process code cannot be preempted); if no
-            scenario completes within one budget the pool is killed and
+        scenario_timeout_s: per-scenario wall-clock budget, on either
+            backend.  When set, tasks run as pool futures even with
+            ``workers=1`` (in-process code cannot be preempted); if no
+            task completes within one budget the pool is killed and
             the unfinished scenarios are retried one at a time in
             quarantine, so a single pathological spec yields one
             ``executor_error`` record instead of hanging the batch.
-            Incompatible with ``backend="tensor"`` (fused single-process
-            passes cannot be preempted).
         max_failures: fail-fast budget.  Counting both cache hits and
             fresh records, once this many land in
             :data:`FAILURE_STAGES` the batch stops and
@@ -256,7 +257,7 @@ class BatchRunner:
 
     def __init__(self, workers: int = 1,
                  cache: CacheBackend | str | Path | None = None,
-                 chunk_size: int = 8, backend: str = "process",
+                 backend: str = "process",
                  retry_policy: RetryPolicy | None = None,
                  scenario_timeout_s: float | None = None,
                  max_failures: int | None = None,
@@ -270,15 +271,9 @@ class BatchRunner:
                 "cache_backend selects how a cache *path* is opened; "
                 "pass cache as a directory, or construct the backend "
                 "yourself and drop cache_backend")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if backend not in self.BACKENDS:
             raise ValueError(
                 f"backend must be one of {self.BACKENDS}, got {backend!r}")
-        if backend == "tensor" and scenario_timeout_s is not None:
-            raise ValueError(
-                "scenario_timeout_s requires backend='process': the "
-                "tensor backend's fused passes cannot be preempted")
         if scenario_timeout_s is not None and scenario_timeout_s <= 0.0:
             raise ValueError(f"scenario_timeout_s must be positive, "
                              f"got {scenario_timeout_s}")
@@ -287,7 +282,6 @@ class BatchRunner:
                              f"got {max_failures}")
         self.workers = workers
         self.cache = cache
-        self.chunk_size = chunk_size
         self.backend = backend
         self.retry_policy = retry_policy or RetryPolicy(max_attempts=2)
         self.scenario_timeout_s = scenario_timeout_s
@@ -352,23 +346,17 @@ class BatchRunner:
 
         # Cached failures count against the fail-fast budget too — a
         # rerun of a known-broken grid should stop just as fast.
-        aborted = False
-        for record in records:
-            if record is not None and self._note_failure(record):
-                aborted = True
-                break
+        aborted = any(record is not None and self._note_failure(record)
+                      for record in records)
 
-        fresh: list[RunRecord | None] = [None] * len(pending)
+        fresh: list[RunRecord] = []
         if not aborted:
             try:
                 fresh = self._execute([resolved[i] for i in pending])
             except _Abort as abort:
-                fresh = abort.records
-                fresh += [None] * (len(pending) - len(fresh))
-                aborted = True
+                fresh, aborted = abort.records, True
 
-        done = [(i, record) for i, record in zip(pending, fresh)
-                if record is not None]
+        done = list(zip(pending, fresh))  # a prefix after an abort
         for i, record in done:
             records[i] = record
         # Runner-synthesized records describe this run's executor, not
@@ -424,157 +412,123 @@ class BatchRunner:
                 return True
         return False
 
-    def _kill_pool(self) -> None:
-        """Tear the pool down *hard*: stuck workers never return, so a
-        cooperative shutdown would wait forever.  Worker processes are
-        killed first (a private attribute, guarded — degrade to a
-        non-waiting shutdown if the layout moves), then the executor is
-        discarded without waiting."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        for process in list(getattr(pool, "_processes", {}).values()):
-            try:
-                process.kill()
-            except Exception:
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
+    def _tasks(self, specs: Sequence[ScenarioSpec]) -> list[list[int]]:
+        """Cut the pending specs into ordered tasks of spec indices.
 
-    def _serial(self, specs: Sequence[ScenarioSpec]) -> list[RunRecord]:
-        out: list[RunRecord] = []
-        for spec in specs:
-            record = execute_scenario(spec)
-            out.append(record)
-            if self._note_failure(record):
-                raise _Abort(out)
-        return out
+        In-process, a process task is one spec (fail-fast stops before
+        the rest run) and the tensor task is the whole batch.  On the
+        pool, each tensor optics group is one task, and the other specs
+        go one per task under a timeout (a chunk shares its fate) or in
+        chunks of ``min(CHUNK_MAX, n // (4 * workers))`` without one:
+        negligible per-task IPC, still load-balanced.
+        """
+        n = len(specs)
+        if self.workers == 1 and self.scenario_timeout_s is None:
+            return ([list(range(n))] if self.backend == "tensor"
+                    else [[i] for i in range(n)])
+        fused: list[list[int]] = []
+        loose = list(range(n))
+        if self.backend == "tensor":
+            from ..tensor import batch
+
+            groups, idents = batch.group_specs(specs)
+            fused = list(groups.values())
+            loose = [i for i, ident in enumerate(idents) if ident is None]
+        size = (1 if self.scenario_timeout_s is not None else
+                max(1, min(CHUNK_MAX, len(loose) // (4 * self.workers))))
+        chunks = [loose[k:k + size] for k in range(0, len(loose), size)]
+        # By first spec index, so the finished prefix grows early.
+        return sorted(fused + chunks)
 
     def _execute(self, specs: Sequence[ScenarioSpec]) -> list[RunRecord]:
+        """Run the pending specs as ordered tasks, inline or on the pool.
+
+        Tasks run inline at ``workers=1`` without a timeout, or when
+        there is only one; otherwise as futures on the persistent pool.
+        A stall (no task finishing within one scenario budget) or a
+        ``BrokenProcessPool`` kills the pool; a broken one is recreated
+        under the retry policy and only the unfinished tasks are
+        resubmitted.  After a stall, or past the retry budget, the
+        unfinished work runs in-process, or one spec at a time in
+        quarantine under a timeout.  A task raising anything else would
+        only raise again: the pool is dropped and the error propagates.
+
+        Records land by spec index and fail-fast walks the finished
+        prefix in spec order, so an abort keeps exactly the prefix
+        through the ``max_failures``-th failure at any worker count.
+        """
         if not specs:
             return []
-        if self.backend == "tensor":
-            from ..tensor.batch import execute_batch
+        records: list[RunRecord | None] = [None] * len(specs)
+        walked = 0
 
-            records = execute_batch(specs)
-            # The fused passes are all-or-nothing, so fail-fast can
-            # only trim the already-computed tail.
-            for k, record in enumerate(records):
-                if self._note_failure(record):
-                    raise _Abort(records[:k + 1])
-            return records
-        if self.scenario_timeout_s is not None:
-            return self._execute_with_timeout(specs)
-        if self.workers == 1 or len(specs) == 1:
-            return self._serial(specs)
-        workers = min(self.workers, len(specs))
-        # Chunking keeps per-task IPC overhead negligible while still
-        # load-balancing: at least ~4 chunks per worker when possible.
-        chunksize = max(1, min(self.chunk_size,
-                               len(specs) // (workers * 4) or 1))
+        def land(task: list[int], out: list[RunRecord]) -> None:
+            nonlocal walked
+            for i, record in zip(task, out):
+                records[i] = record
+            while walked < len(records) and records[walked] is not None:
+                walked += 1
+                if self._note_failure(records[walked - 1]):
+                    raise _Abort(records[:walked])
+
+        timeout = self.scenario_timeout_s
+        tasks = self._tasks(specs)
+        pooled = timeout is not None or (self.workers > 1 and len(tasks) > 1)
         policy = self.retry_policy
-        baseline = self._failures
-        for attempt in range(policy.max_attempts):
+        for attempt in range(policy.max_attempts if pooled else 0):
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(max_workers=self.workers)
             policy.attempts_made += 1
-            results: list[RunRecord] = []
+            stalled = False
             try:
-                for record in self._pool.map(execute_scenario, specs,
-                                             chunksize=chunksize):
-                    results.append(record)
-                    if self._note_failure(record):
-                        self._kill_pool()
-                        raise _Abort(results)
-                return results
+                futures = {self._pool.submit(_run_task, self.backend,
+                                             [specs[i] for i in task]): task
+                           for task in tasks}
+                pending = set(futures)
+                while pending and not stalled:
+                    done, pending = wait(pending, timeout=timeout,
+                                         return_when=FIRST_COMPLETED)
+                    stalled = not done
+                    for future in done:
+                        land(futures[future], future.result())
             except BrokenProcessPool:
-                # A worker died mid-batch (OOM kill, segfault, hard
-                # crash in a C extension).  The pool is unusable and
-                # every in-flight result is lost, but the *batch* is
-                # still salvageable: every spec is deterministic, so
-                # rerunning the whole list is safe.  Tear the pool
-                # down and recreate it per the retry policy (with its
-                # backoff — transient resource pressure gets a chance
-                # to clear); past the budget, stop burning processes
-                # and finish in-process.
-                self.close()
-                self._failures = baseline  # the rerun recounts them
-                if attempt == policy.max_attempts - 1:
-                    self._serial_fallback = True
-                    return self._serial(specs)
-                self._pool_restarts += 1
-                log = active_events()
-                if log is not None:
-                    log.emit("pool_restart", reason="broken_pool",
-                             attempt=attempt)
-                policy.retries += 1
-                delay = policy.delay_s(attempt)
-                if delay > 0.0:
-                    policy.total_wait_s += delay
-                    time.sleep(delay)
-            except _Abort:
-                raise
-            except Exception:
-                # Any other failure (unpicklable spec, executor bug)
-                # would just repeat on retry; drop the pool so the
-                # next batch starts fresh and let the caller see it.
-                self.close()
-                raise
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    # ------------------------------------------------------------------
-    def _execute_with_timeout(self,
-                              specs: Sequence[ScenarioSpec],
-                              ) -> list[RunRecord]:
-        """Per-scenario-timeout path: individual pool futures.
-
-        Scenarios are submitted one future each (no chunking: a chunk
-        shares its fate, which would let one stuck spec poison its
-        chunk-mates).  A stall — no future completing within one
-        scenario budget — means at least one worker is stuck; the pool
-        is killed and every unfinished scenario retries alone in
-        quarantine, separating the healthy (they complete) from the
-        pathological (they time out again and are recorded as
-        ``executor_error``).
-        """
-        timeout = self.scenario_timeout_s
-        records: list[RunRecord | None] = [None] * len(specs)
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        futures = {self._pool.submit(execute_scenario, spec): i
-                   for i, spec in enumerate(specs)}
-        pending = set(futures)
-        broken = False
-        while pending and not broken:
-            done, pending = wait(pending, timeout=timeout,
-                                 return_when=FIRST_COMPLETED)
-            if not done:
-                break  # stall: a full scenario budget with no progress
-            for future in done:
-                i = futures[future]
-                try:
-                    records[i] = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    continue
-                except Exception as exc:
-                    records[i] = error_record(
-                        specs[i], f"{type(exc).__name__}: {exc}")
-                if records[i] is not None and self._note_failure(records[i]):
-                    self._kill_pool()
-                    raise _Abort(records)
-
-        leftovers = [i for i, r in enumerate(records) if r is None]
-        if leftovers:
-            self._kill_pool()
+                # A worker died (OOM kill, segfault): every spec is
+                # deterministic, so its unfinished tasks simply rerun.
+                pass
+            finally:
+                # Tasks left unfinished are stuck, lost with a dead
+                # worker, or moot after an error or an abort: kill the
+                # pool that still holds them.
+                tasks = [task for task in tasks if records[task[0]] is None]
+                if tasks:
+                    _kill(self._pool)
+                    self._pool = None
+            if not tasks:
+                return records  # type: ignore[return-value]
+            if attempt == policy.max_attempts - 1 and not stalled:
+                break
             self._pool_restarts += 1
             log = active_events()
             if log is not None:
-                log.emit("pool_restart", reason="timeout_stall",
-                         leftovers=len(leftovers))
-            for i in leftovers:
-                records[i] = self._quarantine(specs[i])
-                if self._note_failure(records[i]):
-                    raise _Abort(records)
+                log.emit("pool_restart",
+                         reason="timeout_stall" if stalled else "broken_pool",
+                         attempt=attempt, leftovers=sum(map(len, tasks)))
+            if stalled:
+                break
+            policy.retries += 1
+            delay = policy.delay_s(attempt)
+            if delay > 0.0:
+                policy.total_wait_s += delay
+                time.sleep(delay)
+
+        if timeout is not None:
+            for i in sorted(i for task in tasks for i in task):
+                land([i], [self._quarantine(specs[i])])
+            return records  # type: ignore[return-value]
+        # Pooled work left over here broke the pool past the budget.
+        self._serial_fallback = pooled
+        for task in tasks:
+            land(task, _run_task(self.backend, [specs[i] for i in task]))
         return records  # type: ignore[return-value]
 
     def _quarantine(self, spec: ScenarioSpec) -> RunRecord:
@@ -582,26 +536,41 @@ class BatchRunner:
         timeout = self.scenario_timeout_s
         pool = ProcessPoolExecutor(max_workers=1)
         try:
-            future = pool.submit(execute_scenario, spec)
-            try:
-                return future.result(timeout=timeout)
-            except FuturesTimeout:
-                self._timeouts += 1
-                return error_record(
-                    spec, f"scenario timed out after {timeout:g} s "
-                          f"(quarantined)")
-            except BrokenProcessPool:
-                return error_record(
-                    spec, "worker process died (quarantined)")
-            except Exception as exc:
-                return error_record(spec, f"{type(exc).__name__}: {exc}")
+            return pool.submit(_run_task, self.backend,
+                               [spec]).result(timeout=timeout)[0]
+        except FuturesTimeout:
+            self._timeouts += 1
+            return error_record(
+                spec, f"scenario timed out after {timeout:g} s "
+                      f"(quarantined)")
+        except BrokenProcessPool:
+            return error_record(spec, "worker process died (quarantined)")
         finally:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    process.kill()
-                except Exception:
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
+            _kill(pool)
+
+
+def _run_task(backend: str, specs: list[ScenarioSpec]) -> list[RunRecord]:
+    """One task's records.  Module level, so the pool pickles it by
+    name; the executors are looked up at call time, so wrappers
+    installed in this process see in-process calls."""
+    if backend == "tensor":
+        from ..tensor import batch
+
+        return batch.execute_batch(specs)
+    return [execute_scenario(spec) for spec in specs]
+
+
+def _kill(pool: ProcessPoolExecutor) -> None:
+    """Tear ``pool`` down *hard*: stuck workers never return, so a
+    cooperative shutdown would wait forever.  The worker processes
+    (a private attribute, guarded) are killed, then the executor is
+    discarded without waiting."""
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            process.kill()
+        except Exception:
+            pass
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _sum_fault_events(records: Sequence[RunRecord]) -> dict[str, int]:

@@ -7,13 +7,14 @@ expensive seed-independent physics (footprint kernel, pass geometry,
 aperture illuminance and the front end's
 :meth:`~repro.hardware.frontend.ReceiverFrontEnd.respond`) is computed
 **once per group**.  Only the per-seed half runs per scenario, batched
-as fused ``(N, T)`` array passes in a single process with no pickling:
+as fused ``(N, T)`` array passes over the group in one process:
 one :meth:`~repro.hardware.frontend.ReceiverFrontEnd.digitize` over the
 group's noise rows, then one :func:`~repro.core.decoder.decode_rows`.
 
-This module holds only the grouping, the plan cache and record
-assembly; the receiver chain and the decode are the serial driver's own
-functions, which the serial driver calls as a batch of one.
+This module holds only the grouping (:func:`group_specs`, which also
+cuts the batch runner's pool tasks), the plan cache and record
+assembly; the receiver chain and the decode are the serial driver's
+own functions, which the serial driver calls as a batch of one.
 
 Equivalence contract: every :class:`~repro.engine.records.RunRecord` is
 **byte-identical** (``canonical_json``) to the serial executor's record
@@ -213,6 +214,20 @@ def _run_group(key: str, specs: list[ScenarioSpec],
     return records
 
 
+def group_specs(resolved) -> tuple[dict[str, list[int]],
+                                  list[SpecIdentity | None]]:
+    """The one grouping pass: the fused optics groups of resolved specs
+    (optical key -> spec indices, in order of first appearance) and each
+    spec's identity, None for those delegated to ``execute_scenario``."""
+    groups: dict[str, list[int]] = {}
+    idents: list[SpecIdentity | None] = [None] * len(resolved)
+    for i, spec in enumerate(resolved):
+        if fast_path_eligible(spec):
+            idents[i] = ident = spec.identity()
+            groups.setdefault(spec.optical_key(ident), []).append(i)
+    return groups, idents
+
+
 def execute_batch(specs) -> list[RunRecord]:
     """Execute a batch of scenarios through the fused tensor path.
 
@@ -224,18 +239,9 @@ def execute_batch(specs) -> list[RunRecord]:
         byte-identical to the serial executor's.
     """
     resolved = [spec.resolve() for spec in specs]
-    records: list[RunRecord | None] = [None] * len(resolved)
-
-    groups: "OrderedDict[str, list[int]]" = OrderedDict()
-    idents: list[SpecIdentity | None] = [None] * len(resolved)
-    for i, spec in enumerate(resolved):
-        if fast_path_eligible(spec):
-            ident = spec.identity()
-            idents[i] = ident
-            groups.setdefault(spec.optical_key(ident), []).append(i)
-        else:
-            records[i] = execute_scenario(spec)
-
+    groups, idents = group_specs(resolved)
+    records = [execute_scenario(spec) if ident is None else None
+               for spec, ident in zip(resolved, idents)]
     for key, indices in groups.items():
         group = [resolved[i] for i in indices]
         try:

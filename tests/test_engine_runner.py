@@ -9,6 +9,8 @@ simulator once.
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,9 @@ from repro.engine import (
     run_grid,
     success_rate_by,
 )
+from repro.faults.plan import FaultPlan
+from repro.faults.retry import RetryPolicy
+from repro.obs.events import event_scope
 
 #: A cheap, fast outdoor scenario (~5 ms per simulation).
 FAST = ScenarioSpec(source="sun", detector="led", cap=False,
@@ -143,8 +148,6 @@ class TestStatsAndHelpers:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             BatchRunner(workers=0)
-        with pytest.raises(ValueError):
-            BatchRunner(chunk_size=0)
 
     def test_empty_batch(self):
         result = BatchRunner().run([])
@@ -242,15 +245,25 @@ class TestRunStatsReporting:
 
 
 class TestBrokenPoolRecovery:
-    """A BrokenProcessPool mid-batch must not lose the batch.
+    """A BrokenProcessPool or a stall mid-batch must not lose the batch.
 
     The runner's contract: tear the dead pool down, recreate it once,
-    and if the replacement breaks too, finish the batch in-process.
-    Other exceptions keep the old fail-fast behaviour.
+    and if the replacement breaks too, finish the batch in-process (in
+    quarantine under a timeout).  A stalled pool sends its unfinished
+    specs to quarantine.  Other exceptions propagate, with or without a
+    timeout.
     """
 
+    #: A spec whose task never finishes on the fake pool.
+    STUCK = FAST.replace(seed=99, fault_plan=FaultPlan(exec_sleep_s=30.0))
+
     class _FakePool:
-        """Stands in for ProcessPoolExecutor; breaks on command."""
+        """Stands in for ProcessPoolExecutor; breaks on command.
+
+        Tasks run at submit time, in-process.  A task holding a spec
+        with an ``exec_sleep_s`` stall gets a future that never
+        resolves: a stuck worker, without the sleep.
+        """
 
         instances: list = []
 
@@ -259,13 +272,20 @@ class TestBrokenPoolRecovery:
             self.shutdowns = 0
             TestBrokenPoolRecovery._FakePool.instances.append(self)
 
-        def map(self, fn, specs, chunksize=1):
+        def submit(self, fn, *args):
+            future = Future()
+            specs = args[-1]
             if self.broken:
-                from concurrent.futures.process import BrokenProcessPool
-                raise BrokenProcessPool("worker died")
-            return [fn(spec) for spec in specs]
+                future.set_exception(BrokenProcessPool("worker died"))
+            elif not any(s.fault_plan is not None
+                         and s.fault_plan.exec_sleep_s > 0 for s in specs):
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+            return future
 
-        def shutdown(self, wait=True):
+        def shutdown(self, wait=True, cancel_futures=False):
             self.shutdowns += 1
 
     @pytest.fixture
@@ -321,10 +341,10 @@ class TestBrokenPoolRecovery:
         runner = BatchRunner(workers=2)
         runner.run(self._specs())
 
-        def exploding_map(fn, specs, chunksize=1):
+        def exploding_submit(fn, *args):
             raise RuntimeError("unpicklable spec")
 
-        fake_pools[0].map = exploding_map
+        fake_pools[0].submit = exploding_submit
         with pytest.raises(RuntimeError, match="unpicklable"):
             runner.run(self._specs())
         assert runner._pool is None                # pool dropped
@@ -338,6 +358,70 @@ class TestBrokenPoolRecovery:
         stats = runner.run(self._specs()).stats
         assert stats.pool_restarts == 0
         assert not stats.serial_fallback
+
+    def test_raising_task_propagates_under_timeout(self, fake_pools,
+                                                   monkeypatch):
+        def explode(spec):
+            raise RuntimeError("executor bug")
+
+        monkeypatch.setattr(runner_mod, "execute_scenario", explode)
+        runner = BatchRunner(workers=2, scenario_timeout_s=0.1)
+        with pytest.raises(RuntimeError, match="executor bug"):
+            runner.run(self._specs())
+        assert runner._pool is None                # pool dropped
+
+    def test_stall_quarantines_only_the_stuck_spec(self, fake_pools):
+        healthy = self._specs()
+        runner = BatchRunner(workers=2, scenario_timeout_s=0.05)
+        result = runner.run([healthy[0], self.STUCK, healthy[1]])
+        stuck = result.records[1]
+        assert stuck.stage == "executor_error"
+        assert "timed out" in stuck.error
+        assert result.stats.timeouts == 1
+        assert result.stats.executor_errors == 1
+        assert result.stats.pool_restarts == 1
+        assert not result.stats.serial_fallback
+        clean = BatchRunner(workers=1).run(healthy).records
+        assert [r.canonical_json() for r in result.records[::2]] == \
+            [r.canonical_json() for r in clean]
+
+    def test_broken_pool_under_timeout_follows_retry_policy(self,
+                                                            fake_pools):
+        serial = [r.canonical_json()
+                  for r in BatchRunner(workers=1).run(self._specs()).records]
+        policy = RetryPolicy(max_attempts=2)
+        runner = BatchRunner(workers=2, scenario_timeout_s=0.1,
+                             retry_policy=policy)
+        runner.run(self._specs())
+        fake_pools[0].broken = True
+        with event_scope() as log:
+            result = runner.run(self._specs())
+        assert [r.canonical_json() for r in result.records] == serial
+        restarts = [e.fields["reason"] for e in log.events
+                    if e.kind == "pool_restart"]
+        assert restarts == ["broken_pool"]
+        assert policy.retries == 1
+        assert result.stats.pool_restarts == 1
+        assert result.stats.timeouts == 0
+        assert len(fake_pools) == 2                # recreated, no quarantine
+
+    def test_tensor_timeout_quarantines_delegated_spec(self, fake_pools):
+        """The fused backend takes a timeout: optics groups and the
+        delegated specs run as pool tasks, and the one stuck (faulted,
+        so delegated) spec is the batch's only executor_error."""
+        healthy = [FAST.replace(seed=k) for k in range(4)]
+        specs = healthy[:2] + [self.STUCK] + healthy[2:]
+        runner = BatchRunner(backend="tensor", workers=2,
+                             scenario_timeout_s=0.05)
+        result = runner.run(specs)
+        stages = [r.stage for r in result.records]
+        assert stages.count("executor_error") == 1
+        assert stages[2] == "executor_error"
+        assert result.stats.timeouts == 1
+        clean = BatchRunner(workers=1).run(healthy).records
+        survivors = result.records[:2] + result.records[3:]
+        assert [r.canonical_json() for r in survivors] == \
+            [r.canonical_json() for r in clean]
 
 
 class TestCpuAffinity:

@@ -199,6 +199,14 @@ class TestTensorParity:
         for i, record in enumerate(records):
             assert stage_keys(record) == FUSED_STAGE_KEYS[i], f"record {i}"
 
+    def test_pooled_groups_stay_whole(self):
+        # Each optics group is one pool task, so a pooled fused batch
+        # times and counts exactly what the in-process one does.
+        with profiled(), BatchRunner(backend="tensor", workers=2) as runner:
+            records = runner.run(SPECS).records
+        for i, record in enumerate(records):
+            assert stage_keys(record) == FUSED_STAGE_KEYS[i], f"record {i}"
+
 
 class TestRunnerParity:
     @pytest.mark.parametrize("backend", ["disk", "sqlite"])
@@ -226,6 +234,17 @@ class TestRunnerParity:
         with BatchRunner(backend="tensor") as runner:
             result = runner.run(subset)
         for i, record in zip(REPRESENTATIVES, result.records):
+            assert record_sha(record) == expect(i), f"record {i}"
+
+    @pytest.mark.parametrize("timeout", [None, 30.0], ids=["untimed", "timed"])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("backend", ["process", "tensor"])
+    def test_every_dispatch_matches_golden(self, backend, workers, timeout):
+        with BatchRunner(backend=backend, workers=workers,
+                         scenario_timeout_s=timeout) as runner:
+            result = runner.run(SPECS)
+        assert not result.stats.serial_fallback
+        for i, record in enumerate(result.records):
             assert record_sha(record) == expect(i), f"record {i}"
 
 

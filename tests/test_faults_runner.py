@@ -35,10 +35,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="max_failures"):
             BatchRunner(max_failures=0)
 
-    def test_timeout_incompatible_with_tensor(self):
-        with pytest.raises(ValueError, match="process"):
-            BatchRunner(backend="tensor", scenario_timeout_s=5.0)
-
 
 class TestScenarioTimeout:
     def test_stuck_spec_quarantined_siblings_unharmed(self):
@@ -85,6 +81,16 @@ class TestScenarioTimeout:
         assert second.records[0].stage == "executor_error"
 
 
+#: A spec whose scene build fails fast (``simulation_failed``).
+BAD = FAST.replace(symbol_width_m=1e9)
+
+
+def aborted(runner, specs) -> BatchAborted:
+    with runner, pytest.raises(BatchAborted) as excinfo:
+        runner.run(specs)
+    return excinfo.value
+
+
 class TestFailFast:
     def test_abort_carries_partial_result(self):
         bad = FAST.replace(symbol_width_m=1e9)  # simulation_failed
@@ -121,7 +127,26 @@ class TestFailFast:
         with BatchRunner(workers=2, max_failures=2) as runner:
             with pytest.raises(BatchAborted) as excinfo:
                 runner.run(specs)
-        assert excinfo.value.failures >= 2
+        serial = aborted(BatchRunner(max_failures=2), specs)
+        assert excinfo.value.failures == serial.failures == 2
+        assert canon(excinfo.value.result.records) == \
+            canon(serial.result.records)
+
+    @pytest.mark.parametrize("timeout", [None, 30.0], ids=["untimed", "timed"])
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("backend", ["process", "tensor"])
+    def test_abort_keeps_the_serial_prefix(self, backend, workers, timeout):
+        """Whatever finishes first, the partial result is the
+        ``workers=1`` one: the prefix through the 2nd failure."""
+        specs = [spec.replace(seed=k) for k, spec in
+                 enumerate([FAST, BAD, FAST, FAST, BAD, FAST, BAD, FAST])]
+        serial = aborted(BatchRunner(max_failures=2, backend=backend), specs)
+        assert len(serial.result.records) == 5
+        pooled = aborted(BatchRunner(workers=workers, max_failures=2,
+                                     backend=backend,
+                                     scenario_timeout_s=timeout), specs)
+        assert pooled.failures == serial.failures == 2
+        assert canon(pooled.result.records) == canon(serial.result.records)
 
 
 class TestRetryPolicyIntegration:

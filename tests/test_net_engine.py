@@ -333,7 +333,7 @@ class TestNetworkedDeterminism:
     def test_workers_byte_identical(self, tmp_path):
         specs = self._specs()
         serial = BatchRunner(workers=1).run(specs).records
-        with BatchRunner(workers=4, chunk_size=1) as runner:
+        with BatchRunner(workers=4) as runner:
             parallel = runner.run(specs).records
         assert [r.canonical_json() for r in serial] == \
             [r.canonical_json() for r in parallel]

@@ -49,7 +49,7 @@ def test_workers_parallel_byte_identical_across_all_families():
              for name in ALL_FAMILIES
              for spec in expand_family(name, count=2, seed=11)]
     serial = BatchRunner(workers=1).run(specs).records
-    parallel = BatchRunner(workers=4, chunk_size=2).run(specs).records
+    parallel = BatchRunner(workers=4).run(specs).records
     assert len(serial) == len(specs)
     assert [r.canonical_json() for r in serial] == \
         [r.canonical_json() for r in parallel]
