@@ -194,11 +194,11 @@ def _telemetry(args: argparse.Namespace) -> Iterator[tuple | None]:
     """Scoped telemetry for record-producing commands.
 
     With ``--telemetry DIR``: activates a fresh registry + event log
-    (and profiling, so stage histograms can harvest the same traces
-    ``--profile`` collects), yields ``(registry, events)``, and writes
-    ``events.jsonl`` / ``metrics.json`` / ``metrics.prom`` into DIR
-    when the command body completes.  Without the flag this is a
-    no-op yielding None — the zero-cost disabled path.
+    (telemetry implies stage tracing, so stage histograms harvest the
+    same traces ``--profile`` collects), yields ``(registry, events)``,
+    and writes ``events.jsonl`` / ``metrics.json`` / ``metrics.prom``
+    into DIR when the command body completes.  Without the flag this
+    is a no-op yielding None — the zero-cost disabled path.
     """
     directory = getattr(args, "telemetry", None)
     if not directory:
@@ -206,7 +206,7 @@ def _telemetry(args: argparse.Namespace) -> Iterator[tuple | None]:
         return
     from ..obs import telemetry_session, write_telemetry
 
-    with profiled(), telemetry_session() as (registry, events):
+    with telemetry_session() as (registry, events):
         yield registry, events
         write_telemetry(directory, registry, events)
     print(f"telemetry written to {directory} "
@@ -275,10 +275,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "--count/--family-seed only apply with --scenario")
         specs = expand_grid(template, axes)
     aborted: BatchAborted | None = None
-    # The restoring profiled() context sets the profiling env var too,
-    # so the runner's (lazily forked) pool workers inherit it and every
-    # record comes back carrying a StageTrace.  --telemetry enables
-    # profiling on its own (stage histograms harvest the same traces).
+    # --profile is tracing without --telemetry's artifacts: the runner
+    # hands the switch to its pool tasks, so every record comes back
+    # carrying a StageTrace.  Under --telemetry it changes nothing.
     profile_ctx = (profiled() if args.profile
                    else contextlib.nullcontext())
     with _telemetry(args) as telem, profile_ctx:
@@ -612,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="collect run telemetry (repro.obs) and "
                                 "write events.jsonl + metrics.json + "
                                 "metrics.prom into DIR; implies stage "
-                                "profiling, records stay byte-identical")
+                                "tracing, records stay byte-identical")
         p.add_argument("--out", help=out_help)
 
     run_p = sub.add_parser("run", help="execute a single scenario")

@@ -12,9 +12,11 @@ One scenario runs the canonical ``build → simulate → inject_faults →
 straight-line code: one function for a single receiver, one for a
 receiver array (the tensor backend runs the same stages vectorized
 over a batch; the streaming runtime runs them incrementally per
-chunk).  With profiling on (``REPRO_EXEC_PROFILE`` / ``--profile``)
-every record carries a :class:`repro.exec.StageTrace` of per-stage
-wall time.
+chunk).  With telemetry on (``REPRO_TELEMETRY`` / ``--telemetry``, or
+``--profile``) every record carries a :class:`repro.exec.StageTrace`
+of per-stage wall time.  The drivers publish nothing themselves:
+:class:`repro.engine.BatchRunner` folds the fresh records' traces into
+the registry, in the parent process.
 
 The function is a module-level callable of one picklable argument on
 purpose: it is what :class:`repro.engine.BatchRunner` ships to worker
@@ -47,8 +49,6 @@ from ..core.decoder import AdaptiveThresholdDecoder, DecoderConfig
 from ..core.errors import DecodeError, PreambleNotFoundError
 from ..exec.graph import ExecStage, StageTrace, maybe_stage, new_trace
 from ..hardware.frontend import FovCap, ReceiverFrontEnd
-from ..obs.export import publish_stage_trace
-from ..obs.registry import active_registry
 from ..hardware.led_receiver import LedReceiver
 from ..hardware.photodiode import PdGain, Photodiode
 from ..optics.geometry import Vec3
@@ -276,22 +276,6 @@ def _select_track(tracks):
 # The per-scenario drivers
 # ----------------------------------------------------------------------
 
-def _publish_profile(profile: StageTrace | None, driver: str) -> None:
-    """Fold a completed trace into the active metrics registry.
-
-    Telemetry reuses the timings the drivers' ``maybe_stage`` hooks
-    already collected — nothing here runs inside a stage.  No-op with
-    profiling or telemetry off (and in pool workers, whose registries
-    are per-process; pooled stage histograms follow the same
-    single-process caveat as ``collect_traces``).
-    """
-    if profile is None:
-        return
-    registry = active_registry()
-    if registry is not None:
-        publish_stage_trace(registry, profile, driver)
-
-
 def _execute_networked(spec: ScenarioSpec, ident: SpecIdentity,
                        sent: str, n_data_symbols: int, started: float,
                        profile: StageTrace | None) -> RunRecord:
@@ -389,7 +373,6 @@ def _execute_networked(spec: ScenarioSpec, ident: SpecIdentity,
     n_samples = len(first_trace.samples) if first_trace is not None else 0
     sample_rate = (first_trace.sample_rate_hz if first_trace is not None
                    else spec.sample_rate_hz)
-    _publish_profile(profile, "network")
     return make_record(
         spec_hash=ident.content_hash,
         spec=ident.payload,
@@ -415,8 +398,8 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
 
     Deterministic: the resolved spec carries its concrete seed, so the
     same spec yields the same record no matter where or when it runs.
-    Profiling (``REPRO_EXEC_PROFILE``) attaches a per-stage
-    :class:`StageTrace` without changing the record's canonical bytes.
+    Telemetry attaches a per-stage :class:`StageTrace` without
+    changing the record's canonical bytes.
     """
     spec = spec.resolve()
     ident = spec.identity()
@@ -427,13 +410,12 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
     sent = packet.bit_string()
     plan = spec.fault_plan
     n_data_symbols = 2 * len(packet.data_bits)
-    networked = spec.n_receivers > 1
     if plan is not None and plan.exec_sleep_s > 0.0:
         # The chaos harness's deterministic stuck worker: a wall-clock
         # stall the runner's per-scenario timeout is expected to catch.
         time.sleep(plan.exec_sleep_s)
     try:
-        if networked:
+        if spec.n_receivers > 1:
             return _execute_networked(spec, ident, sent, n_data_symbols,
                                       started, profile)
         with maybe_stage(profile, ExecStage.BUILD):
@@ -444,7 +426,6 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
         # Contain per-scenario failures (a tag that does not fit the
         # car roof, a degenerate geometry): one bad grid point must
         # not abort a thousand-scenario batch.
-        _publish_profile(profile, "network" if networked else "serial")
         return make_record(
             spec_hash=ident.content_hash,
             spec=ident.payload,
@@ -516,7 +497,6 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
             stage = RecordStage.PREAMBLE_NOT_FOUND.value
         except DecodeError:
             stage = RecordStage.DECODE_FAILED.value
-    _publish_profile(profile, "serial")
     return make_record(
         spec_hash=ident.content_hash,
         spec=ident.payload,

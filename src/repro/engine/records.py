@@ -184,11 +184,11 @@ class RunRecord:
             a given spec, so they participate in record equality and
             the byte-stable cache form, unlike wall-clock timing.
         elapsed_s: wall-clock execution time (excluded from equality).
-        stage_trace: per-stage wall time/counters when the run was
-            profiled (``REPRO_EXEC_PROFILE`` / ``--profile``), else
-            None.  Wall-clock instrumentation, so it is excluded from
-            equality and from :meth:`canonical_json` like
-            ``elapsed_s``.
+        stage_trace: per-stage wall time/counters when the run had
+            telemetry on (``REPRO_TELEMETRY`` / ``--telemetry`` /
+            ``--profile``), else None.  Wall-clock instrumentation,
+            so it is excluded from equality and from
+            :meth:`canonical_json` like ``elapsed_s``.
     """
 
     spec_hash: str

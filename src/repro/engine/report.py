@@ -230,8 +230,9 @@ def stage_stats(records: Sequence[RunRecord]) -> dict[str, Any]:
     """Per-stage wall-time aggregates over the profiled records.
 
     Only records carrying a :class:`~repro.exec.graph.StageTrace`
-    (a profiled run: ``--profile`` or ``REPRO_EXEC_PROFILE=1``)
-    contribute.  Stages appear in pipeline order.
+    (a run with telemetry on: ``--profile``, ``--telemetry`` or
+    ``REPRO_TELEMETRY=1``) contribute.  Stages appear in pipeline
+    order.
 
     Returns:
         ``n_profiled`` (records with a trace), ``total_s`` (summed
@@ -269,7 +270,7 @@ def stage_table(records: Sequence[RunRecord]) -> str:
     stats = stage_stats(records)
     if not stats["n_profiled"]:
         return ("no stage traces in these records — rerun with "
-                "--profile (or REPRO_EXEC_PROFILE=1) to collect "
+                "--profile (or REPRO_TELEMETRY=1) to collect "
                 "per-stage timings")
     lines = [f"stage timings over {stats['n_profiled']} profiled "
              "record(s)   (total ms | mean ms | share)"]

@@ -17,6 +17,11 @@ contract extends to ``backend="tensor"``: the fused array passes of
 end and decode over each optics group's rows (the serial driver is a
 batch of one), so they reproduce the serial records byte for byte and
 share the result cache with them, at any worker count.
+
+The runner is also the one producer of stage telemetry for batches:
+:meth:`BatchRunner.run` folds the stage traces of the fresh records
+into the active registry in the parent, so ``workers=N`` publishes
+what ``workers=1`` does.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from typing import Iterable, Mapping, Sequence
 
 from ..faults.retry import RetryPolicy
 from ..obs.events import active_events
-from ..obs.registry import MetricsRegistry, active_registry
+from ..obs.export import publish_stage_trace
+from ..obs.registry import (MetricsRegistry, active_registry, telemetry,
+                            telemetry_enabled)
 from .cache import CacheBackend, open_cache
 from .executor import error_record, execute_scenario
 from .records import RecordStage, RunRecord
@@ -384,6 +391,8 @@ class BatchRunner:
         registry = active_registry()
         if registry is not None:
             stats.to_metrics(registry)
+            for i, record in done:
+                _publish_trace(registry, resolved[i], record)
         if log is not None:
             if stats.fault_events:
                 log.emit("fault_injected",
@@ -446,12 +455,14 @@ class BatchRunner:
         Tasks run inline at ``workers=1`` without a timeout, or when
         there is only one; otherwise as futures on the persistent pool.
         A stall (no task finishing within one scenario budget) or a
-        ``BrokenProcessPool`` kills the pool; a broken one is recreated
-        under the retry policy and only the unfinished tasks are
-        resubmitted.  After a stall, or past the retry budget, the
-        unfinished work runs in-process, or one spec at a time in
-        quarantine under a timeout.  A task raising anything else would
-        only raise again: the pool is dropped and the error propagates.
+        ``BrokenProcessPool`` kills the pool.  After a stall, the tasks
+        a worker may be stuck on run one spec at a time in quarantine,
+        and the never-started rest goes back to a fresh pool.  A broken
+        pool is recreated under the retry policy and only the
+        unfinished tasks are resubmitted; past the retry budget they
+        run in-process, or in quarantine under a timeout.  A task
+        raising anything else would only raise again: the pool is
+        dropped and the error propagates.
 
         Records land by spec index and fail-fast walks the finished
         prefix in spec order, so an abort keeps exactly the prefix
@@ -474,15 +485,18 @@ class BatchRunner:
         timeout = self.scenario_timeout_s
         tasks = self._tasks(specs)
         pooled = timeout is not None or (self.workers > 1 and len(tasks) > 1)
+        traced = telemetry_enabled()
         policy = self.retry_policy
-        for attempt in range(policy.max_attempts if pooled else 0):
+        attempt = 0
+        while pooled and tasks:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(max_workers=self.workers)
             policy.attempts_made += 1
             stalled = False
             try:
                 futures = {self._pool.submit(_run_task, self.backend,
-                                             [specs[i] for i in task]): task
+                                             [specs[i] for i in task],
+                                             traced): task
                            for task in tasks}
                 pending = set(futures)
                 while pending and not stalled:
@@ -514,12 +528,22 @@ class BatchRunner:
                          reason="timeout_stall" if stalled else "broken_pool",
                          attempt=attempt, leftovers=sum(map(len, tasks)))
             if stalled:
-                break
+                # The pool feeds its workers in submission order, so
+                # only the first ``workers`` started tasks can be stuck
+                # (at least one task goes, so every round progresses).
+                started = [task for future, task in futures.items()
+                           if future.running()]
+                for task in started[:self.workers] or tasks[:1]:
+                    for i in task:
+                        land([i], [self._quarantine(specs[i])])
+                tasks = [task for task in tasks if records[task[0]] is None]
+                continue
             policy.retries += 1
             delay = policy.delay_s(attempt)
             if delay > 0.0:
                 policy.total_wait_s += delay
                 time.sleep(delay)
+            attempt += 1
 
         if timeout is not None:
             for i in sorted(i for task in tasks for i in task):
@@ -536,8 +560,8 @@ class BatchRunner:
         timeout = self.scenario_timeout_s
         pool = ProcessPoolExecutor(max_workers=1)
         try:
-            return pool.submit(_run_task, self.backend,
-                               [spec]).result(timeout=timeout)[0]
+            return pool.submit(_run_task, self.backend, [spec],
+                               telemetry_enabled()).result(timeout=timeout)[0]
         except FuturesTimeout:
             self._timeouts += 1
             return error_record(
@@ -549,10 +573,16 @@ class BatchRunner:
             _kill(pool)
 
 
-def _run_task(backend: str, specs: list[ScenarioSpec]) -> list[RunRecord]:
+def _run_task(backend: str, specs: list[ScenarioSpec],
+              traced: bool | None = None) -> list[RunRecord]:
     """One task's records.  Module level, so the pool pickles it by
     name; the executors are looked up at call time, so wrappers
-    installed in this process see in-process calls."""
+    installed in this process see in-process calls.  Pool tasks get
+    the parent's telemetry switch as ``traced``, so a persistent
+    worker traces exactly when the parent folds."""
+    if traced is not None and traced != telemetry_enabled():
+        with telemetry(enabled=traced):
+            return _run_task(backend, specs)
     if backend == "tensor":
         from ..tensor import batch
 
@@ -571,6 +601,21 @@ def _kill(pool: ProcessPoolExecutor) -> None:
         except Exception:
             pass
     pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _publish_trace(registry: MetricsRegistry, spec: ScenarioSpec,
+                   record: RunRecord) -> None:
+    """Fold one fresh record's stage trace into ``registry``, labelled
+    ``network`` (a receiver array), ``tensor`` (a fused group's row,
+    which carries the whole group's counters, ``batch_rows`` of them)
+    or ``serial``."""
+    trace = record.stage_trace
+    if trace is None:
+        return
+    rows = trace.counters.get("batch_rows", 0)
+    driver = ("network" if spec.n_receivers > 1
+              else "tensor" if rows else "serial")
+    publish_stage_trace(registry, trace, driver, shared_by=max(1, rows))
 
 
 def _sum_fault_events(records: Sequence[RunRecord]) -> dict[str, int]:

@@ -11,19 +11,15 @@ instrumentation, run three ways: serially per scenario
 
 from .graph import (
     PIPELINE_STAGES,
-    PROFILE_ENV,
     ExecStage,
     StageTrace,
     collect_traces,
     maybe_stage,
     new_trace,
     profiled,
-    profiling_enabled,
-    set_profiling,
 )
 
 __all__ = [
-    "ExecStage", "PIPELINE_STAGES", "PROFILE_ENV", "StageTrace",
-    "collect_traces", "maybe_stage", "new_trace", "profiled",
-    "profiling_enabled", "set_profiling",
+    "ExecStage", "PIPELINE_STAGES", "StageTrace", "collect_traces",
+    "maybe_stage", "new_trace", "profiled",
 ]

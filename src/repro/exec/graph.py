@@ -10,34 +10,32 @@ shared instrumentation carrier (:class:`StageTrace`) with one hook,
 *how* they run the stages — per scenario, per batch row, or per pushed
 chunk — never in what the stages are called.
 
-Profiling is opt-in (:func:`set_profiling` /
-``REPRO_EXEC_PROFILE=1``): when off, every hook degrades to a shared
-no-op context manager so the hot paths pay a single ``None`` check.
-Everything here is pure stdlib — any layer may import it without
-cycles.
+Stage tracing has no switch of its own: telemetry implies it.
+``REPRO_TELEMETRY``, :func:`repro.obs.registry.set_registry` and the
+:func:`repro.obs.registry.telemetry` scope decide whether
+:func:`new_trace` hands out traces; when they are off every hook
+degrades to a shared no-op context manager, so the hot paths pay a
+single ``None`` check.  :func:`profiled` and :func:`collect_traces` are
+thin scopes over that switch.  The drivers only fill traces in: the
+batch runner folds the records' traces into the registry, in the
+parent process.  This module imports only the stdlib and
+:mod:`repro.obs.registry`, so any layer may import it without cycles.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterator
 
+from ..obs.registry import telemetry, telemetry_enabled
+
 __all__ = [
-    "ExecStage", "PIPELINE_STAGES", "PROFILE_ENV", "StageTrace",
-    "collect_traces", "maybe_stage", "new_trace", "profiled",
-    "profiling_enabled", "set_profiling",
+    "ExecStage", "PIPELINE_STAGES", "StageTrace", "collect_traces",
+    "maybe_stage", "new_trace", "profiled",
 ]
-
-#: Environment switch for per-stage instrumentation.  Read at call
-#: time (not import time) so CLI flags and worker processes that
-#: inherit the environment agree without re-imports.
-PROFILE_ENV = "REPRO_EXEC_PROFILE"
-
-_FORCED: bool | None = None
 
 
 class ExecStage(str, Enum):
@@ -68,31 +66,17 @@ PIPELINE_STAGES: tuple[str, ...] = tuple(s.value for s in ExecStage)
 _STAGE_INDEX = {name: i for i, name in enumerate(PIPELINE_STAGES)}
 
 
-def set_profiling(enabled: bool | None) -> None:
-    """Force profiling on/off for this process (None = follow env)."""
-    global _FORCED
-    _FORCED = enabled
-
-
-def profiling_enabled() -> bool:
-    """Whether stage instrumentation is currently requested."""
-    if _FORCED is not None:
-        return _FORCED
-    raw = os.environ.get(PROFILE_ENV, "")
-    return raw.strip().lower() not in ("", "0", "false", "no", "off")
-
-
 _COLLECTOR: "list[StageTrace] | None" = None
 
 
 def new_trace() -> "StageTrace | None":
-    """A fresh :class:`StageTrace` when profiling is on, else None.
+    """A fresh :class:`StageTrace` when telemetry is on, else None.
 
     Inside a :func:`collect_traces` scope the trace is also appended
     to the active collector, so callers that drive opaque entry points
     (the perf suite timing a closure) can still aggregate stages.
     """
-    if not profiling_enabled():
+    if not telemetry_enabled():
         return None
     trace = StageTrace()
     if _COLLECTOR is not None:
@@ -118,24 +102,17 @@ def collect_traces() -> "Iterator[list[StageTrace]]":
 
 @contextlib.contextmanager
 def profiled(enabled: bool = True) -> Iterator[None]:
-    """Scoped profiling override restoring prior state on exit.
+    """Scoped stage tracing, restoring the prior state on exit.
 
-    Sets both the in-process flag and ``REPRO_EXEC_PROFILE`` (so
-    worker processes forked inside the scope inherit it), then
-    restores both — safe for tests that drive the CLI in-process.
+    A thin wrapper over the telemetry switch: tracing on keeps an
+    active registry (or opens a fresh one), tracing off turns
+    telemetry off for the block.
     """
-    prev_forced = _FORCED
-    prev_env = os.environ.get(PROFILE_ENV)
-    set_profiling(enabled)
-    os.environ[PROFILE_ENV] = "1" if enabled else "0"
-    try:
+    if enabled and telemetry_enabled():
         yield
-    finally:
-        set_profiling(prev_forced)
-        if prev_env is None:
-            os.environ.pop(PROFILE_ENV, None)
-        else:
-            os.environ[PROFILE_ENV] = prev_env
+        return
+    with telemetry(enabled=enabled):
+        yield
 
 
 @dataclass
@@ -220,9 +197,9 @@ _NULL_CONTEXT = contextlib.nullcontext()
 
 
 def maybe_stage(trace: StageTrace | None, name: str):
-    """``trace.stage(name)`` when profiling, else a shared no-op.
+    """``trace.stage(name)`` when tracing, else a shared no-op.
 
     The single instrumentation hook hot loops call: one ``None``
-    check when profiling is off.
+    check when telemetry is off.
     """
     return _NULL_CONTEXT if trace is None else trace.stage(name)

@@ -196,13 +196,15 @@ def _quantile(entry: Mapping[str, Any], q: float) -> float:
 
 
 def publish_stage_trace(registry: MetricsRegistry, trace: Any,
-                        driver: str) -> None:
+                        driver: str, shared_by: int = 1) -> None:
     """Fold a :class:`repro.exec.StageTrace` into stage histograms.
 
     Reuses the timings the existing ``maybe_stage`` hooks already
     collected — no new timing code runs in any hot loop.  ``driver``
     labels which execution path produced the trace (``serial``,
-    ``network``, ``tensor``, ``stream``).
+    ``network``, ``tensor``, ``stream``).  When ``shared_by`` traces
+    carry the same counters (the rows of a fused group), each adds its
+    share of them.
     """
     if trace is None:
         return
@@ -213,4 +215,4 @@ def publish_stage_trace(registry: MetricsRegistry, trace: Any,
     for counter, value in trace.counters.items():
         registry.counter(
             "exec_stage_events_total",
-            {"event": str(counter), "driver": driver}).inc(value)
+            {"event": str(counter), "driver": driver}).inc(value / shared_by)

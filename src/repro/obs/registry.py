@@ -1,7 +1,6 @@
 """Process-wide metrics registry with a zero-cost disabled path.
 
-The registry mirrors the opt-in design of :mod:`repro.exec.graph`:
-telemetry is off by default and every instrumentation site guards on
+Telemetry is off by default and every instrumentation site guards on
 ``active_registry()`` returning ``None`` — a single module-global read
 plus a ``None`` check, exactly like ``maybe_stage``.  When no registry
 is active the hot paths never build label dicts, never take a lock and
@@ -21,7 +20,8 @@ with deterministic ordering so exporters and tests can diff it byte for
 byte.  Activation is scoped (``telemetry()`` context manager), forced
 (``set_registry``) or environmental (``REPRO_TELEMETRY=1`` builds one
 process-default registry on first use, so subprocesses spawned with the
-variable inherited collect into their own registry).
+variable inherited collect into their own registry).  It is the one
+switch: telemetry implies stage tracing (:func:`repro.exec.new_trace`).
 """
 from __future__ import annotations
 
@@ -222,7 +222,7 @@ class MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Activation — mirrors repro.exec.graph's _FORCED/env-var pattern.
+# Activation — the one switch for telemetry and stage tracing.
 
 _ACTIVE: MetricsRegistry | None = None
 _ENV_DEFAULT: MetricsRegistry | None = None
@@ -259,18 +259,23 @@ def telemetry_enabled() -> bool:
 @contextmanager
 def telemetry(
     registry: MetricsRegistry | None = None,
-) -> Iterator[MetricsRegistry]:
+    enabled: bool = True,
+) -> Iterator[MetricsRegistry | None]:
     """Scoped activation: instrumentation inside the block collects into
-    ``registry`` (a fresh one by default); the previous state is restored
-    on exit.  Also sets ``REPRO_TELEMETRY`` for the duration so forked
-    workers know telemetry was requested (their samples stay local to the
-    worker, same caveat as ``collect_traces``)."""
+    ``registry`` (a fresh one by default) and the drivers take stage
+    traces; ``enabled=False`` turns both off, whatever the environment
+    says, and yields None.  The previous state is restored on exit.
+    ``REPRO_TELEMETRY`` is set (or cleared) for the duration so forked
+    processes follow; samples taken in pool workers stay there, except
+    the stage traces their records bring back to the batch runner."""
     global _ACTIVE
-    reg = registry if registry is not None else MetricsRegistry()
-    prev = _ACTIVE
-    prev_env = os.environ.get(TELEMETRY_ENV)
+    reg = None
+    if enabled:
+        reg = registry if registry is not None else MetricsRegistry()
+    prev, prev_env = _ACTIVE, os.environ.pop(TELEMETRY_ENV, None)
     _ACTIVE = reg
-    os.environ[TELEMETRY_ENV] = "1"
+    if enabled:
+        os.environ[TELEMETRY_ENV] = "1"
     try:
         yield reg
     finally:

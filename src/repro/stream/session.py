@@ -497,7 +497,7 @@ def replay_traces(feeds: Mapping[str, tuple], chunk_size: int,
         # pass-grouping expect travel time between sessions replaying
         # the same instant.  Callers modelling a spatial deployment
         # build the mux directly and pass real node positions.
-        # With profiling on, each replay session collects its own stage
+        # With telemetry on, each replay session collects its own stage
         # trace (normalize/acquire/decide) that the mux publishes to
         # telemetry on completion; new_trace() is None otherwise.
         mux.add_session(sid, StreamDecoder(

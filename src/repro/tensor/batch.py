@@ -51,8 +51,6 @@ from ..engine.records import (
 )
 from ..engine.spec import ScenarioSpec, SpecIdentity
 from ..exec.graph import ExecStage, maybe_stage, new_trace
-from ..obs.export import publish_stage_trace
-from ..obs.registry import active_registry
 from ..tags.packet import Packet
 
 __all__ = ["execute_batch", "optical_key", "fast_path_eligible",
@@ -179,13 +177,9 @@ def _run_group(key: str, specs: list[ScenarioSpec],
     if profile is not None:
         # The group ran its fused stages once for the whole row stack;
         # each record carries an equal per-scenario share so stage
-        # totals aggregate the same way serial traces do.
+        # totals aggregate the same way serial traces do, and the
+        # group's counters (``batch_rows`` marks a fused trace).
         profile.count("batch_rows", len(specs))
-        registry = active_registry()
-        if registry is not None:
-            # Telemetry sees the fused pass once, at its true wall
-            # time, before the per-record scaling below.
-            publish_stage_trace(registry, profile, "tensor")
         profile = profile.scaled(1.0 / max(1, len(specs)))
     records = []
     for r, (spec, ident) in enumerate(zip(specs, idents)):

@@ -245,12 +245,12 @@ class TestSweepProfile:
         assert "simulate" in text and "decide" in text
 
     def test_profile_state_restored_after_sweep(self, capsys):
-        from repro.exec import profiling_enabled
+        from repro.obs import telemetry_enabled
 
-        before = profiling_enabled()
+        before = telemetry_enabled()
         assert main(["sweep", *FAST_SETS, "--set", "ground_lux=450",
                      "--axis", "seed=2", "--profile"]) == 0
-        assert profiling_enabled() == before
+        assert telemetry_enabled() == before
 
     def test_unprofiled_sweep_prints_no_table(self, capsys):
         assert main(["sweep", *FAST_SETS, "--set", "ground_lux=450",

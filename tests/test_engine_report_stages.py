@@ -82,7 +82,7 @@ class TestStageTable:
     def test_hints_without_traces(self):
         text = stage_table([make_record()])
         assert "--profile" in text
-        assert "REPRO_EXEC_PROFILE" in text
+        assert "REPRO_TELEMETRY" in text
 
     def test_renders_rows_and_counters(self):
         record = make_record(trace=make_trace(rows=3))

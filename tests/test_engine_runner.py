@@ -261,8 +261,8 @@ class TestBrokenPoolRecovery:
         """Stands in for ProcessPoolExecutor; breaks on command.
 
         Tasks run at submit time, in-process.  A task holding a spec
-        with an ``exec_sleep_s`` stall gets a future that never
-        resolves: a stuck worker, without the sleep.
+        with an ``exec_sleep_s`` stall gets a running future that
+        never resolves: a stuck worker, without the sleep.
         """
 
         instances: list = []
@@ -274,7 +274,7 @@ class TestBrokenPoolRecovery:
 
         def submit(self, fn, *args):
             future = Future()
-            specs = args[-1]
+            specs = args[1]
             if self.broken:
                 future.set_exception(BrokenProcessPool("worker died"))
             elif not any(s.fault_plan is not None
@@ -283,6 +283,8 @@ class TestBrokenPoolRecovery:
                     future.set_result(fn(*args))
                 except Exception as exc:
                     future.set_exception(exc)
+            else:
+                future.set_running_or_notify_cancel()
             return future
 
         def shutdown(self, wait=True, cancel_futures=False):

@@ -1,30 +1,38 @@
 """Tests for repro.exec.graph — the named pipeline and its timing hooks."""
 
 import json
+import os
 
 import pytest
 
+import repro.obs.registry as registry_mod
 from repro.exec import (
     PIPELINE_STAGES,
-    PROFILE_ENV,
     ExecStage,
     StageTrace,
     collect_traces,
     maybe_stage,
     new_trace,
     profiled,
-    profiling_enabled,
-    set_profiling,
+)
+from repro.obs import (
+    TELEMETRY_ENV,
+    MetricsRegistry,
+    active_registry,
+    set_registry,
+    telemetry,
+    telemetry_enabled,
 )
 
 
 @pytest.fixture(autouse=True)
-def _no_forced_profiling(monkeypatch):
-    """Each test starts with profiling following the (cleared) env."""
-    monkeypatch.delenv(PROFILE_ENV, raising=False)
-    set_profiling(None)
+def _telemetry_off(monkeypatch):
+    """Each test starts with telemetry, and so tracing, fully off."""
+    monkeypatch.delenv(TELEMETRY_ENV, raising=False)
+    set_registry(None)
+    monkeypatch.setattr(registry_mod, "_ENV_DEFAULT", None)
     yield
-    set_profiling(None)
+    set_registry(None)
 
 
 class TestExecStage:
@@ -42,33 +50,47 @@ class TestExecStage:
 
 
 class TestProfilingSwitch:
+    """Stage tracing follows the one telemetry switch."""
+
     def test_off_by_default(self):
-        assert not profiling_enabled()
+        assert not telemetry_enabled()
         assert new_trace() is None
 
     def test_env_values(self, monkeypatch):
         for raw, expect in [("1", True), ("true", True), ("on", True),
                             ("0", False), ("false", False), ("", False),
                             ("off", False), ("no", False)]:
-            monkeypatch.setenv(PROFILE_ENV, raw)
-            assert profiling_enabled() is expect
+            monkeypatch.setenv(TELEMETRY_ENV, raw)
+            assert (new_trace() is not None) is expect
 
     def test_forced_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "1")
-        set_profiling(False)
-        assert not profiling_enabled()
+        monkeypatch.setenv(TELEMETRY_ENV, "1")
+        with profiled(False):
+            assert new_trace() is None
+            # Workers forked in-scope must inherit the switch.
+            assert TELEMETRY_ENV not in os.environ
+        assert new_trace() is not None
+        monkeypatch.setenv(TELEMETRY_ENV, "0")
+        set_registry(MetricsRegistry())
+        assert new_trace() is not None
 
     def test_profiled_restores(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "0")
+        monkeypatch.setenv(TELEMETRY_ENV, "0")
         with profiled():
-            assert profiling_enabled()
+            assert telemetry_enabled()
             assert new_trace() is not None
             # Workers forked in-scope must inherit the switch.
-            import os
-            assert os.environ[PROFILE_ENV] == "1"
-        assert not profiling_enabled()
-        import os
-        assert os.environ[PROFILE_ENV] == "0"
+            assert os.environ[TELEMETRY_ENV] == "1"
+        assert not telemetry_enabled()
+        assert os.environ[TELEMETRY_ENV] == "0"
+
+    def test_profiled_keeps_the_active_registry(self):
+        with telemetry() as reg:
+            with profiled():
+                assert active_registry() is reg
+            with profiled(False):
+                assert active_registry() is None
+            assert active_registry() is reg
 
 
 class TestStageTrace:

@@ -57,6 +57,29 @@ class TestScenarioTimeout:
         survivors = result.records[:2] + result.records[3:]
         assert canon(survivors) == canon(clean.records)
 
+    def test_stall_quarantines_only_started_tasks(self, monkeypatch):
+        """After a stall only the tasks the pool had started go to
+        quarantine; the never-started rest goes back to a fresh pool
+        under the same timeout, instead of one pool per spec."""
+        quarantined = []
+        quarantine = BatchRunner._quarantine
+
+        def spy(runner, spec):
+            quarantined.append(spec)
+            return quarantine(runner, spec)
+
+        monkeypatch.setattr(BatchRunner, "_quarantine", spy)
+        healthy = [FAST.replace(seed=k) for k in range(20)]
+        with BatchRunner(workers=1, scenario_timeout_s=0.2) as runner:
+            result = runner.run([STUCK] + healthy)
+        stages = [r.stage for r in result.records]
+        assert stages.count("executor_error") == 1
+        assert stages[0] == "executor_error"
+        assert result.stats.timeouts == 1
+        assert 1 <= len(quarantined) <= runner.workers + 1
+        clean = BatchRunner(workers=1).run(healthy)
+        assert canon(result.records[1:]) == canon(clean.records)
+
     def test_all_healthy_batch_pays_no_timeout_penalty(self):
         specs = [FAST.replace(seed=k) for k in range(3)]
         with BatchRunner(workers=2, scenario_timeout_s=30.0) as runner:

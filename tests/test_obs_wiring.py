@@ -35,7 +35,7 @@ from repro.obs import (
 from repro.stream.session import SessionStats
 
 from tests.test_engine_cache_backends import make_record
-from tests.test_exec_parity import NETWORK_FAILURE
+from tests.test_exec_parity import NETWORK_FAILURE, SERIAL_FAILURE
 
 GOLDEN_PATH = Path(__file__).parent / "baselines" / "stage_parity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -217,6 +217,72 @@ class TestRunnerWiring:
                                   "result": "hit"}) == len(subset)
 
 
+class TestPooledTelemetry:
+    """Telemetry means the same at ``workers=1`` and ``workers=2``: the
+    runner folds the stage traces its records bring back, in the
+    parent, one observation per scenario and stage."""
+
+    #: Offline, streamed, faulted, two-phase and networked goldens,
+    #: plus build failures contained on one receiver and on an array.
+    BATCH = SPECS + [SERIAL_FAILURE, NETWORK_FAILURE]
+
+    @staticmethod
+    def untimed(snapshot):
+        """The snapshot without seconds (histogram sums and bucket
+        counts) and without the per-chunk ``stream_*`` counters, which
+        a streamed spec raises in the process that runs it."""
+        return {group: [{k: v for k, v in series.items()
+                         if k not in ("sum", "counts")}
+                        for series in entries
+                        if not series["name"].startswith("stream_")]
+                for group, entries in snapshot.items()}
+
+    @pytest.mark.parametrize("backend", ["process", "tensor"])
+    def test_snapshots_match_across_worker_counts(self, backend):
+        snapshots = []
+        for workers in (1, 2):
+            with telemetry_session() as (reg, _):
+                with BatchRunner(workers=workers, backend=backend) as runner:
+                    runner.run(self.BATCH)
+            snapshots.append(self.untimed(reg.snapshot()))
+        assert snapshots[0] == snapshots[1]
+        drivers = {h["labels"]["driver"] for h in snapshots[0]["histograms"]
+                   if h["name"] == "exec_stage_seconds"}
+        assert drivers == ({"serial", "network", "tensor"}
+                           if backend == "tensor" else {"serial", "network"})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fused_rows_observed_once_each(self, workers):
+        with telemetry_session() as (reg, _):
+            with BatchRunner(workers=workers, backend="tensor") as runner:
+                records = runner.run(SPECS).records
+        fused = [r.stage_trace for r in records
+                 if "batch_rows" in r.stage_trace.counters]
+        assert len(fused) == 12
+        snapshot = reg.snapshot()
+        stages = {h["labels"]["stage"]: h for h in snapshot["histograms"]
+                  if h["name"] == "exec_stage_seconds"
+                  and h["labels"]["driver"] == "tensor"}
+        assert set(stages) == set().union(*(t.timings_s for t in fused))
+        for stage, series in stages.items():
+            shares = [t.timings_s[stage] for t in fused
+                      if stage in t.timings_s]
+            assert series["count"] == len(shares), stage
+            assert series["sum"] == pytest.approx(sum(shares)), stage
+        assert counter_value(reg, "exec_stage_events_total",
+                             {"event": "batch_rows",
+                              "driver": "tensor"}) == len(fused)
+
+    def test_cache_hits_add_no_stage_samples(self, tmp_path):
+        subset = [SPECS[i] for i in REPRESENTATIVES]
+        with BatchRunner(cache=tmp_path / "cache") as runner:
+            runner.run(subset)
+            with telemetry_session() as (reg, _):
+                runner.run(subset)
+        assert not [h for h in reg.snapshot()["histograms"]
+                    if h["name"] == "exec_stage_seconds"]
+
+
 class TestStreamWiring:
     def test_mux_accepts_explicit_registry(self):
         from repro.stream.session import SessionMux
@@ -283,19 +349,21 @@ class TestByteParityWithTelemetry:
 
     def test_profiled_goldens_publish_stage_histograms(self):
         # Guards against the parity tests passing vacuously: with
-        # profiling on, the serial driver must actually publish stage
-        # samples — and the bytes must still match.
+        # telemetry on, the runner must actually publish stage samples
+        # in-process and from the pool — and the bytes must still match.
         from repro.exec import profiled
 
-        with telemetry_session() as (reg, _):
-            with profiled():
-                record = execute_scenario(SPECS[0])
-            assert self.sha(record) == ENTRIES[0]["sha256"]
-            histograms = reg.snapshot()["histograms"]
-            stage_series = [h for h in histograms
-                            if h["name"] == "exec_stage_seconds"
-                            and h["labels"]["driver"] == "serial"]
-            assert stage_series, "no stage histograms published"
+        for workers in (1, 2):
+            with telemetry_session() as (reg, _):
+                # Two tasks, so workers=2 runs them on the pool.
+                with profiled(), BatchRunner(workers=workers) as runner:
+                    record = runner.run([SPECS[0]] * 2).records[0]
+                assert self.sha(record) == ENTRIES[0]["sha256"]
+                histograms = reg.snapshot()["histograms"]
+                stage_series = [h for h in histograms
+                                if h["name"] == "exec_stage_seconds"
+                                and h["labels"]["driver"] == "serial"]
+                assert stage_series, "no stage histograms published"
 
     @pytest.mark.parametrize("spec", [SPECS[13], NETWORK_FAILURE],
                              ids=["clean", "contained_failure"])
@@ -305,10 +373,11 @@ class TestByteParityWithTelemetry:
         # boundary and only the partial trace is published.
         from repro.exec import profiled
 
-        with telemetry_session() as (reg, _):
-            with profiled():
-                execute_scenario(spec)
-            drivers = {h["labels"]["driver"]
-                       for h in reg.snapshot()["histograms"]
-                       if h["name"] == "exec_stage_seconds"}
-        assert drivers == {"network"}
+        for workers in (1, 2):
+            with telemetry_session() as (reg, _):
+                with profiled(), BatchRunner(workers=workers) as runner:
+                    runner.run([spec, spec])
+                drivers = {h["labels"]["driver"]
+                           for h in reg.snapshot()["histograms"]
+                           if h["name"] == "exec_stage_seconds"}
+            assert drivers == {"network"}
