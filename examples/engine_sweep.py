@@ -25,7 +25,6 @@ import argparse
 
 from repro.engine import (
     BatchRunner,
-    ResultCache,
     ScenarioSpec,
     available_cpus,
     expand_grid,
@@ -57,8 +56,7 @@ def main() -> None:
           f"running on {args.workers} workers "
           f"(cache: {args.cache_dir})")
 
-    runner = BatchRunner(workers=args.workers,
-                         cache=ResultCache(args.cache_dir))
+    runner = BatchRunner(workers=args.workers, cache=args.cache_dir)
     result = runner.run(specs)
     print(f"done in {result.stats.elapsed_s:.1f}s "
           f"({result.stats.cache_hits} cached, "

@@ -28,7 +28,6 @@ from repro.analysis.sweeps import sweep_fusion_gain
 from repro.channel.simulator import ChannelSimulator, SimulatorConfig
 from repro.engine import (
     BatchRunner,
-    ResultCache,
     ScenarioSpec,
     available_cpus,
     build_network,
@@ -77,7 +76,7 @@ def act_one() -> None:
 def act_two(workers: int, cache_dir: str) -> None:
     print("\n=== 2. Corridor sweep through the engine ===")
     specs = expand_family("corridor", count=60, seed=0)
-    runner = BatchRunner(workers=workers, cache=ResultCache(cache_dir))
+    runner = BatchRunner(workers=workers, cache=cache_dir)
     result = runner.run(specs)
     print(result.stats.summary())
     print(summarize(result.records))
@@ -85,7 +84,7 @@ def act_two(workers: int, cache_dir: str) -> None:
 
 def act_three(workers: int, cache_dir: str) -> None:
     print("\n=== 3. The Section 6 improvement curve ===")
-    runner = BatchRunner(workers=workers, cache=ResultCache(cache_dir))
+    runner = BatchRunner(workers=workers, cache=cache_dir)
     sweep = sweep_fusion_gain(n_receivers=(1, 2, 3, 4, 5), count=60,
                               seed=0, runner=runner)
     print(sweep.render())

@@ -24,7 +24,6 @@ import argparse
 
 from repro.engine import (
     BatchRunner,
-    ResultCache,
     available_cpus,
     group_table,
     summarize,
@@ -49,8 +48,7 @@ def main() -> None:
           f"{len(COMPOSITIONS)} compositions; "
           f"running on {args.workers} workers (cache: {args.cache_dir})")
 
-    runner = BatchRunner(workers=args.workers,
-                         cache=ResultCache(args.cache_dir))
+    runner = BatchRunner(workers=args.workers, cache=args.cache_dir)
     result = runner.run(specs)
     print(f"done in {result.stats.elapsed_s:.1f}s "
           f"({result.stats.cache_hits} cached, "

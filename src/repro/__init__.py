@@ -31,7 +31,8 @@ Subpackages:
 * ``repro.net``       — networked receivers (Section 6 future work)
 * ``repro.analysis``  — metrics, sweeps, per-figure experiments
 * ``repro.engine``    — batched, parallel scenario execution with a
-  content-hash result cache and the ``repro-engine`` CLI
+  content-hash result cache (one SQLite database,
+  :class:`SqliteResultCache`) and the ``repro-engine`` CLI
 * ``repro.scenarios`` — composable traffic-scenario families (convoys,
   intersections, weather and light regimes) feeding the engine
 * ``repro.perf``      — the tracked performance harness: timed hot-path
@@ -79,9 +80,9 @@ from .core import (
 )
 from .engine import (
     BatchRunner,
-    ResultCache,
     RunRecord,
     ScenarioSpec,
+    SqliteResultCache,
     expand_grid,
 )
 from .hardware import (
@@ -115,7 +116,7 @@ __all__ = [
     "AdaptiveThresholdDecoder", "CollisionAnalyzer", "DtwClassifier",
     "DualReceiverController", "PassiveLink", "ReceiverPipeline",
     # engine
-    "BatchRunner", "ResultCache", "RunRecord", "ScenarioSpec",
+    "BatchRunner", "RunRecord", "ScenarioSpec", "SqliteResultCache",
     "expand_grid",
     # scenarios
     "ScenarioFamily", "compose", "expand_family", "family_names",

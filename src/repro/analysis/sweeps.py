@@ -155,7 +155,7 @@ def sweep_scenario_family(expr: str, count: int = 100, seed: int = 0,
     The analysis-layer entry to the scenario zoo: any registered family
     expression (``"convoy"``, ``"highway*fog"``) becomes one engine
     batch — parallel across cores by default, cacheable by passing a
-    runner with a :class:`~repro.engine.ResultCache`.
+    runner with a :class:`~repro.engine.SqliteResultCache`.
 
     Args:
         expr: family name or ``*``-composition (see
@@ -217,7 +217,7 @@ def sweep_fusion_gain(n_receivers: tuple[int, ...] = (1, 2, 3, 4, 5),
     replays the *same* passes at every receiver count, so the curve
     isolates the networking effect from scenario sampling noise.  Runs
     as one engine batch — parallel across cores by default, cacheable
-    via a runner with a :class:`~repro.engine.ResultCache`.
+    via a runner with a :class:`~repro.engine.SqliteResultCache`.
 
     Args:
         n_receivers: receiver counts to sweep (1 = the single-receiver

@@ -8,10 +8,9 @@ service-shaped system:
 * :class:`BatchRunner` — executes scenario batches serially or across a
   process pool, with deterministic per-scenario seeds (``workers=N`` is
   byte-identical to ``workers=1``);
-* :class:`ResultCache` / :class:`SqliteResultCache` — content-hash
-  result stores (sharded JSON files, or one WAL-mode SQLite database)
-  behind the :class:`CacheBackend` protocol, so repeated sweeps are
-  near-free; :func:`open_cache` selects by name;
+* :class:`SqliteResultCache` — the content-hash result store (one
+  WAL-mode SQLite database per cache directory), so repeated sweeps
+  are near-free;
 * :mod:`repro.exec` — the named, instrumented pipeline all three
   execution paths (serial, tensor batch, streaming replay) run;
 * :mod:`repro.engine.report` — decode-rate aggregation over records;
@@ -32,13 +31,7 @@ Quickstart::
     print(result.success_rate())
 """
 
-from .cache import (
-    CacheBackend,
-    CacheStats,
-    ResultCache,
-    SqliteResultCache,
-    open_cache,
-)
+from .cache import CacheStats, SqliteResultCache
 from .executor import (
     build_frontend,
     build_network,
@@ -69,14 +62,14 @@ from .spec import GridSpec, ScenarioSpec, SpecIdentity, expand_grid, grid_size
 from .streaming import SessionOutcome, StreamRunResult, run_stream
 
 __all__ = [
-    "BatchResult", "BatchRunner", "CacheBackend", "CacheStats", "GridSpec",
-    "RecordStage", "ResultCache", "RunRecord", "RunStats", "ScenarioSpec",
+    "BatchResult", "BatchRunner", "CacheStats", "GridSpec",
+    "RecordStage", "RunRecord", "RunStats", "ScenarioSpec",
     "SessionOutcome", "SpecIdentity", "SqliteResultCache",
     "StreamRunResult", "available_cpus", "run_stream",
     "build_frontend", "build_network", "build_scene", "build_simulator",
     "execute_scenario", "expand_grid", "fusion_stats", "fusion_table",
     "grid_size", "group_table", "latency_stats", "latency_table",
-    "make_record", "mean_ber", "node_positions", "node_seed", "open_cache",
+    "make_record", "mean_ber", "node_positions", "node_seed",
     "outcome_stage", "run_grid", "stage_counts", "stage_stats",
     "stage_table", "success_rate", "success_rate_by", "summarize",
 ]

@@ -52,7 +52,6 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from ..exec.graph import profiled
-from .cache import CACHE_BACKENDS
 from .records import RecordStage, RunRecord
 from .report import (fusion_table, group_table, latency_table,
                      robustness_table, stage_table, summarize)
@@ -159,13 +158,8 @@ def _load_template(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def _make_runner(args: argparse.Namespace) -> BatchRunner:
-    cache_dir = getattr(args, "cache_dir", None)
-    cache_backend = getattr(args, "cache_backend", None)
-    if cache_backend is not None and not cache_dir:
-        raise ValueError("--cache-backend requires --cache-dir")
     return BatchRunner(workers=getattr(args, "workers", 1) or 1,
-                       cache=cache_dir or None,
-                       cache_backend=cache_backend,
+                       cache=getattr(args, "cache_dir", None) or None,
                        backend=getattr(args, "backend", "process"),
                        scenario_timeout_s=getattr(args, "timeout", None),
                        max_failures=getattr(args, "max_failures", None))
@@ -598,13 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
             # The record cache only serves record-producing commands;
             # offering the flag where it would be a silent no-op
             # (stream captures traces, not records) misleads.
-            p.add_argument("--cache-dir", help="result cache directory")
-            p.add_argument("--cache-backend", choices=CACHE_BACKENDS,
-                           default=None,
-                           help="cache store under --cache-dir: 'disk' "
-                                "(sharded JSON files) or 'sqlite' (one "
-                                "WAL-mode database); default consults "
-                                "REPRO_CACHE_BACKEND, then 'disk'")
+            p.add_argument("--cache-dir",
+                           help="result cache directory (holds one "
+                                "SQLite database, records.sqlite)")
             # Telemetry rides the same gate: record-producing commands
             # are the ones with metrics worth exporting.
             p.add_argument("--telemetry", metavar="DIR",

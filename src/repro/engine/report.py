@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter, defaultdict
+from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -238,15 +239,19 @@ def stage_stats(records: Sequence[RunRecord]) -> dict[str, Any]:
         ``n_profiled`` (records with a trace), ``total_s`` (summed
         stage time across them), ``stages`` (per-stage ``total_s`` /
         ``mean_s`` per profiled record / ``share`` of the total) and
-        ``counters`` (summed stage-trace counters, sorted by name).
+        ``counters`` (stage-trace counter totals, sorted by name; each
+        record adds its :attr:`~repro.exec.StageTrace.shared_by` share,
+        so a fused group counts once).
     """
     traces = [r.stage_trace for r in records if r.stage_trace is not None]
     timings: dict[str, float] = {}
-    counters: Counter[str] = Counter()
+    counters: dict[str, Fraction] = {}
     for trace in traces:
         for name, seconds in trace.timings_s.items():
             timings[name] = timings.get(name, 0.0) + seconds
-        counters.update(trace.counters)
+        for name, value in trace.counters.items():
+            counters[name] = (counters.get(name, Fraction(0))
+                              + Fraction(value, trace.shared_by))
     total = sum(timings.values())
     stages = {
         name: {
@@ -256,8 +261,9 @@ def stage_stats(records: Sequence[RunRecord]) -> dict[str, Any]:
         }
         for name in PIPELINE_STAGES if name in timings
     }
-    return {"n_profiled": len(traces), "total_s": total,
-            "stages": stages, "counters": dict(sorted(counters.items()))}
+    return {"n_profiled": len(traces), "total_s": total, "stages": stages,
+            "counters": {name: int(n) if n.denominator == 1 else float(n)
+                         for name, n in sorted(counters.items())}}
 
 
 def stage_table(records: Sequence[RunRecord]) -> str:

@@ -40,7 +40,7 @@ from ..obs.events import active_events
 from ..obs.export import publish_stage_trace
 from ..obs.registry import (MetricsRegistry, active_registry, telemetry,
                             telemetry_enabled)
-from .cache import CacheBackend, open_cache
+from .cache import SqliteResultCache
 from .executor import error_record, execute_scenario
 from .records import RecordStage, RunRecord
 from .spec import ScenarioSpec, expand_grid
@@ -145,8 +145,8 @@ class RunStats:
     def to_metrics(self, registry: MetricsRegistry) -> None:
         """Fold one batch's accounting into ``registry``.
 
-        The common stats shape (see also ``CacheStats.to_metrics``,
-        ``FaultLog.to_metrics``, ``SessionStats.to_metrics``): counters
+        The common stats shape (see also ``FaultLog.to_metrics``,
+        ``SessionStats.to_metrics``): counters
         for scenario outcomes and recovery actions, one histogram
         sample for the batch wall time.  A :class:`RunStats` describes
         exactly one :meth:`BatchRunner.run` call, so folding each
@@ -228,14 +228,9 @@ class BatchRunner:
     Attributes:
         workers: worker processes; 1 runs everything in-process (no
             pool, no pickling, easiest to debug).
-        cache: optional :class:`CacheBackend` instance, or a cache
-            *directory* (str/Path) opened via :func:`open_cache` with
-            ``cache_backend``; hits skip simulation.
-        cache_backend: backend name (``"disk"``/``"sqlite"``) used when
-            ``cache`` is a directory path; None consults the
-            ``REPRO_CACHE_BACKEND`` environment variable.  Only valid
-            alongside a path — passing it with a ready-made backend
-            instance is a contradiction and raises.
+        cache: optional :class:`SqliteResultCache`, or a cache
+            *directory* (str/Path) to open one in; hits skip
+            simulation.
         backend: what a task runs: ``"process"`` runs each spec
             through :func:`execute_scenario`, ``"tensor"`` fused array
             passes (:func:`repro.tensor.execute_batch`) over the whole
@@ -263,21 +258,15 @@ class BatchRunner:
     BACKENDS = ("process", "tensor")
 
     def __init__(self, workers: int = 1,
-                 cache: CacheBackend | str | Path | None = None,
+                 cache: SqliteResultCache | str | Path | None = None,
                  backend: str = "process",
                  retry_policy: RetryPolicy | None = None,
                  scenario_timeout_s: float | None = None,
-                 max_failures: int | None = None,
-                 cache_backend: str | None = None) -> None:
+                 max_failures: int | None = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if isinstance(cache, (str, Path)):
-            cache = open_cache(cache, cache_backend)
-        elif cache_backend is not None:
-            raise ValueError(
-                "cache_backend selects how a cache *path* is opened; "
-                "pass cache as a directory, or construct the backend "
-                "yourself and drop cache_backend")
+            cache = SqliteResultCache(cache)
         if backend not in self.BACKENDS:
             raise ValueError(
                 f"backend must be one of {self.BACKENDS}, got {backend!r}")
@@ -319,7 +308,7 @@ class BatchRunner:
             pass  # interpreter shutdown: the pool dies with the process
 
     @classmethod
-    def local(cls, cache: CacheBackend | str | Path | None = None,
+    def local(cls, cache: SqliteResultCache | str | Path | None = None,
               ) -> "BatchRunner":
         """A runner with one worker per CPU this process may use."""
         return cls(workers=max(1, available_cpus()), cache=cache)
@@ -607,15 +596,14 @@ def _publish_trace(registry: MetricsRegistry, spec: ScenarioSpec,
                    record: RunRecord) -> None:
     """Fold one fresh record's stage trace into ``registry``, labelled
     ``network`` (a receiver array), ``tensor`` (a fused group's row,
-    which carries the whole group's counters, ``batch_rows`` of them)
-    or ``serial``."""
+    which adds its :attr:`~repro.exec.StageTrace.shared_by` share of
+    the group's counters) or ``serial``."""
     trace = record.stage_trace
     if trace is None:
         return
-    rows = trace.counters.get("batch_rows", 0)
     driver = ("network" if spec.n_receivers > 1
-              else "tensor" if rows else "serial")
-    publish_stage_trace(registry, trace, driver, shared_by=max(1, rows))
+              else "tensor" if "batch_rows" in trace.counters else "serial")
+    publish_stage_trace(registry, trace, driver, shared_by=trace.shared_by)
 
 
 def _sum_fault_events(records: Sequence[RunRecord]) -> dict[str, int]:

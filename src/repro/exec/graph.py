@@ -167,6 +167,15 @@ class StageTrace:
             counters=dict(self.counters))
 
     @property
+    def shared_by(self) -> int:
+        """How many records carry these counters: a fused row carries
+        its group's counters, ``batch_rows`` of them; any other trace
+        is its one record's own.  Whoever totals counters over records
+        adds ``value / shared_by`` per record, which counts each group
+        once."""
+        return max(1, self.counters.get("batch_rows", 0))
+
+    @property
     def total_s(self) -> float:
         return sum(self.timings_s.values())
 

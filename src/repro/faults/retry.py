@@ -1,13 +1,14 @@
 """Reusable retry policy: capped exponential backoff with seeded jitter.
 
 Every resilience seam in the engine — worker-pool recovery in
-:class:`~repro.engine.BatchRunner`, transient-IO retries in
-:class:`~repro.engine.ResultCache` — needs the same three decisions:
-how many attempts, how long to wait between them, and how to jitter the
-waits so colliding retriers de-synchronise.  :class:`RetryPolicy` makes
-those decisions data, and makes the jitter **deterministic**: it is
-drawn from a seeded generator, so a retried batch remains reproducible
-end to end (the determinism contract extends into the failure paths).
+:class:`~repro.engine.BatchRunner`, the first-open and write retries of
+:class:`~repro.engine.SqliteResultCache` on a locked database — needs
+the same three decisions: how many attempts, how long to wait between
+them, and how to jitter the waits so colliding retriers de-synchronise.
+:class:`RetryPolicy` makes those decisions data, and makes the jitter
+**deterministic**: it is drawn from a seeded generator, so a retried
+batch remains reproducible end to end (the determinism contract extends
+into the failure paths).
 """
 
 from __future__ import annotations

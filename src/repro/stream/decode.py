@@ -37,7 +37,6 @@ from ..channel.trace import SignalTrace
 from ..core.decoder import AdaptiveThresholdDecoder, DecodeResult
 from ..core.errors import DecodeError, PreambleNotFoundError
 from ..exec.graph import ExecStage, StageTrace, maybe_stage
-from ..obs.registry import active_registry
 from ..tags.encoding import Symbol
 from .buffer import StreamBuffer
 from .detect import AcquiredPreamble, PreambleDetector
@@ -172,9 +171,6 @@ class StreamDecoder:
         self.n_data_symbols = n_data_symbols
         self.session_id = session_id
         self.stage_trace = stage_trace
-        # Telemetry registry resolved once at construction: the per-push
-        # cost with telemetry off is a single attribute None-check.
-        self._registry = active_registry()
         self.state = StreamState.IDLE
         self.events: list[DecodeEvent] = []
         self.acquired: AcquiredPreamble | None = None
@@ -213,9 +209,6 @@ class StreamDecoder:
         if trace is not None:
             trace.count("stream_chunks")
         arr = np.asarray(chunk, dtype=float)
-        if self._registry is not None:
-            self._registry.counter("stream_chunks_total").inc()
-            self._registry.counter("stream_samples_total").inc(len(arr))
         self.buffer.append(arr)
         with maybe_stage(trace, ExecStage.NORMALIZE):
             self.normalizer.update(arr)

@@ -86,11 +86,12 @@ class SessionStats:
     def to_metrics(self, registry: MetricsRegistry) -> None:
         """Fold one session's accounting into ``registry``.
 
-        The common stats shape: a session-outcome counter,
-        backpressure/error counters, the queue-depth high-water gauge
-        and one busy-time histogram sample.  Chunk/sample throughput is
-        counted by the decoder itself (``stream_chunks_total``), so it
-        is deliberately absent here.  One-shot per session.
+        The common stats shape: a session-outcome counter, the
+        samples ingested, backpressure/error counters, the queue-depth
+        high-water gauge and one busy-time histogram sample.  Chunks
+        are counted on the decoder's stage trace instead
+        (``exec_stage_events_total{event="stream_chunks"}``).  One-shot
+        per session.
         """
         if self.timed_out:
             outcome = "timed_out"
@@ -100,6 +101,7 @@ class SessionStats:
             outcome = "ok"
         registry.counter("stream_sessions_total",
                          {"outcome": outcome}).inc()
+        registry.counter("stream_samples_total").inc(self.n_samples)
         registry.counter("stream_backpressure_waits_total").inc(
             self.backpressure_waits)
         registry.counter("stream_decode_errors_total").inc(

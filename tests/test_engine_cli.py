@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.engine.cli import main
 
 FAST_SETS = ["--set", "source=sun", "--set", "detector=led",
@@ -244,6 +242,14 @@ class TestSweepProfile:
         assert "stage timings over 2 profiled record(s)" in text
         assert "simulate" in text and "decide" in text
 
+    def test_tensor_profile_counts_fused_rows_once(self, capsys):
+        # Two optics groups of two rows, each on its own pool task: every
+        # row carries its group's counters, which the table counts once.
+        assert main(["sweep", *FAST_SETS, "--axis", "ground_lux=450,100",
+                     "--axis", "seed=2,3", "--backend", "tensor",
+                     "--workers", "2", "--profile"]) == 0
+        assert "batch_rows=4" in capsys.readouterr().out
+
     def test_profile_state_restored_after_sweep(self, capsys):
         from repro.obs import telemetry_enabled
 
@@ -260,22 +266,15 @@ class TestSweepProfile:
 
 class TestCacheBackendFlag:
     def test_sqlite_backend_caches_sweeps(self, tmp_path, capsys):
+        # SQLite is the one store: --cache-dir alone selects it.
         cache_dir = tmp_path / "cache"
         argv = ["sweep", *FAST_SETS, "--set", "ground_lux=450",
-                "--axis", "seed=2,3", "--cache-dir", str(cache_dir),
-                "--cache-backend", "sqlite"]
+                "--axis", "seed=2,3", "--cache-dir", str(cache_dir)]
         assert main(argv) == 0
+        # The cache directory holds one SQLite database (plus its WAL).
+        assert {p.name for p in cache_dir.iterdir()} <= {
+            "records.sqlite", "records.sqlite-wal", "records.sqlite-shm"}
         assert (cache_dir / "records.sqlite").exists()
         capsys.readouterr()
         assert main(argv) == 0
         assert "2 cached [100%], 0 simulated" in capsys.readouterr().out
-
-    def test_backend_requires_cache_dir(self, capsys):
-        assert main(["sweep", *FAST_SETS, "--set", "ground_lux=450",
-                     "--axis", "seed=2", "--cache-backend", "sqlite"]) == 2
-        assert "--cache-dir" in capsys.readouterr().err
-
-    def test_unknown_backend_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", *FAST_SETS, "--cache-dir", "/tmp/x",
-                  "--cache-backend", "redis"])

@@ -69,6 +69,35 @@ class TestStageStats:
         assert stats["stages"]["decide"]["share"] == 0.75
         assert stats["counters"] == {"rows": 2}
 
+    def test_fused_rows_count_their_group_once(self):
+        # Every row of a fused group carries the group's counters.
+        group = make_trace(batch_rows=3, acquire_checks=7)
+        records = [make_record(trace=group) for _ in range(3)]
+        records.append(make_record(trace=make_trace(acquire_checks=2)))
+        assert stage_stats(records)["counters"] == {
+            "acquire_checks": 9, "batch_rows": 3}
+        # A partial group keeps its share.
+        assert stage_stats(records[:1])["counters"] == {
+            "acquire_checks": 7 / 3, "batch_rows": 1}
+
+    def test_fused_outdoor_grid_counts_each_row_once(self):
+        from repro.engine import ScenarioSpec, expand_grid
+        from repro.exec import profiled
+        from repro.tensor.batch import execute_batch
+
+        template = ScenarioSpec(
+            source="sun", detector="led", cap=False, ground="tarmac",
+            bits="00", symbol_width_m=0.1, speed_mps=5.0,
+            receiver_height_m=0.25, start_position_m=-1.5,
+            sample_rate_hz=2000.0)
+        specs = expand_grid(template, {"ground_lux": [450.0, 100.0],
+                                       "seed": [2, 3]})
+        with profiled():
+            records = execute_batch(specs)
+        traces = [r.stage_trace for r in records]
+        assert [t.counters["batch_rows"] for t in traces] == [2, 2, 2, 2]
+        assert stage_stats(records)["counters"]["batch_rows"] == 4
+
     def test_stages_in_pipeline_order(self):
         trace = StageTrace()
         trace.add(ExecStage.DECIDE, 1.0)

@@ -18,8 +18,8 @@ import pytest
 import repro.engine.runner as runner_mod
 from repro.engine import (
     BatchRunner,
-    ResultCache,
     ScenarioSpec,
+    SqliteResultCache,
     execute_scenario,
     expand_grid,
     run_grid,
@@ -103,7 +103,7 @@ class TestDeterminism:
 class TestCaching:
     def test_second_pass_hits_cache_for_every_scenario(self, tmp_path):
         specs = expand_grid(FAST, GRID)
-        cache = ResultCache(tmp_path)
+        cache = SqliteResultCache(tmp_path)
         first = BatchRunner(cache=cache).run(specs)
         assert first.stats.executed == len(specs)
         assert first.stats.cache_hits == 0
@@ -116,7 +116,7 @@ class TestCaching:
     def test_zero_simulator_invocations_on_second_pass(self, tmp_path,
                                                        monkeypatch):
         specs = expand_grid(FAST, {"seed": [2, 3]})
-        cache = ResultCache(tmp_path)
+        cache = SqliteResultCache(tmp_path)
         BatchRunner(cache=cache).run(specs)
 
         def explode(spec):
@@ -129,7 +129,7 @@ class TestCaching:
         assert all(r.success for r in result.records)
 
     def test_spec_change_invalidates(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SqliteResultCache(tmp_path)
         BatchRunner(cache=cache).run([FAST.replace(seed=2)])
         result = BatchRunner(cache=cache).run(
             [FAST.replace(seed=2, receiver_height_m=0.26)])
@@ -138,7 +138,7 @@ class TestCaching:
 
     def test_shared_cache_across_worker_counts(self, tmp_path):
         specs = expand_grid(FAST, GRID)
-        cache = ResultCache(tmp_path)
+        cache = SqliteResultCache(tmp_path)
         BatchRunner(workers=3, cache=cache).run(specs)
         second = BatchRunner(workers=1, cache=cache).run(specs)
         assert second.stats.executed == 0

@@ -209,11 +209,9 @@ class TestTensorParity:
 
 
 class TestRunnerParity:
-    @pytest.mark.parametrize("backend", ["disk", "sqlite"])
-    def test_serial_runner_with_cache(self, tmp_path, backend):
+    def test_serial_runner_with_cache(self, tmp_path):
         subset = [SPECS[i] for i in REPRESENTATIVES]
-        with BatchRunner(cache=tmp_path / "cache",
-                         cache_backend=backend) as runner:
+        with BatchRunner(cache=tmp_path / "cache") as runner:
             cold = runner.run(subset)
             warm = runner.run(subset)
         assert warm.stats.cache_hits == len(subset)
@@ -223,8 +221,7 @@ class TestRunnerParity:
 
     def test_pool_workers_match_golden(self, tmp_path):
         subset = [SPECS[i] for i in REPRESENTATIVES]
-        with BatchRunner(workers=4, cache=tmp_path / "cache",
-                         cache_backend="sqlite") as runner:
+        with BatchRunner(workers=4, cache=tmp_path / "cache") as runner:
             result = runner.run(subset)
         for i, record in zip(REPRESENTATIVES, result.records):
             assert record_sha(record) == expect(i), f"record {i}"

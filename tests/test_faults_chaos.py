@@ -58,9 +58,9 @@ class TestSweep:
         assert "chaos frontier" in text
 
     def test_shared_cached_runner_reuses_records(self, tmp_path):
-        from repro.engine.cache import ResultCache
+        from repro.engine.cache import SqliteResultCache
 
-        runner = BatchRunner(cache=ResultCache(tmp_path))
+        runner = BatchRunner(cache=SqliteResultCache(tmp_path))
         sweep_fault_intensity(make_specs(2), PLAN, [0.0, 1.0], runner)
         before = runner.cache.stats.hits
         sweep_fault_intensity(make_specs(2), PLAN, [0.0, 1.0], runner)

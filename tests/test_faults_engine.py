@@ -93,13 +93,13 @@ class TestFaultedDeterminism:
     def test_cache_cold_vs_warm_byte_identical(self, plan, seed):
         import tempfile
 
-        from repro.engine.cache import ResultCache
+        from repro.engine.cache import SqliteResultCache
 
         specs = [FAST.replace(seed=seed + k, fault_plan=plan)
                  for k in range(3)]
         with tempfile.TemporaryDirectory() as root:
-            cold = BatchRunner(cache=ResultCache(root)).run(specs)
-            warm_runner = BatchRunner(cache=ResultCache(root))
+            cold = BatchRunner(cache=SqliteResultCache(root)).run(specs)
+            warm_runner = BatchRunner(cache=SqliteResultCache(root))
             warm = warm_runner.run(specs)
             assert warm_runner.cache.stats.hits == len(specs)
         assert canon(cold.records) == canon(warm.records)

@@ -89,16 +89,16 @@ class TestScenarioTimeout:
             BatchRunner(workers=1).run(specs).records)
 
     def test_timeout_records_never_cached(self, tmp_path):
-        from repro.engine.cache import ResultCache
+        from repro.engine.cache import SqliteResultCache
 
         with BatchRunner(workers=1, scenario_timeout_s=1.0,
-                         cache=ResultCache(tmp_path)) as runner:
+                         cache=SqliteResultCache(tmp_path)) as runner:
             first = runner.run([STUCK])
         assert first.records[0].stage == "executor_error"
         # A second runner must re-execute (and time out again), not
         # replay the synthesized failure from the cache.
         with BatchRunner(workers=1, scenario_timeout_s=1.0,
-                         cache=ResultCache(tmp_path)) as runner:
+                         cache=SqliteResultCache(tmp_path)) as runner:
             second = runner.run([STUCK])
         assert runner.cache.stats.hits == 0
         assert second.records[0].stage == "executor_error"

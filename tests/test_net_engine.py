@@ -16,9 +16,9 @@ import pytest
 from repro.analysis.sweeps import sweep_fusion_gain
 from repro.engine import (
     BatchRunner,
-    ResultCache,
     RunRecord,
     ScenarioSpec,
+    SqliteResultCache,
     build_network,
     execute_scenario,
     fusion_stats,
@@ -340,7 +340,7 @@ class TestNetworkedDeterminism:
 
     def test_cache_cold_vs_warm_byte_identical(self, tmp_path):
         specs = self._specs()
-        cache = ResultCache(tmp_path)
+        cache = SqliteResultCache(tmp_path)
         runner = BatchRunner(cache=cache)
         cold = runner.run(specs)
         warm = runner.run(specs)

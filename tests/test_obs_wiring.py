@@ -13,13 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro.obs.registry as registry_mod
-from repro.engine import (
-    BatchRunner,
-    ResultCache,
-    ScenarioSpec,
-    SqliteResultCache,
-)
-from repro.engine.cache import CacheStats
+from repro.engine import BatchRunner, ScenarioSpec, SqliteResultCache
 from repro.engine.executor import execute_scenario
 from repro.engine.runner import RunStats
 from repro.faults.inject import FaultLog
@@ -34,7 +28,7 @@ from repro.obs import (
 )
 from repro.stream.session import SessionStats
 
-from tests.test_engine_cache_backends import make_record
+from tests.test_engine_cache import make_record
 from tests.test_exec_parity import NETWORK_FAILURE, SERIAL_FAILURE
 
 GOLDEN_PATH = Path(__file__).parent / "baselines" / "stage_parity.json"
@@ -84,19 +78,6 @@ class TestToMetricsCommonShape:
                              {"kind": "chunks_dropped"}) == 4
         assert reg.histogram("engine_batch_seconds", by).count == 1
 
-    def test_cache_stats(self):
-        reg = MetricsRegistry()
-        stats = CacheStats(hits=3, misses=2, writes=2, write_retries=1)
-        stats.to_metrics(reg, backend="sqlite")
-        assert counter_value(reg, "cache_lookups_total",
-                             {"backend": "sqlite", "result": "hit"}) == 3
-        assert counter_value(reg, "cache_lookups_total",
-                             {"backend": "sqlite", "result": "miss"}) == 2
-        assert counter_value(reg, "cache_writes_total",
-                             {"backend": "sqlite"}) == 2
-        assert counter_value(reg, "cache_write_retries_total",
-                             {"backend": "sqlite"}) == 1
-
     def test_fault_log(self):
         reg = MetricsRegistry()
         log = FaultLog(chunks_dropped=2, noise_bursts=1)
@@ -118,6 +99,7 @@ class TestToMetricsCommonShape:
                      decode_errors=1).to_metrics(reg)
         assert counter_value(reg, "stream_sessions_total",
                              {"outcome": "poisoned"}) == 1
+        assert counter_value(reg, "stream_samples_total") == 100
         assert counter_value(reg, "stream_backpressure_waits_total") == 1
         assert reg.gauge("stream_queue_depth_peak").value == 3
         assert reg.histogram("stream_session_busy_seconds").count == 1
@@ -127,30 +109,33 @@ class TestToMetricsCommonShape:
 
 
 class TestCacheWiring:
-    @pytest.mark.parametrize("cls,backend", [(ResultCache, "disk"),
-                                             (SqliteResultCache, "sqlite")])
-    def test_lookups_and_writes_instrumented(self, tmp_path, cls, backend):
+    def test_lookups_and_writes_instrumented(self, tmp_path):
         with telemetry_session() as (reg, events):
-            cache = cls(tmp_path)
+            cache = SqliteResultCache(tmp_path)
             record = make_record()
             assert cache.get(record.spec_hash) is None
             cache.put(record)
             assert cache.get(record.spec_hash) is not None
+            cache.close()
             assert counter_value(reg, "cache_lookups_total",
-                                 {"backend": backend,
-                                  "result": "miss"}) == 1
+                                 {"result": "miss"}) == 1
             assert counter_value(reg, "cache_lookups_total",
-                                 {"backend": backend, "result": "hit"}) == 1
-            assert counter_value(reg, "cache_writes_total",
-                                 {"backend": backend}) == 1
-            kinds = [e.kind for e in events.events]
-            assert kinds == ["cache_miss", "cache_hit"]
-            assert events.events[0].fields["backend"] == backend
+                                 {"result": "hit"}) == 1
+            assert counter_value(reg, "cache_writes_total") == 1
+            cache_series = {(c["name"], tuple(c["labels"]))
+                            for c in reg.snapshot()["counters"]
+                            if c["name"].startswith("cache_")}
+            assert cache_series == {("cache_lookups_total", ("result",)),
+                                    ("cache_writes_total", ())}
+            assert [(e.kind, e.fields) for e in events.events] == [
+                ("cache_miss", {"key": record.spec_hash}),
+                ("cache_hit", {"key": record.spec_hash})]
 
     def test_disabled_path_records_nothing(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SqliteResultCache(tmp_path)
         cache.put(make_record())
         assert cache.get(make_record().spec_hash) is not None
+        cache.close()
         # Only the plain stats counters moved; no registry existed.
         assert cache.stats.hits == 1
 
@@ -213,8 +198,7 @@ class TestRunnerWiring:
             assert ends[1].fields["cached"] == len(subset)
             # Incremental cache instrumentation rode along.
             assert counter_value(reg, "cache_lookups_total",
-                                 {"backend": runner.cache.backend_name,
-                                  "result": "hit"}) == len(subset)
+                                 {"result": "hit"}) == len(subset)
 
 
 class TestPooledTelemetry:
@@ -229,12 +213,10 @@ class TestPooledTelemetry:
     @staticmethod
     def untimed(snapshot):
         """The snapshot without seconds (histogram sums and bucket
-        counts) and without the per-chunk ``stream_*`` counters, which
-        a streamed spec raises in the process that runs it."""
+        counts)."""
         return {group: [{k: v for k, v in series.items()
                          if k not in ("sum", "counts")}
-                        for series in entries
-                        if not series["name"].startswith("stream_")]
+                        for series in entries]
                 for group, entries in snapshot.items()}
 
     @pytest.mark.parametrize("backend", ["process", "tensor"])
@@ -310,7 +292,13 @@ class TestStreamWiring:
             assert mux.session("s0").verdict().bits == "10"
             assert counter_value(reg, "stream_sessions_total",
                                  {"outcome": "ok"}) == 1
-            assert counter_value(reg, "stream_chunks_total") > 0
+            chunks = mux.session("s0").stats.n_chunks
+            assert chunks > 0
+            assert counter_value(reg, "exec_stage_events_total",
+                                 {"event": "stream_chunks",
+                                  "driver": "stream"}) == chunks
+            assert counter_value(reg, "stream_samples_total") == len(
+                trace.samples)
             assert reg.histogram("stream_session_busy_seconds").count == 1
 
 

@@ -23,7 +23,7 @@ from repro.core.decoder import (
 )
 from repro.dsp.filters import moving_average
 from repro.dsp.peaks import Extremum
-from repro.engine.cache import ResultCache
+from repro.engine.cache import SqliteResultCache
 from repro.engine.executor import execute_scenario
 from repro.engine.runner import BatchRunner
 from repro.engine.spec import ScenarioSpec, expand_grid
@@ -227,7 +227,7 @@ class TestRunnerIntegration:
 
     def test_float64_shares_cache_with_serial(self, tmp_path):
         specs = expand_grid(FAST, {"seed": [2, 3]})
-        cache = ResultCache(tmp_path / "cache")
+        cache = SqliteResultCache(tmp_path / "cache")
         BatchRunner(backend="tensor", cache=cache).run(specs)
         # A serial runner over the same specs answers from cache.
         result = BatchRunner(workers=1, cache=cache).run(specs)
