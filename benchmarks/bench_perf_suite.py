@@ -1,22 +1,28 @@
-"""Perf-suite acceptance: the vectorized hot paths actually pay off.
+"""Performance acceptance: the vectorized DTW pays off, and
+``repro-engine bench`` runs the repository benchmark end to end.
 
 Unlike the ``bench_figXX`` files (which reproduce paper figures), this
 bench pins this repo's *performance* claims:
 
 * the wavefront DTW kernel is >= 10x faster than the pure-Python loop
-  on the acceptance workload (two 2000-sample banded traces) while
-  returning bit-identical results;
-* the full perf suite runs end to end and reports every tracked
-  workload.
+  on two 2000-sample banded traces while returning bit-identical
+  results;
+* ``repro-engine bench --quick --workload live_sessions`` runs the real
+  ``perfbench/run.py`` child processes and reports a correct run with
+  every ``BENCHMARK.json`` end-to-end metric.
 
 Gated behind ``--run-slow`` like every other bench.
 """
 
+import json
 import time
+from pathlib import Path
 
+import numpy as np
+
+from repro import perf
 from repro.dsp.dtw import dtw
-from repro.perf import default_workloads, run_suite
-from repro.perf.suite import _dtw_signals
+from repro.engine.cli import main as cli_main
 
 
 def _best_of(fn, repeats=3):
@@ -29,8 +35,10 @@ def _best_of(fn, repeats=3):
 
 
 def test_banded_dtw_speedup_at_least_10x():
-    # The exact signals the tracked dtw_banded workload times.
-    a, b = _dtw_signals(quick=False)
+    rng = np.random.default_rng(42)
+    t = np.linspace(0.0, 30.0, 2000)
+    a = np.sin(t) + 0.1 * rng.normal(size=t.size)
+    b = np.sin(t * 1.05) + 0.1 * rng.normal(size=t.size)
     t_ref, ref = _best_of(lambda: dtw(a, b, implementation="reference"),
                           repeats=1)
     t_vec, vec = _best_of(lambda: dtw(a, b, implementation="vectorized"))
@@ -43,10 +51,16 @@ def test_banded_dtw_speedup_at_least_10x():
         f"wavefront kernel only {speedup:.1f}x faster than the loop")
 
 
-def test_quick_suite_covers_all_tracked_workloads():
-    report = run_suite(quick=True, repeats=1)
-    measured = {t.name for t in report.results}
-    assert measured == {w.name for w in default_workloads()}
-    for timing in report.results:
-        assert timing.median_s > 0.0
-        assert timing.stddev_s >= 0.0
+def test_bench_runs_live_sessions_end_to_end(tmp_path):
+    out = tmp_path / "BENCH_perf.json"
+    code = cli_main(["bench", "--quick", "--workload", "live_sessions",
+                     "--out", str(out),
+                     "--baseline", str(tmp_path / "no-baseline.json")])
+    assert code == 0
+    report = perf.load_report(out)
+    run = report["workloads"]["live_sessions"]
+    assert run["returncode"] == 0 and run["correct"] is True
+    benchmark = json.loads(
+        (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    for metric in benchmark["end_to_end"]:
+        assert run["metrics"][metric["name"]]["value"] > 0.0

@@ -35,9 +35,10 @@ Subpackages:
   :class:`SqliteResultCache`) and the ``repro-engine`` CLI
 * ``repro.scenarios`` — composable traffic-scenario families (convoys,
   intersections, weather and light regimes) feeding the engine
-* ``repro.perf``      — the tracked performance harness: timed hot-path
-  workloads, ``BENCH_perf.json`` artifacts, baseline regression gating
-  (``repro-engine bench``)
+* ``repro.perf``      — ``repro-engine bench``: runs the repository
+  benchmark (``perfbench/``, ``BENCHMARK.json``) of a source checkout,
+  writes ``BENCH_perf.json`` and gates it against the committed
+  baseline with the benchmark's bounds
 * ``repro.stream``    — the online streaming-decode runtime: chunked
   ingestion, incremental acquisition, latency-stamped decode events
   and the concurrent multi-receiver session layer

@@ -137,26 +137,6 @@ def indoor_capture(bits: str, symbol_width_m: float, height_m: float,
     return sim.capture_pass(), packet
 
 
-def outdoor_tag_capture(bits: str, noise_floor_lux: float, height_m: float,
-                        receiver: ReceiverFrontEnd,
-                        symbol_width_m: float = CAR_SYMBOL_WIDTH_M,
-                        speed_mps: float = CAR_SPEED_MPS,
-                        seed: int = 3) -> tuple[SignalTrace, Packet]:
-    """A bare tag passing outdoors (no car body)."""
-    packet = Packet.from_bitstring(bits, symbol_width_m=symbol_width_m)
-    tag = TagSurface.from_packet(packet)
-    receiver.seed = seed
-    scene = PassiveScene(
-        source=Sun(ground_lux=noise_floor_lux),
-        receiver_height_m=height_m, ground=TARMAC,
-        objects=[MovingObject(tag, ConstantSpeed(speed_mps, -1.5), "tag")])
-    sim = ChannelSimulator(scene, receiver,
-                           SimulatorConfig(
-                               sample_rate_hz=OUTDOOR_SAMPLE_RATE_HZ,
-                               seed=seed))
-    return sim.capture_pass(), packet
-
-
 def outdoor_car_capture(bits: str | None, noise_floor_lux: float,
                         height_m: float, receiver: ReceiverFrontEnd,
                         car=None, seed: int = 3) -> tuple[SignalTrace, Packet | None]:
@@ -197,8 +177,8 @@ def outdoor_tag_spec(bits: str, noise_floor_lux: float,
                      height_m: float) -> ScenarioSpec:
     """Engine spec for a bare tag passing outdoors under the RX-LED.
 
-    Matches :func:`outdoor_tag_capture` + the adaptive decoder exactly
-    (same sun, tarmac, 18 km/h pass from -1.5 m, 2 kS/s).
+    A sun-lit tarmac scene, an 18 km/h pass from -1.5 m, sampled at
+    2 kS/s and decoded by the adaptive decoder.
     """
     return ScenarioSpec(
         bits=bits,

@@ -18,6 +18,10 @@ batches of one.
 Any spec change — a different seed, a nudged height, a new decoder —
 changes the content hash and therefore misses the cache; stale entries
 are never returned, only orphaned (and reclaimable via ``clear``).
+
+Records are stored without their stage trace, and a trace found in an
+older payload is dropped on read: a hit did no work, so it carries no
+stage timings.
 """
 
 from __future__ import annotations
@@ -58,11 +62,21 @@ class CacheStats:
 
 
 def _parse(payload: str) -> RunRecord | None:
-    """A stored payload as a record, or None when it does not parse."""
+    """A stored payload as a record without a stage trace, or None when
+    it does not parse."""
     try:
-        return RunRecord.from_dict(json.loads(payload))
+        record = RunRecord.from_dict(json.loads(payload))
     except (ValueError, TypeError):
         return None
+    record.stage_trace = None
+    return record
+
+
+def _payload(record: RunRecord) -> str:
+    """A record's stored JSON: its timed dict without the stage trace."""
+    data = record.to_dict()
+    data.pop("stage_trace", None)
+    return json.dumps(data)
 
 
 class SqliteResultCache:
@@ -178,8 +192,7 @@ class SqliteResultCache:
         A persistent error propagates as the last attempt's original
         exception once the budget is spent, with nothing written.
         """
-        rows = [(record.spec_hash, json.dumps(record.to_dict()))
-                for record in records]
+        rows = [(record.spec_hash, _payload(record)) for record in records]
         if not rows:
             return
         policy = self.retry_policy

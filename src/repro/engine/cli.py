@@ -331,70 +331,55 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bench_baseline(path: Path, quick: bool) -> dict | None:
+    """The baseline a run of this mode is compared with, if any."""
+    from ..perf import load_report
+
+    if not path.exists():
+        print(f"no baseline at {path}; skipping comparison "
+              "(create one with --update-baseline)")
+        return None
+    baseline = load_report(path)
+    if baseline["quick"] != quick:
+        mode = "quick" if baseline["quick"] else "full"
+        print(f"baseline at {path} is a {mode} run and this one is not; "
+              "skipping comparison")
+        return None
+    return baseline
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from ..analysis.reporting import format_table
-    from ..perf import (
-        compare_reports,
-        default_baseline_path,
-        default_workloads,
-        format_comparisons,
-        format_stage_medians,
-        load_report,
-        run_suite,
-        save_report,
-    )
+    """Run the ``BENCHMARK.json`` workloads and gate them (repro.perf)."""
+    from .. import perf
 
-    if args.list:
-        print(format_table(
-            ["workload", "kind", "description"],
-            [(w.name, w.kind, w.description) for w in default_workloads()]))
-        return 0
-
-    report = run_suite(quick=args.quick, names=args.workload,
-                       repeats=args.repeats, profile=args.profile)
-    print(format_table(
-        ["workload", "kind", "median ms", "stddev ms", "repeats"],
-        [(r.name, r.kind, f"{r.median_s * 1e3:.2f}",
-          f"{r.stddev_s * 1e3:.2f}", r.repeats)
-         for r in report.results]))
-    if args.profile:
-        stage_table = format_stage_medians(report)
-        if stage_table:
-            print("\nstage medians (profiled passes):")
-            print(stage_table)
-    out_path = save_report(report, args.out)
-    print(f"perf report written to {out_path}")
+    root = perf.checkout_root()
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in benchmark["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(known))
+    if unknown:
+        raise ValueError(f"unknown workload(s) {unknown}; BENCHMARK.json "
+                         f"has {known}")
+    report = perf.run_bench(root, benchmark, args.workload or known,
+                            args.quick)
+    print(f"bench report written to {perf.save_report(report, args.out)}")
 
     baseline_path = (Path(args.baseline) if args.baseline
-                     else default_baseline_path())
-    if args.update_baseline:
-        save_report(report, baseline_path)
-        print(f"baseline updated at {baseline_path}")
-        return 0
-    if not baseline_path.exists():
-        print(f"no baseline at {baseline_path}; skipping comparison "
-              "(create one with --update-baseline)")
-        return 0
-    baseline = load_report(baseline_path)
-    if baseline.quick != report.quick:
-        def mode(quick: bool) -> str:
-            return "quick" if quick else "full"
-
-        print(f"baseline at {baseline_path} was recorded in "
-              f"{mode(baseline.quick)} mode, this run in "
-              f"{mode(report.quick)} mode; skipping comparison")
-        return 0
-    # When benchmarking a subset, only require those workloads to be
-    # present; a full run must cover every baseline workload.
-    comparisons = compare_reports(report, baseline,
-                                  tolerance=args.tolerance,
-                                  names=args.workload)
-    print(format_comparisons(comparisons, args.tolerance))
-    regressions = [c for c in comparisons if c.regressed]
-    if regressions:
-        names = ", ".join(c.name for c in regressions)
-        print(f"PERF REGRESSION: {names}", file=sys.stderr)
+                     else perf.default_baseline_path())
+    baseline = (None if args.update_baseline
+                else _bench_baseline(baseline_path, args.quick))
+    comparisons = perf.compare_reports(report, baseline, benchmark,
+                                       names=args.workload)
+    if comparisons:
+        print(perf.format_comparisons(comparisons, benchmark))
+    failed = [c for c in comparisons if c.verdict != "ok"]
+    if failed:
+        print("BENCH GATE FAILED: " + ", ".join(
+            f"{c.workload}:{c.metric} {c.verdict}" for c in failed),
+            file=sys.stderr)
         return 1
+    if args.update_baseline:
+        perf.save_report(report, baseline_path)
+        print(f"baseline updated at {baseline_path}")
     return 0
 
 
@@ -739,34 +724,33 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: 1, serial)")
     stream_p.set_defaults(func=_cmd_stream)
 
+    from ..perf import QUICK_SECONDS, RUNS
+
     bench_p = sub.add_parser(
-        "bench", help="run the tracked performance suite (repro.perf)")
+        "bench",
+        help="run the repository benchmark (BENCHMARK.json, perfbench/) "
+             "and gate it against the committed baseline (repro.perf)",
+        description=f"Runs each BENCHMARK.json workload {RUNS} times "
+                    "through perfbench/run.py, keeps each metric's "
+                    "median and gates it against the committed baseline "
+                    "with the benchmark's bounds.")
     bench_p.add_argument("--quick", action="store_true",
-                         help="small inputs / fewer repeats (CI mode)")
+                         help=f"{QUICK_SECONDS:g} s per run instead "
+                              "of BENCHMARK.json's run_seconds (CI mode)")
+    bench_p.add_argument("--workload", action="append", metavar="NAME",
+                         help="run only this BENCHMARK.json workload "
+                              "(repeatable)")
     bench_p.add_argument("--out", default="BENCH_perf.json",
-                         help="where to write the machine-readable "
-                              "report (default: BENCH_perf.json)")
+                         help="where to write the runs "
+                              "(default: BENCH_perf.json)")
     bench_p.add_argument("--baseline",
                          help="baseline report to compare against "
                               "(default: benchmarks/baselines/"
-                              "BENCH_perf_baseline.json)")
-    bench_p.add_argument("--tolerance", type=float, default=0.25,
-                         help="allowed median slowdown vs the baseline "
-                              "(default: 0.25 = +25%%)")
+                              "BENCH_perf_baseline.json of the checkout)")
     bench_p.add_argument("--update-baseline", action="store_true",
-                         help="write this run as the new baseline "
-                              "instead of comparing")
-    bench_p.add_argument("--workload", action="append", metavar="NAME",
-                         help="run only the named workload (repeatable)")
-    bench_p.add_argument("--repeats", type=int,
-                         help="override every workload's repeat count")
-    bench_p.add_argument("--list", action="store_true",
-                         help="list the tracked workloads and exit")
-    bench_p.add_argument("--profile", action="store_true",
-                         help="also record per-stage medians "
-                              "(stage_<name>_s extras) from extra "
-                              "profiled passes; gated metrics are "
-                              "timed unprofiled and unaffected")
+                         help="write this report as the new baseline "
+                              "instead of comparing (refused when a run "
+                              "fails)")
     bench_p.set_defaults(func=_cmd_bench)
     return parser
 

@@ -63,8 +63,8 @@ from .spec import ScenarioSpec, SpecIdentity, derive_seed
 
 __all__ = ["build_scene", "build_decoder", "build_frontend",
            "build_simulator", "build_network", "capture_trace",
-           "error_record", "execute_scenario", "node_positions",
-           "node_seed"]
+           "error_record", "execute_scenario", "inject_faults",
+           "node_positions", "node_seed"]
 
 
 _CAR_FACTORIES = {"volvo_v40": volvo_v40, "bmw_3_series": bmw_3_series}
@@ -393,6 +393,41 @@ def _execute_networked(spec: ScenarioSpec, ident: SpecIdentity,
     )
 
 
+def inject_faults(spec: ScenarioSpec, trace, chunk_size: int,
+                  profile: StageTrace | None = None):
+    """Apply a single-receiver spec's fault plan to its captured pass.
+
+    Signal faults corrupt the trace; with ``chunk_size > 0``, stream
+    faults then corrupt its chunk transport.  The one fault path of a
+    streamed spec, offline (:func:`execute_scenario`) and live
+    (:func:`repro.engine.run_stream`), so both see the same feed.
+
+    Returns ``(trace, chunks, log)``: the (possibly corrupted) trace,
+    the perturbed chunk list when stream faults ran (else None) and
+    the :class:`~repro.faults.FaultLog`.  No plan: the trace comes
+    back untouched.
+    """
+    log = FaultLog()
+    chunks = None
+    plan = spec.fault_plan
+    if plan is not None and plan.signals:
+        with maybe_stage(profile, ExecStage.INJECT_FAULTS):
+            trace, sig_log = apply_signal_faults(
+                trace, plan, fault_rng("signal", spec.seed, plan))
+            log.merge(sig_log)
+    if chunk_size > 0 and plan is not None and plan.streams:
+        from ..stream.replay import iter_chunks
+
+        # Corrupt the chunk transport last: the verdict then describes
+        # the corrupted stream, by design.
+        with maybe_stage(profile, ExecStage.INJECT_FAULTS):
+            chunks, chunk_log = perturb_chunks(
+                list(iter_chunks(trace.samples, chunk_size)),
+                plan, fault_rng("stream", spec.seed, plan))
+            log.merge(chunk_log)
+    return trace, chunks, log
+
+
 def execute_scenario(spec: ScenarioSpec) -> RunRecord:
     """Run one scenario end to end and record the outcome.
 
@@ -440,12 +475,8 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
     # Fault injection and decode run *outside* the containment
     # boundary: their failures are verdicts (or bugs), not per-grid-
     # point simulation hazards.
-    fault_log = FaultLog()
-    if plan is not None and plan.signals:
-        with maybe_stage(profile, ExecStage.INJECT_FAULTS):
-            trace, sig_log = apply_signal_faults(
-                trace, plan, fault_rng("signal", spec.seed, plan))
-            fault_log.merge(sig_log)
+    trace, chunks, fault_log = inject_faults(spec, trace, spec.stream_chunk,
+                                             profile)
     decoded = ""
     stream_fields: dict = {}
     if spec.stream_chunk > 0:
@@ -454,17 +485,8 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
         # verdict is byte-identical to the offline decode, so streaming
         # adds the latency telemetry, nothing else.  The runtime times
         # its own normalize/acquire/decide interior per pushed chunk.
-        from ..stream.replay import iter_chunks, replay_trace
+        from ..stream.replay import replay_trace
 
-        chunks = None
-        if plan is not None and plan.streams:
-            # Corrupt the chunk transport first: the verdict then
-            # describes the corrupted stream, by design.
-            with maybe_stage(profile, ExecStage.INJECT_FAULTS):
-                chunks, chunk_log = perturb_chunks(
-                    list(iter_chunks(trace.samples, spec.stream_chunk)),
-                    plan, fault_rng("stream", spec.seed, plan))
-                fault_log.merge(chunk_log)
         replay = replay_trace(trace, spec.stream_chunk,
                               n_data_symbols=n_data_symbols,
                               decoder=build_decoder(spec), chunks=chunks,

@@ -229,8 +229,8 @@ class BatchRunner:
         workers: worker processes; 1 runs everything in-process (no
             pool, no pickling, easiest to debug).
         cache: optional :class:`SqliteResultCache`, or a cache
-            *directory* (str/Path) to open one in; hits skip
-            simulation.
+            *directory* (str/Path) to open one in, which :meth:`close`
+            closes; hits skip simulation.
         backend: what a task runs: ``"process"`` runs each spec
             through :func:`execute_scenario`, ``"tensor"`` fused array
             passes (:func:`repro.tensor.execute_batch`) over the whole
@@ -265,7 +265,9 @@ class BatchRunner:
                  max_failures: int | None = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if isinstance(cache, (str, Path)):
+        # A store opened here from a path is this runner's to close.
+        self._owns_cache = isinstance(cache, (str, Path))
+        if self._owns_cache:
             cache = SqliteResultCache(cache)
         if backend not in self.BACKENDS:
             raise ValueError(
@@ -283,6 +285,7 @@ class BatchRunner:
         self.scenario_timeout_s = scenario_timeout_s
         self.max_failures = max_failures
         self._pool: ProcessPoolExecutor | None = None
+        self._cache_closed = False
         self._pool_restarts = 0
         self._serial_fallback = False
         self._timeouts = 0
@@ -290,10 +293,16 @@ class BatchRunner:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the persistent worker pool down (idempotent)."""
+        """Shut the persistent worker pool down and close a cache the
+        runner opened from a path (idempotent).  A cache passed in as a
+        store stays open: its owner closes it.  A later :meth:`run`
+        reopens both."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        if self._owns_cache and not self._cache_closed:
+            self.cache.close()
+            self._cache_closed = True
 
     def __enter__(self) -> "BatchRunner":
         return self
@@ -322,6 +331,10 @@ class BatchRunner:
                 exhausted; the exception carries the partial result.
         """
         started = time.perf_counter()
+        if self._cache_closed:
+            self.cache = SqliteResultCache(self.cache.root,
+                                           self.cache.retry_policy)
+            self._cache_closed = False
         self._pool_restarts = 0
         self._serial_fallback = False
         self._timeouts = 0

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..obs.events import active_events
 from ..obs.registry import active_registry
-from .executor import build_decoder, capture_trace
+from .executor import build_decoder, capture_trace, inject_faults
 from .spec import ScenarioSpec
 
 if TYPE_CHECKING:  # repro.net pulls in networkx — keep it lazy, like
@@ -210,39 +210,6 @@ def _capture_all(specs: Sequence[ScenarioSpec], workers: int,
              for spec, spec_hash in zip(specs, hashes)], len(distinct))
 
 
-def _session_faults(spec: ScenarioSpec, trace, chunk_size: int):
-    """Apply one session's fault plan to its captured feed.
-
-    Returns ``(trace, chunks_override, fault_events)``: the (possibly
-    corrupted) trace, a pre-chunked transport override when stream
-    faults fired (None otherwise), and the event counts.  No plan:
-    the inputs come back untouched.
-    """
-    plan = spec.fault_plan
-    if plan is None or not (plan.signals or plan.streams):
-        return trace, None, {}
-    from ..faults.inject import (
-        FaultLog,
-        apply_signal_faults,
-        fault_rng,
-        perturb_chunks,
-    )
-    from ..stream.replay import iter_chunks
-
-    log = FaultLog()
-    if plan.signals:
-        trace, sig_log = apply_signal_faults(
-            trace, plan, fault_rng("signal", spec.seed, plan))
-        log.merge(sig_log)
-    chunks = None
-    if plan.streams:
-        chunks, chunk_log = perturb_chunks(
-            list(iter_chunks(trace.samples, chunk_size)),
-            plan, fault_rng("stream", spec.seed, plan))
-        log.merge(chunk_log)
-    return trace, chunks, log.counts()
-
-
 def run_stream(specs: Sequence[ScenarioSpec], sessions: int = 8,
                chunk_size: int = 64, feed_hz: float = 0.0,
                queue_chunks: int = 8, workers: int = 1,
@@ -287,14 +254,13 @@ def run_stream(specs: Sequence[ScenarioSpec], sessions: int = 8,
         wave = feeds[wave_start:wave_start + sessions]
         mux_feeds = {}
         chunk_overrides = {}
-        wave_faults: dict[str, dict[str, int]] = {}
+        wave_faults = {}
         for i, (spec, _, trace) in enumerate(wave):
             sid = f"s{wave_start + i:03d}"
-            trace, chunks, events = _session_faults(spec, trace,
-                                                    chunk_size)
+            trace, chunks, wave_faults[sid] = inject_faults(spec, trace,
+                                                            chunk_size)
             if chunks is not None:
                 chunk_overrides[sid] = chunks
-            wave_faults[sid] = events
             mux_feeds[sid] = (trace, 2 * len(spec.bits),
                               build_decoder(spec))
         started = time.perf_counter()
@@ -307,12 +273,11 @@ def run_stream(specs: Sequence[ScenarioSpec], sessions: int = 8,
         log = active_events()
         for i, (spec, spec_hash, _) in enumerate(wave):
             session = mux.session(f"s{wave_start + i:03d}")
-            faults = wave_faults[session.session_id]
+            fault_log = wave_faults[session.session_id]
+            faults = fault_log.counts()
             if faults:
                 if registry is not None:
-                    for kind, count in faults.items():
-                        registry.counter("fault_injections_total",
-                                         {"kind": kind}).inc(count)
+                    fault_log.to_metrics(registry)
                 if log is not None:
                     log.emit("fault_injected",
                              session=session.session_id,
@@ -352,6 +317,6 @@ def run_stream(specs: Sequence[ScenarioSpec], sessions: int = 8,
                 error=session.error,
                 timed_out=stats.timed_out,
                 decode_errors=stats.decode_errors,
-                fault_events=wave_faults[session.session_id],
+                fault_events=faults,
             ))
     return result

@@ -131,11 +131,6 @@ class ReceiverNode:
         if not self.node_id:
             raise ValueError("node_id must be non-empty")
 
-    def _confidence(self, result: DecodeResult) -> float:
-        """See :func:`decode_confidence` (kept as a method for callers
-        that override per-node confidence policies)."""
-        return decode_confidence(result)
-
     def observe(self, trace: SignalTrace,
                 n_data_symbols: int | None = None) -> Detection:
         """Process one captured pass into a detection record."""
@@ -153,7 +148,7 @@ class ReceiverNode:
             position_m=self.position_m,
             timestamp_s=anchor.time_s,
             bits=result.bit_string(),
-            confidence=self._confidence(result) if result.success else 0.0,
+            confidence=decode_confidence(result) if result.success else 0.0,
             symbol_period_s=result.tau_t,
             timestamp_source="preamble_anchor",
         )

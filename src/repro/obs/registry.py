@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
@@ -137,11 +138,10 @@ class Histogram(_Metric):
 
     def observe(self, value: float) -> None:
         value = float(value)
-        idx = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                idx = i
-                break
+        # The first bucket whose bound is >= value; NaN compares false
+        # with every bound, so it lands in +Inf.
+        idx = (bisect_left(self.buckets, value) if value == value
+               else len(self.buckets))
         with self._lock:
             self.counts[idx] += 1
             self.sum += value

@@ -129,16 +129,6 @@ class StreamReplay:
         """Sample-clock latency of one event kind, or None."""
         return self.decoder.latency(kind)
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe event/latency summary."""
-        return {
-            "n_chunks": self.n_chunks,
-            "events": [e.to_dict() for e in self.events],
-            "onset_latency_s": self.latency("onset"),
-            "first_bit_latency_s": self.latency("first_bit"),
-            "verdict_latency_s": self.decoder.verdict_latency_s,
-        }
-
 
 def replay_trace(trace: SignalTrace, chunk_size: int,
                  n_data_symbols: int | None = None,

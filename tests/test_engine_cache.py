@@ -129,6 +129,36 @@ class TestCorruptEntries:
         assert cache.get(record.spec_hash) == record
 
 
+class TestStageTraces:
+    """A hit did no work, so it carries no stage trace: traces are not
+    stored, and one found in an older payload is dropped on read."""
+
+    def traced_record(self):
+        from repro.exec.graph import ExecStage, StageTrace
+
+        record = make_record()
+        record.stage_trace = StageTrace()
+        record.stage_trace.add(ExecStage.SIMULATE, 0.25)
+        return record
+
+    def test_put_stores_no_trace(self, cache):
+        record = self.traced_record()
+        cache.put(record)
+        payload = json.loads(cache.get_payload(record.spec_hash))
+        assert "stage_trace" not in payload
+        assert payload["elapsed_s"] == record.elapsed_s
+        assert cache.get(record.spec_hash).stage_trace is None
+
+    def test_trace_in_an_older_payload_is_dropped(self, cache):
+        record = self.traced_record()
+        store_raw(cache, record.spec_hash, json.dumps(record.to_dict()))
+        hit = cache.get(record.spec_hash)
+        assert hit == record
+        assert hit.stage_trace is None
+        assert cache.get_many([record.spec_hash])[
+            record.spec_hash].stage_trace is None
+
+
 class TestInvalidation:
     def test_spec_change_misses(self, cache):
         """A changed spec gets a new hash, so stale results never leak."""

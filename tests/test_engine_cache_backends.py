@@ -112,6 +112,36 @@ class TestRunnerCacheSelection:
             assert runner.cache is cache
         cache.close()
 
+    def test_close_closes_a_store_opened_from_a_path(self, tmp_path):
+        with BatchRunner(cache=tmp_path) as runner:
+            store = runner.cache
+            store._conn.execute("SELECT 1")
+        with pytest.raises(sqlite3.ProgrammingError):
+            store._conn.execute("SELECT 1")
+        runner.close()  # idempotent
+
+    def test_run_after_close_reopens_the_store(self, tmp_path):
+        spec = ScenarioSpec(source="sun", detector="led", cap=False,
+                            ground="tarmac", bits="00", symbol_width_m=0.1,
+                            speed_mps=5.0, receiver_height_m=0.25,
+                            start_position_m=-1.5, sample_rate_hz=2000.0,
+                            ground_lux=450.0, seed=3)
+        runner = BatchRunner(cache=tmp_path)
+        assert runner.run([spec]).stats.cache_hits == 0
+        runner.close()
+        assert runner.run([spec]).stats.cache_hits == 1
+        runner.cache._conn.execute("SELECT 1")
+        runner.close()
+
+    def test_close_leaves_a_passed_in_store_open(self, tmp_path):
+        # Its owner closes it (as perfbench does with the store it
+        # hands its runners).
+        cache = SqliteResultCache(tmp_path)
+        with BatchRunner(cache=cache):
+            pass
+        assert cache._conn.execute("SELECT 1").fetchone() == (1,)
+        cache.close()
+
 
 def _key(k):
     return f"{k:064x}"

@@ -250,6 +250,25 @@ class TestSweepProfile:
                      "--workers", "2", "--profile"]) == 0
         assert "batch_rows=4" in capsys.readouterr().out
 
+    def test_warm_rerun_reports_no_stale_stage_timings(self, tmp_path,
+                                                       capsys):
+        # Cache hits did no work: a warm rerun has no stage table and
+        # writes no stage_timing events, whatever the cold run traced.
+        argv = ["sweep", *FAST_SETS, "--set", "ground_lux=450",
+                "--axis", "seed=2,3", "--cache-dir", str(tmp_path / "c"),
+                "--profile"]
+        assert main(argv) == 0
+        assert "stage timings over 2 profiled" in capsys.readouterr().out
+        telemetry = tmp_path / "telemetry"
+        assert main([*argv, "--telemetry", str(telemetry)]) == 0
+        text = capsys.readouterr().out
+        assert "2 cached [100%], 0 simulated" in text
+        assert "stage timings over" not in text
+        assert "no stage traces in these records" in text
+        kinds = {json.loads(line)["kind"] for line in
+                 (telemetry / "events.jsonl").read_text().splitlines()}
+        assert "cache_hit" in kinds and "stage_timing" not in kinds
+
     def test_profile_state_restored_after_sweep(self, capsys):
         from repro.obs import telemetry_enabled
 

@@ -131,6 +131,36 @@ class TestFaultedDeterminism:
         assert record.networked
 
 
+class TestStreamFaultParity:
+    """A streamed spec's faults take one path, offline
+    (``execute_scenario``) and live (``run_stream``)."""
+
+    def test_offline_and_live_sessions_agree(self):
+        from repro.engine.streaming import run_stream
+        from repro.obs import telemetry_session
+
+        plan = FaultPlan(chunk_drop=0.2, burst_rate_hz=5.0)
+        specs = [FAST.replace(seed=seed, stream_chunk=64, fault_plan=plan)
+                 for seed in (2, 3, 4)]
+        with telemetry_session() as (registry, _events):
+            outcomes = run_stream(specs, sessions=3, chunk_size=64).outcomes
+        totals: dict[str, int] = {}
+        for spec, outcome in zip(specs, outcomes):
+            record = execute_scenario(spec)
+            assert record.fault_events.get("chunks_dropped", 0) > 0
+            assert outcome.fault_events == record.fault_events
+            assert outcome.verdict_bits == record.decoded_bits
+            assert outcome.onset_latency_s == record.onset_latency_s
+            assert outcome.first_bit_latency_s == record.first_bit_latency_s
+            assert outcome.verdict_latency_s == record.verdict_latency_s
+            for kind, count in record.fault_events.items():
+                totals[kind] = totals.get(kind, 0) + count
+        published = {s["labels"]["kind"]: s["value"]
+                     for s in registry.snapshot()["counters"]
+                     if s["name"] == "fault_injections_total"}
+        assert published == totals
+
+
 class TestEmptyPlanParity:
     """No plan, an empty plan, and the pre-fault engine all agree."""
 

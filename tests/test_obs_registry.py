@@ -87,6 +87,28 @@ class TestHistogram:
         h.observe(0.1)  # le= semantics: exactly at the bound counts
         assert h.counts == [1, 0, 0]
 
+    def test_bucket_index_matches_a_bound_by_bound_scan(self):
+        """Every value lands where the first bound >= value puts it,
+        and NaN (>= no bound) in +Inf."""
+        import math
+
+        def scanned(value):
+            for i, bound in enumerate(DEFAULT_BUCKETS):
+                if value <= bound:
+                    return i
+            return len(DEFAULT_BUCKETS)
+
+        values = [math.inf, -math.inf, math.nan, 0.0, -1.0]
+        for bound in DEFAULT_BUCKETS:
+            values += [bound, math.nextafter(bound, math.inf),
+                       math.nextafter(bound, -math.inf)]
+        for value in values:
+            h = MetricsRegistry().histogram("lat")
+            h.observe(value)
+            expected = [0] * (len(DEFAULT_BUCKETS) + 1)
+            expected[scanned(value)] = 1
+            assert h.counts == expected, value
+
     def test_rejects_non_increasing_buckets(self):
         reg = MetricsRegistry()
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -1,459 +1,467 @@
-"""Tests for repro.perf — the tracked performance harness.
+"""Tests for repro.perf — ``repro-engine bench``, the benchmark's front end.
 
-Timing *values* are machine noise, so these tests pin everything else:
-suite mechanics (warmup/repeat accounting, selection, stats), report
-serialization, the committed-baseline comparison logic, and the
-``repro-engine bench`` CLI wiring.
+Every test runs on canned ``perfbench/run.py`` output: the one function
+that starts the child process is replaced, so nothing here times the
+host.  Pinned: which workloads run and for how long, how a run's
+output is read, the report files, and every way the gate fails.  The
+bounds are the real ``BENCHMARK.json`` ones.
 """
 
+import copy
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro import perf
 from repro.engine.cli import main as cli_main
-from repro.perf import (
-    DEFAULT_BASELINE_PATH,
-    PerfReport,
-    Workload,
-    WorkloadTiming,
-    compare_reports,
-    default_workloads,
-    format_comparisons,
-    load_report,
-    run_suite,
-    save_report,
-)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
+
+#: Plausible end-to-end values per workload (their size is irrelevant).
+METRICS = {
+    "grid_shared_optics": {"verdict_ms_p50": 90.0, "scenarios_per_s": 2900.0,
+                           "ksamples_per_s": 4100.0, "peak_rss_mb": 140.0,
+                           "setup_s": 1.0},
+    "fleet_pool_halfwarm": {"verdict_ms_p50": 115.0, "scenarios_per_s": 830.0,
+                            "ksamples_per_s": 1180.0, "peak_rss_mb": 347.0,
+                            "setup_s": 2.6},
+    "live_sessions": {"verdict_ms_p50": 3.1, "scenarios_per_s": 55.0,
+                      "ksamples_per_s": 117.0, "peak_rss_mb": 147.0,
+                      "setup_s": 3.0},
+}
+META = {"cores": 2, "machine": "x86_64", "python": "3.11.7"}
 
 
-def _tiny_workloads(log):
-    def make(name, kind):
-        def setup(quick):
-            log.append((name, "setup", quick))
-            return lambda: log.append((name, "run", quick))
+def perfbench_stdout(metrics, correct=True):
+    """What ``perfbench/run.py --trace 0`` prints for one run."""
+    lines = ["meta " + json.dumps(META, sort_keys=True)]
+    lines += [f"{name:<28} {value:14.6f}" for name, value in metrics.items()]
+    lines.append(json.dumps({
+        "correct": correct, "attempted": 24, "failed": 0 if correct else 1,
+        "metrics": {name: {"value": value, "unit": "u"}
+                    for name, value in metrics.items()}}))
+    return "\n".join(lines) + "\n"
 
-        return Workload(name=name, kind=kind, description=f"{name} noop",
-                        setup=setup, repeats=3, quick_repeats=2, warmup=1)
 
-    return [make("alpha", "micro"), make("beta", "macro")]
+def make_report(metrics=None, quick=True):
+    metrics = METRICS if metrics is None else metrics
+    return {"schema": perf.SCHEMA, "quick": quick, "seed": perf.SEED,
+            "seconds": perf.QUICK_SECONDS, "runs": perf.RUNS,
+            "workloads": {name: perf.parse_run(0, perfbench_stdout(values))
+                          for name, values in metrics.items()}}
+
+
+class FakePerfbench:
+    """Stands in for :func:`repro.perf.run_perfbench`."""
+
+    def __init__(self):
+        self.calls = []
+        self.metrics = copy.deepcopy(METRICS)
+        self.correct = {}
+        self.raw = {}
+
+    def __call__(self, root, workload, seconds):
+        self.calls.append((workload, seconds))
+        if workload in self.raw:
+            return self.raw[workload]
+        correct = self.correct.get(workload, True)
+        return (0 if correct else 1,
+                perfbench_stdout(self.metrics[workload], correct))
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    fake = FakePerfbench()
+    monkeypatch.setattr(perf, "run_perfbench", fake)
+    return fake
+
+
+def bench(tmp_path, *extra, baseline=None):
+    out = tmp_path / "BENCH_perf.json"
+    baseline = baseline or tmp_path / "baseline.json"
+    code = cli_main(["bench", "--quick", "--out", str(out),
+                     "--baseline", str(baseline), *extra])
+    return code, out
+
+
+def worse(metric, value, factor):
+    """``value`` moved ``factor`` of its bound in the worse direction."""
+    spec = {m["name"]: m for m in BENCHMARK["end_to_end"]}[metric]
+    step = factor * spec["bound"] * value
+    return value + step if spec["better"] == "lower" else value - step
+
+
+def regressed(comparisons):
+    return [(c.workload, c.metric) for c in comparisons if c.verdict != "ok"]
 
 
 class TestSuiteMechanics:
-    def test_warmup_and_repeats_accounting(self):
-        log = []
-        report = run_suite(workloads=_tiny_workloads(log))
-        assert [r.name for r in report.results] == ["alpha", "beta"]
-        assert all(r.repeats == 3 for r in report.results)
-        # 1 setup + 1 warmup run + 3 timed runs per workload.
-        assert log.count(("alpha", "setup", False)) == 1
-        assert log.count(("alpha", "run", False)) == 4
+    def test_runs_every_benchmark_workload_in_order(self, perfbench,
+                                                    tmp_path):
+        code, out = bench(tmp_path)
+        assert code == 0
+        assert [name for name, _ in perfbench.calls] == [
+            name for name in WORKLOADS for _ in range(perf.RUNS)]
+        report = perf.load_report(out)
+        assert sorted(report["workloads"]) == sorted(WORKLOADS)
+        for run in report["workloads"].values():
+            assert run["correct"] is True and run["returncode"] == 0
+            assert sorted(run["metrics"]) == sorted(END_TO_END)
 
-    def test_quick_mode_uses_quick_repeats(self):
-        log = []
-        report = run_suite(quick=True, workloads=_tiny_workloads(log))
-        assert report.quick
-        assert all(r.repeats == 2 for r in report.results)
-        assert log.count(("beta", "run", True)) == 3
+    def test_quick_mode_runs_quick_seconds(self, perfbench, tmp_path):
+        code, out = bench(tmp_path)
+        assert code == 0
+        assert {s for _, s in perfbench.calls} == {perf.QUICK_SECONDS}
+        assert perf.load_report(out)["quick"] is True
+        perfbench.calls.clear()
+        out = tmp_path / "full.json"
+        assert cli_main(["bench", "--out", str(out), "--baseline",
+                         str(tmp_path / "none.json")]) == 0
+        assert {s for _, s in perfbench.calls} == {BENCHMARK["run_seconds"]}
+        report = perf.load_report(out)
+        assert report["quick"] is False
+        assert report["seconds"] == BENCHMARK["run_seconds"]
 
-    def test_name_selection_and_unknown_rejected(self):
-        log = []
-        report = run_suite(workloads=_tiny_workloads(log), names=["beta"])
-        assert [r.name for r in report.results] == ["beta"]
-        with pytest.raises(KeyError):
-            run_suite(workloads=_tiny_workloads(log), names=["gamma"])
+    def test_name_selection_and_unknown_rejected(self, perfbench, tmp_path,
+                                                 capsys):
+        code, out = bench(tmp_path, "--workload", "live_sessions")
+        assert code == 0
+        assert perfbench.calls == \
+            [("live_sessions", perf.QUICK_SECONDS)] * perf.RUNS
+        assert list(perf.load_report(out)["workloads"]) == ["live_sessions"]
+        perfbench.calls.clear()
+        code, _ = bench(tmp_path, "--workload", "dtw_banded")
+        assert code == 2
+        assert perfbench.calls == []
+        assert "unknown workload(s) ['dtw_banded']" in capsys.readouterr().err
 
-    def test_repeats_override(self):
-        log = []
-        report = run_suite(workloads=_tiny_workloads(log), repeats=1)
-        assert all(r.repeats == 1 for r in report.results)
+    def test_environment_meta_recorded(self, perfbench, tmp_path):
+        _, out = bench(tmp_path)
+        for run in perf.load_report(out)["workloads"].values():
+            assert run["meta"] == META
 
-    def test_injected_clock_gives_deterministic_times(self):
-        ticks = iter(range(100))
-        log = []
-        report = run_suite(workloads=_tiny_workloads(log), repeats=2,
-                           clock=lambda: float(next(ticks)))
-        for timing in report.results:
-            assert timing.times_s == [1.0, 1.0]
-            assert timing.median_s == 1.0
-            assert timing.stddev_s == 0.0
+    def test_child_command_line(self, monkeypatch):
+        seen = {}
 
-    def test_environment_meta_recorded(self):
-        report = run_suite(workloads=_tiny_workloads([]), repeats=1)
-        assert {"python", "numpy", "cpu_count"} <= report.meta.keys()
+        def fake_run(argv, **kwargs):
+            seen.update(argv=argv, **kwargs)
+            return SimpleNamespace(returncode=3, stdout="out\n")
+
+        monkeypatch.setattr(perf.subprocess, "run", fake_run)
+        root = perf.checkout_root()
+        assert perf.run_perfbench(root, "live_sessions", 5.0) == (3, "out\n")
+        assert seen["argv"] == [
+            sys.executable, str(root / "perfbench" / "run.py"),
+            "--workload", "live_sessions", "--seed", str(perf.SEED),
+            "--seconds", "5", "--trace", "0"]
+        assert seen["cwd"] == root
+
+    def test_outside_a_checkout_exits_2(self, perfbench, monkeypatch,
+                                        tmp_path, capsys):
+        installed = tmp_path / "site-packages" / "repro" / "perf"
+        monkeypatch.setattr(perf, "__file__", str(installed / "__init__.py"))
+        assert cli_main(["bench", "--quick"]) == 2
+        assert "needs a source checkout" in capsys.readouterr().err
+        assert perfbench.calls == []
+
+    def test_help_lists_only_the_gate_options(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["bench", "--help"])
+        assert exit_info.value.code == 0
+        options = {word.strip("[],") for word in capsys.readouterr().out.split()
+                   if word.lstrip("[").startswith("--")}
+        assert options == {"--help", "--quick", "--workload", "--out",
+                           "--baseline", "--update-baseline"}
+
+
+class TestParseRun:
+    def test_reads_meta_and_final_json_line(self):
+        run = perf.parse_run(0, perfbench_stdout(METRICS["live_sessions"]))
+        assert run["returncode"] == 0 and run["correct"] is True
+        assert run["meta"] == META
+        assert run["metrics"]["setup_s"] == {"value": 3.0, "unit": "u"}
+
+    def test_unparsable_output_is_not_correct(self):
+        for stdout in ("", "Traceback (most recent call last):\n",
+                       "meta {torn\n", "[1, 2]\n"):
+            run = perf.parse_run(1, stdout)
+            assert run["correct"] is False and run["metrics"] == {}
+
+
+class TestMedianRun:
+    def test_report_keeps_each_metrics_median(self, monkeypatch):
+        # Three runs whose metrics order differently: each metric keeps
+        # its own median, not the values of one middle run.
+        runs = iter([(3.0, 5.0), (9.0, 1.0), (6.0, 9.0)])
+
+        def varying(root, workload, seconds):
+            verdict_ms, setup_s = next(runs)
+            return 0, perfbench_stdout(
+                {"verdict_ms_p50": verdict_ms, "setup_s": setup_s})
+
+        monkeypatch.setattr(perf, "run_perfbench", varying)
+        monkeypatch.setattr(perf, "RUNS", 3)
+        report = perf.run_bench(REPO_ROOT, BENCHMARK, ["live_sessions"],
+                                quick=True)
+        run = report["workloads"]["live_sessions"]
+        assert report["runs"] == 3 and run["correct"] is True
+        assert {k: v["value"] for k, v in run["metrics"].items()} == {
+            "verdict_ms_p50": 6.0, "setup_s": 5.0}
+
+    def test_a_failed_run_is_kept_as_the_result(self):
+        good = perf.parse_run(0, perfbench_stdout(METRICS["live_sessions"]))
+        bad = perf.parse_run(
+            1, perfbench_stdout(METRICS["live_sessions"], correct=False))
+        assert perf.median_run([good, bad, good]) is bad
 
 
 class TestStats:
-    def test_summary_statistics(self):
-        timing = WorkloadTiming(name="w", kind="micro", description="",
-                                warmup=0, times_s=[2.0, 1.0, 4.0])
-        assert timing.median_s == 2.0
-        assert timing.mean_s == pytest.approx(7.0 / 3.0)
-        assert timing.min_s == 1.0
-        assert timing.max_s == 4.0
-        assert timing.stddev_s > 0.0
-
-    def test_json_round_trip(self, tmp_path):
-        report = PerfReport(
-            results=[WorkloadTiming(name="w", kind="macro",
-                                    description="d", warmup=2,
-                                    times_s=[0.5, 0.25])],
-            quick=True, meta={"python": "3.x"})
-        path = save_report(report, tmp_path / "BENCH_perf.json")
-        loaded = load_report(path)
-        assert loaded.to_dict() == report.to_dict()
-        # The artifact itself is machine-readable JSON with the stats
-        # the acceptance criteria name.
-        raw = json.loads(path.read_text())
-        assert raw["workloads"][0]["median_s"] == 0.375
-        assert "stddev_s" in raw["workloads"][0]
-
-
-def _report(medians, quick=True):
-    return PerfReport(
-        results=[WorkloadTiming(name=name, kind="micro", description="",
-                                warmup=0, times_s=[m])
-                 for name, m in medians.items()],
-        quick=quick)
+    def test_json_round_trip(self, tmp_path, capsys):
+        report = make_report()
+        path = perf.save_report(report, tmp_path / "deep" / "r.json")
+        assert perf.load_report(path) == report
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"schema": "repro.perf/1", "quick": True}))
+        with pytest.raises(ValueError, match="not a repro.perf/2"):
+            perf.load_report(old)
 
 
 class TestBaselineComparison:
     def test_regression_flagged_above_tolerance(self):
-        baseline = _report({"w": 1.0})
-        comparisons = compare_reports(_report({"w": 1.3}), baseline,
-                                      tolerance=0.25)
-        assert comparisons[0].regressed
-        assert comparisons[0].ratio == pytest.approx(1.3)
+        baseline = make_report()
+        for metric in END_TO_END:
+            metrics = copy.deepcopy(METRICS)
+            value = metrics["fleet_pool_halfwarm"][metric]
+            metrics["fleet_pool_halfwarm"][metric] = worse(metric, value, 1.05)
+            comparisons = perf.compare_reports(make_report(metrics), baseline,
+                                               BENCHMARK)
+            assert regressed(comparisons) == [("fleet_pool_halfwarm", metric)]
 
     def test_within_tolerance_and_improvement_pass(self):
-        baseline = _report({"w": 1.0})
-        for median in (1.2, 0.5, 1.0):
-            (comp,) = compare_reports(_report({"w": median}), baseline,
-                                      tolerance=0.25)
-            assert not comp.regressed
+        baseline = make_report()
+        for factor in (0.95, 0.0, -2.0):
+            metrics = {name: {metric: worse(metric, value, factor)
+                              for metric, value in values.items()}
+                       for name, values in METRICS.items()}
+            comparisons = perf.compare_reports(make_report(metrics), baseline,
+                                               BENCHMARK)
+            assert regressed(comparisons) == []
+            assert len(comparisons) == len(WORKLOADS) * len(END_TO_END)
 
-    def test_missing_workload_is_new_not_regressed(self):
-        comparisons = compare_reports(_report({"new_w": 1.0}),
-                                      _report({"other": 1.0}))
-        assert comparisons[0].baseline_median_s is None
-        assert not comparisons[0].regressed
-        assert "new" in format_comparisons(comparisons, 0.25)
+    def test_bounds_are_read_from_the_benchmark(self):
+        metrics = copy.deepcopy(METRICS)
+        metrics["grid_shared_optics"]["verdict_ms_p50"] *= 1.2
+        current, baseline = make_report(metrics), make_report()
+        assert regressed(perf.compare_reports(current, baseline,
+                                              BENCHMARK)) == []
+        tight = copy.deepcopy(BENCHMARK)
+        for metric in tight["end_to_end"]:
+            if metric["name"] == "verdict_ms_p50":
+                metric["bound"] = 0.1
+        assert regressed(perf.compare_reports(current, baseline, tight)) == \
+            [("grid_shared_optics", "verdict_ms_p50")]
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            compare_reports(_report({"w": 1.0}), _report({"w": 1.0}),
-                            tolerance=-0.1)
+    def test_workload_without_baseline_fails(self):
+        baseline = make_report({"live_sessions": METRICS["live_sessions"]})
+        rows = perf.compare_reports(make_report(), baseline, BENCHMARK)
+        assert [(c.workload, c.baseline, c.current) for c in rows
+                if c.verdict == "MISSING"] == [
+            ("fleet_pool_halfwarm", None, "present"),
+            ("grid_shared_optics", None, "present")]
+
+    def test_format_shows_the_allowed_change(self):
+        metrics = copy.deepcopy(METRICS)
+        metrics["live_sessions"]["peak_rss_mb"] *= 1.5
+        table = perf.format_comparisons(
+            perf.compare_reports(make_report(metrics), make_report(),
+                                 BENCHMARK), BENCHMARK)
+        rss = [line for line in table.splitlines()
+               if "live_sessions" in line and "peak_rss_mb" in line]
+        assert len(rss) == 1
+        assert "+50.0%" in rss[0] and "+10%" in rss[0]
+        assert "REGRESSED" in rss[0]
+        assert any("scenarios_per_s" in line and "-25%" in line
+                   for line in table.splitlines())
 
     def test_committed_baseline_is_valid_and_complete(self):
-        """The repo ships a quick-mode baseline covering every tracked
-        workload (the CI regression gate depends on it)."""
-        baseline = load_report(REPO_ROOT / DEFAULT_BASELINE_PATH)
-        assert baseline.quick
-        names = {t.name for t in baseline.results}
-        expected = {w.name for w in default_workloads()}
-        assert expected <= names
-        assert len(expected) >= 4
-        for timing in baseline.results:
-            assert timing.median_s > 0.0
+        """The committed baseline is a quick run of every workload, with
+        every end-to-end metric (the CI gate depends on it)."""
+        baseline = perf.load_report(REPO_ROOT / perf.DEFAULT_BASELINE_PATH)
+        assert baseline["quick"] is True
+        assert baseline["seconds"] == perf.QUICK_SECONDS
+        assert baseline["runs"] == perf.RUNS
+        assert sorted(baseline["workloads"]) == sorted(WORKLOADS)
+        assert perf.compare_reports(baseline, None, BENCHMARK) == []
+        for run in baseline["workloads"].values():
+            assert all(run["metrics"][m]["value"] > 0.0 for m in END_TO_END)
 
     def test_default_baseline_found_from_any_cwd(self, tmp_path,
                                                  monkeypatch):
-        """bench run outside the repo root must still find the
-        committed baseline (via the checkout this module lives in)."""
-        from repro.perf import default_baseline_path
-
         monkeypatch.chdir(tmp_path)
-        resolved = default_baseline_path()
-        assert resolved.exists()
-        assert load_report(resolved).results
+        resolved = perf.default_baseline_path()
+        assert resolved.is_absolute() and resolved.exists()
+        assert perf.load_report(resolved)["workloads"]
 
     def test_committed_bench_artifact_is_valid(self):
-        report = load_report(REPO_ROOT / "BENCH_perf.json")
-        assert len(report.results) >= 4
-        for timing in report.results:
-            assert timing.median_s > 0.0 and timing.stddev_s >= 0.0
+        """The root ``BENCH_perf.json`` is a full-length run."""
+        report = perf.load_report(REPO_ROOT / "BENCH_perf.json")
+        assert report["quick"] is False
+        assert report["seconds"] == BENCHMARK["run_seconds"]
+        assert report["runs"] == perf.RUNS
+        assert sorted(report["workloads"]) == sorted(WORKLOADS)
+        assert perf.compare_reports(report, None, BENCHMARK) == []
+        for run in report["workloads"].values():
+            assert sorted(run["metrics"]) == sorted(END_TO_END)
+
+
+class TestThroughputMetrics:
+    """``scenarios_per_s`` and ``ksamples_per_s`` are better higher."""
+
+    def test_throughput_drop_regresses(self):
+        for metric in ("scenarios_per_s", "ksamples_per_s"):
+            metrics = copy.deepcopy(METRICS)
+            metrics["grid_shared_optics"][metric] *= 0.7
+            comparisons = perf.compare_reports(make_report(metrics),
+                                               make_report(), BENCHMARK)
+            assert regressed(comparisons) == [("grid_shared_optics", metric)]
+
+    def test_throughput_gain_and_small_drop_pass(self):
+        for scale in (1.5, 0.8, 1.0):
+            metrics = copy.deepcopy(METRICS)
+            metrics["grid_shared_optics"]["scenarios_per_s"] *= scale
+            comparisons = perf.compare_reports(make_report(metrics),
+                                               make_report(), BENCHMARK)
+            assert regressed(comparisons) == []
 
 
 class TestBenchCli:
-    def _bench(self, tmp_path, *extra):
-        out = tmp_path / "BENCH_perf.json"
-        argv = ["bench", "--quick", "--repeats", "1",
-                "--workload", "engine_batch", "--out", str(out), *extra]
-        return cli_main(argv), out
-
-    def test_writes_report_and_succeeds_without_baseline(self, tmp_path,
-                                                         capsys):
-        code, out = self._bench(tmp_path,
-                                "--baseline", str(tmp_path / "missing.json"))
+    def test_writes_report_and_succeeds_without_baseline(self, perfbench,
+                                                         tmp_path, capsys):
+        code, out = bench(tmp_path, baseline=tmp_path / "missing.json")
         assert code == 0
-        data = json.loads(out.read_text())
-        assert data["workloads"][0]["name"] == "engine_batch"
+        assert perf.load_report(out) == make_report()
         assert "skipping comparison" in capsys.readouterr().out
 
-    def test_update_baseline_then_compare_passes(self, tmp_path):
+    def test_update_baseline_then_compare_passes(self, perfbench, tmp_path,
+                                                 capsys):
         baseline = tmp_path / "baseline.json"
-        code, _ = self._bench(tmp_path, "--baseline", str(baseline),
-                              "--update-baseline")
-        assert code == 0 and baseline.exists()
-        # Generous tolerance: only the exit-code plumbing is under test.
-        code, _ = self._bench(tmp_path, "--baseline", str(baseline),
-                              "--tolerance", "1000")
+        code, _ = bench(tmp_path, "--update-baseline", baseline=baseline)
         assert code == 0
+        assert perf.load_report(baseline) == make_report()
+        code, _ = bench(tmp_path, baseline=baseline)
+        assert code == 0
+        table = capsys.readouterr().out
+        assert table.count(" ok") == len(WORKLOADS) * len(END_TO_END)
 
-    def test_regression_exits_nonzero(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        save_report(_report({"engine_batch": 1e-9}), baseline)
-        code, _ = self._bench(tmp_path, "--baseline", str(baseline))
+    def test_regression_exits_nonzero(self, perfbench, tmp_path, capsys):
+        """Each end-to-end metric, worse than its bound in its ``better``
+        direction, fails the gate and is named."""
+        for metric in END_TO_END:
+            perfbench.metrics = copy.deepcopy(METRICS)
+            value = METRICS["live_sessions"][metric]
+            perfbench.metrics["live_sessions"][metric] = worse(metric, value,
+                                                               1.1)
+            perf.save_report(make_report(), tmp_path / "baseline.json")
+            code, _ = bench(tmp_path)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"BENCH GATE FAILED: live_sessions:{metric} REGRESSED" \
+                in err
+
+    def test_mode_mismatch_skips_comparison(self, perfbench, tmp_path,
+                                            capsys):
+        metrics = {name: {m: v / 100.0 for m, v in values.items()}
+                   for name, values in METRICS.items()}
+        perf.save_report(make_report(metrics, quick=False),
+                         tmp_path / "baseline.json")
+        code, _ = bench(tmp_path)
+        assert code == 0
+        assert "full run and this one is not; skipping comparison" in \
+            capsys.readouterr().out
+
+    def test_incorrect_run_fails_the_gate(self, perfbench, tmp_path, capsys):
+        perfbench.correct["fleet_pool_halfwarm"] = False
+        perf.save_report(make_report(), tmp_path / "baseline.json")
+        code, _ = bench(tmp_path)
         assert code == 1
-        assert "PERF REGRESSION" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "fleet_pool_halfwarm:correct FAILED" in err
+        assert "fleet_pool_halfwarm:exit status FAILED" in err
+        # Without a baseline to compare with, the run still fails.
+        code, _ = bench(tmp_path, baseline=tmp_path / "missing.json")
+        assert code == 1
 
-    def test_mode_mismatch_skips_comparison(self, tmp_path, capsys):
+    def test_nonzero_exit_fails_the_gate(self, perfbench, tmp_path, capsys):
+        perfbench.raw["live_sessions"] = (2, "")
+        perf.save_report(make_report(), tmp_path / "baseline.json")
+        code, out = bench(tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "live_sessions:exit status FAILED" in err
+        assert "live_sessions:verdict_ms_p50 MISSING" in err
+        assert perf.load_report(out)["workloads"]["live_sessions"][
+            "returncode"] == 2
+
+    def test_failed_run_does_not_update_baseline(self, perfbench, tmp_path):
+        perfbench.correct["grid_shared_optics"] = False
         baseline = tmp_path / "baseline.json"
-        save_report(_report({"engine_batch": 1e-9}, quick=False), baseline)
-        code, _ = self._bench(tmp_path, "--baseline", str(baseline))
-        assert code == 0
-        assert "skipping comparison" in capsys.readouterr().out
+        code, _ = bench(tmp_path, "--update-baseline", baseline=baseline)
+        assert code == 1
+        assert not baseline.exists()
 
-    def test_list_workloads(self, capsys):
-        assert cli_main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        for workload in default_workloads():
-            assert workload.name in out
-
-
-def _timed(name, median, extras=None):
-    return WorkloadTiming(name=name, kind="macro", description="",
-                          warmup=0, times_s=[median],
-                          extras=dict(extras or {}))
+    def test_old_schema_baseline_exits_2(self, perfbench, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"schema": "repro.perf/1",
+                                        "quick": True, "workloads": []}))
+        code, _ = bench(tmp_path, baseline=baseline)
+        assert code == 2
+        assert "not a repro.perf/2 bench report" in capsys.readouterr().err
 
 
 class TestMissingWorkloadGate:
-    """A baseline workload absent from the current run must FAIL the
-    gate — a deleted (or typo'd) workload must never read as green."""
+    """A baseline workload absent from the run fails the gate: a dropped
+    workload must never read as green."""
 
     def test_missing_workload_regresses(self):
-        baseline = _report({"engine_batch": 1.0, "tensor_batch": 1.0})
-        comparisons = compare_reports(_report({"engine_batch": 1.0}),
-                                      baseline)
-        missing = [c for c in comparisons if c.name == "tensor_batch"]
-        assert len(missing) == 1
-        assert missing[0].regressed
-        assert missing[0].current_median_s is None
-        assert missing[0].baseline_median_s == 1.0
-        assert "MISSING" in format_comparisons(comparisons, 0.25)
+        current = make_report({"live_sessions": METRICS["live_sessions"]})
+        rows = perf.compare_reports(current, make_report(), BENCHMARK)
+        assert [(c.workload, c.metric, c.baseline, c.current)
+                for c in rows if c.verdict != "ok"] == [
+            ("fleet_pool_halfwarm", "workload", "present", None),
+            ("grid_shared_optics", "workload", "present", None)]
 
     def test_names_filter_limits_required_set(self):
-        baseline = _report({"engine_batch": 1.0, "tensor_batch": 1.0})
-        comparisons = compare_reports(_report({"engine_batch": 1.0}),
-                                      baseline, names=["engine_batch"])
-        assert all(not c.regressed for c in comparisons)
-        assert [c.name for c in comparisons] == ["engine_batch"]
+        current = make_report({"live_sessions": METRICS["live_sessions"]})
+        rows = perf.compare_reports(current, make_report(), BENCHMARK,
+                                    names=["live_sessions"])
+        assert regressed(rows) == []
+        assert {c.workload for c in rows} == {"live_sessions"}
 
-    def test_bench_cli_fails_on_missing_workload(self, tmp_path, capsys):
-        """End-to-end: full-baseline + subset-free current run without
-        the baseline's extra workload exits nonzero."""
-        from repro.perf import run_suite
-
-        baseline_path = tmp_path / "baseline.json"
-        baseline = _report({"engine_batch": 1.0,
-                            "some_deleted_workload": 1.0})
-        save_report(baseline, baseline_path)
-        out = tmp_path / "report.json"
-        code = cli_main(["bench", "--quick", "--repeats", "1",
-                         "--workload", "engine_batch",
-                         "--workload", "some_deleted_workload",
-                         "--out", str(out),
-                         "--baseline", str(baseline_path),
-                         "--tolerance", "1000"])
-        # run_suite raises KeyError for the unknown workload -> exit 2;
-        # drop the selection instead and rely on the names filter.
-        assert code == 2
-
-        code = cli_main(["bench", "--quick", "--repeats", "1",
-                         "--out", str(out),
-                         "--baseline", str(baseline_path),
-                         "--tolerance", "1000"])
+    def test_bench_cli_fails_on_missing_workload(self, perfbench, tmp_path,
+                                                 capsys):
+        metrics = {**METRICS, "retired_workload": METRICS["live_sessions"]}
+        perf.save_report(make_report(metrics), tmp_path / "baseline.json")
+        code, _ = bench(tmp_path)
         assert code == 1
-        captured = capsys.readouterr()
-        assert "some_deleted_workload" in captured.err
-        assert "MISSING" in captured.out
-
-
-class TestExtrasMetrics:
-    def test_extras_round_trip(self, tmp_path):
-        report = PerfReport(results=[_timed(
-            "w", 0.5, {"scenarios_per_s": 24.0, "peak_rss_mb": 310.0})],
-            quick=True)
-        loaded = load_report(save_report(report, tmp_path / "r.json"))
-        assert loaded.results[0].extras == {"scenarios_per_s": 24.0,
-                                            "peak_rss_mb": 310.0}
-        assert loaded.to_dict() == report.to_dict()
-
-    def test_throughput_drop_regresses(self):
-        baseline = PerfReport(results=[_timed(
-            "w", 1.0, {"scenarios_per_s": 100.0})], quick=True)
-        current = PerfReport(results=[_timed(
-            "w", 1.0, {"scenarios_per_s": 60.0})], quick=True)
-        comparisons = compare_reports(current, baseline, tolerance=0.25)
-        metric = [c for c in comparisons if c.metric == "scenarios_per_s"]
-        assert len(metric) == 1
-        assert metric[0].regressed           # 0.6 < 1/1.25
-        assert metric[0].name == "w:scenarios_per_s"
-
-    def test_throughput_gain_and_small_drop_pass(self):
-        baseline = PerfReport(results=[_timed(
-            "w", 1.0, {"scenarios_per_s": 100.0})], quick=True)
-        for value in (150.0, 90.0, 100.0):
-            current = PerfReport(results=[_timed(
-                "w", 1.0, {"scenarios_per_s": value})], quick=True)
-            (metric,) = [c for c in compare_reports(current, baseline,
-                                                    tolerance=0.25)
-                         if c.metric is not None]
-            assert not metric.regressed
-
-    def test_peak_rss_gets_generous_tolerance(self):
-        from repro.perf.baseline import RSS_TOLERANCE
-
-        baseline = PerfReport(results=[_timed(
-            "w", 1.0, {"peak_rss_mb": 100.0})], quick=True)
-        ok = PerfReport(results=[_timed(
-            "w", 1.0, {"peak_rss_mb": 100.0 * (1.0 + RSS_TOLERANCE)})],
-            quick=True)
-        bad = PerfReport(results=[_timed(
-            "w", 1.0, {"peak_rss_mb": 100.0 * (1.9 + RSS_TOLERANCE)})],
-            quick=True)
-        (c_ok,) = [c for c in compare_reports(ok, baseline, tolerance=0.1)
-                   if c.metric is not None]
-        (c_bad,) = [c for c in compare_reports(bad, baseline,
-                                               tolerance=0.1)
-                    if c.metric is not None]
-        assert not c_ok.regressed
-        assert c_bad.regressed
-
-    def test_suite_populates_tensor_extras(self):
-        """A real quick run of the tensor workloads derives throughput
-        extras from the measured median."""
-        from repro.perf import run_suite
-
-        report = run_suite(quick=True, names=["tensor_batch"], repeats=1)
-        extras = report.results[0].extras
-        assert extras["scenarios_per_s"] > 0.0
-        assert extras["ksamples_per_s_core"] > 0.0
-        assert extras.get("peak_rss_mb", 1.0) > 0.0
-
-
-class TestProfiledBench:
-    """--profile adds stage medians as extras without touching the
-    gated metrics (the timing repeats themselves run unprofiled)."""
-
-    def _scenario_workload(self):
-        from repro.engine.executor import execute_scenario
-        from repro.engine.spec import ScenarioSpec
-
-        def setup(quick):
-            spec = ScenarioSpec(
-                source="sun", detector="led", cap=False, ground="tarmac",
-                bits="00", symbol_width_m=0.1, speed_mps=5.0,
-                receiver_height_m=0.25, start_position_m=-1.5,
-                sample_rate_hz=2000.0, ground_lux=450.0, seed=3)
-            return lambda: execute_scenario(spec)
-
-        return Workload(name="one_scenario", kind="macro",
-                        description="single serial scenario", setup=setup,
-                        repeats=1, quick_repeats=1, warmup=0)
-
-    def test_stage_extras_recorded(self):
-        report = run_suite(workloads=[self._scenario_workload()],
-                           repeats=1, profile=True)
-        extras = report.results[0].extras
-        stage_keys = {k for k in extras if k.startswith("stage_")}
-        assert {"stage_build_s", "stage_simulate_s",
-                "stage_decide_s"} <= stage_keys
-        assert all(extras[k] >= 0.0 for k in stage_keys)
-        # The gated timing repeats stay unprofiled and unchanged.
-        assert len(report.results[0].times_s) == 1
-
-    def test_no_profile_means_no_stage_extras(self):
-        report = run_suite(workloads=[self._scenario_workload()],
-                           repeats=1)
-        assert not any(k.startswith("stage_")
-                       for k in report.results[0].extras)
-
-    def test_stage_extras_never_gate_against_old_baselines(self):
-        current = _report({"engine_batch": 1.0})
-        current.results[0].extras["stage_decide_s"] = 0.5
-        baseline = _report({"engine_batch": 1.0})
-        comparisons = compare_reports(current, baseline)
-        assert all(not c.regressed for c in comparisons)
-
-    def test_profile_tolerates_traceless_thunks(self):
-        log = []
-        report = run_suite(workloads=_tiny_workloads(log), repeats=1,
-                           profile=True)
-        for timing in report.results:
-            assert not any(k.startswith("stage_") for k in timing.extras)
-
-
-class TestStageMedians:
-    """Satellite: stage medians are a first-class, printed, diffable
-    block — not just print-and-forget extras."""
-
-    def _timing(self, extras):
-        return WorkloadTiming(name="w", kind="macro", description="",
-                              warmup=0, times_s=[1.0], extras=extras)
-
-    def test_stage_medians_derived_from_extras(self):
-        timing = self._timing({"stage_build_s": 0.002,
-                               "stage_decide_s": 0.001,
-                               "scenarios_per_s": 42.0})
-        assert timing.stage_medians_s == {"build": 0.002, "decide": 0.001}
-
-    def test_no_stage_extras_means_empty(self):
-        assert self._timing({"scenarios_per_s": 42.0}).stage_medians_s == {}
-
-    def test_to_dict_has_first_class_stages_block(self):
-        timing = self._timing({"stage_build_s": 0.002})
-        data = timing.to_dict()
-        assert data["stages"] == {"build": 0.002}
-        # Unprofiled timings keep the block absent, not empty.
-        assert "stages" not in self._timing({}).to_dict()
-
-    def test_stages_block_round_trips_via_extras(self, tmp_path):
-        report = PerfReport(results=[self._timing({"stage_build_s": 0.5})])
-        path = save_report(report, tmp_path / "report.json")
-        loaded = load_report(path)
-        assert loaded.results[0].stage_medians_s == {"build": 0.5}
-        assert json.loads(path.read_text())["workloads"][0]["stages"] == \
-            {"build": 0.5}
-
-    def test_stage_regressions_gate_when_in_both_reports(self):
-        current = _report({"engine_batch": 1.0})
-        current.results[0].extras["stage_decide_s"] = 1.0
-        baseline = _report({"engine_batch": 1.0})
-        baseline.results[0].extras["stage_decide_s"] = 0.5
-        comparisons = compare_reports(current, baseline)
-        regressed = [c.name for c in comparisons if c.regressed]
-        assert regressed == ["engine_batch:stage_decide_s"]
-
-    def test_format_stage_medians_table(self):
-        from repro.perf import format_stage_medians
-
-        report = PerfReport(results=[
-            self._timing({"stage_build_s": 0.001, "stage_decide_s": 0.003})])
-        table = format_stage_medians(report)
-        assert "build" in table and "decide" in table
-        assert "75.0%" in table  # 0.003 of 0.004
-        assert format_stage_medians(PerfReport()) == ""
-
-    def test_bench_cli_prints_stage_table(self, tmp_path, capsys):
-        code = cli_main(["bench", "--quick", "--repeats", "1",
-                         "--workload", "engine_batch", "--profile",
-                         "--out", str(tmp_path / "r.json"),
-                         "--baseline", str(tmp_path / "none.json")])
+        assert "retired_workload:workload MISSING" in capsys.readouterr().err
+        # Naming a subset requires only that subset.
+        code, _ = bench(tmp_path, "--workload", "grid_shared_optics")
         assert code == 0
-        out = capsys.readouterr().out
-        assert "stage medians (profiled passes):" in out
-        assert "simulate" in out
-        saved = json.loads((tmp_path / "r.json").read_text())
-        assert "simulate" in saved["workloads"][0]["stages"]
+
+    def test_missing_metric_fails(self):
+        baseline = make_report()
+        del baseline["workloads"]["live_sessions"]["metrics"]["setup_s"]
+        current = make_report()
+        del current["workloads"]["grid_shared_optics"]["metrics"][
+            "peak_rss_mb"]
+        rows = perf.compare_reports(current, baseline, BENCHMARK)
+        assert sorted((c.workload, c.metric, c.verdict) for c in rows
+                      if c.verdict != "ok") == [
+            ("grid_shared_optics", "peak_rss_mb", "MISSING"),
+            ("live_sessions", "setup_s", "MISSING")]
