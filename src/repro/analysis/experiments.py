@@ -289,7 +289,7 @@ def experiment_fig6b(quick: bool = True) -> ExperimentResult:
     hs = np.array([h for h, _ in curve])
     ts = np.array([t for _, t in curve])
     exp_fit = fit_exponential(hs, ts)
-    decay_ratio = ts[0] / ts[-1] if ts[-1] > 0 else float("inf")
+    decay_ratio = float(ts[0] / ts[-1]) if ts[-1] > 0 else float("inf")
     monotone = bool(np.all(np.diff(ts) <= 1e-9))
     passed = monotone and exp_fit.rate < 0.0 and decay_ratio >= 1.8
     return ExperimentResult(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Capture the golden figure baselines.
 
-Re-runs the four benchmark-figure experiments and rewrites
+Re-runs all twelve paper-figure experiments and rewrites
 ``tests/baselines/fig*.json`` from their measured outputs.  Run this
 ONLY when a change is *supposed* to move the reproduced numbers (a
 physics fix, a calibration change) — the whole point of the goldens is
@@ -20,18 +20,34 @@ from pathlib import Path
 
 from repro.analysis.experiments import (
     experiment_fig5,
+    experiment_fig6a,
+    experiment_fig6b,
+    experiment_fig7,
+    experiment_fig8,
     experiment_fig10,
+    experiment_fig11,
+    experiment_fig13,
+    experiment_fig14,
     experiment_fig15,
+    experiment_fig16,
     experiment_fig17,
 )
 
 BASELINE_DIR = Path(__file__).resolve().parent
 
-#: The benchmarked figures pinned by goldens, name -> experiment.
+#: The paper figures pinned by goldens, name -> experiment.
 GOLDEN_EXPERIMENTS = {
     "fig05": experiment_fig5,
+    "fig06a": experiment_fig6a,
+    "fig06b": experiment_fig6b,
+    "fig07": experiment_fig7,
+    "fig08": experiment_fig8,
     "fig10": experiment_fig10,
+    "fig11": experiment_fig11,
+    "fig13": experiment_fig13,
+    "fig14": experiment_fig14,
     "fig15": experiment_fig15,
+    "fig16": experiment_fig16,
     "fig17": experiment_fig17,
 }
 

@@ -5,6 +5,8 @@ shape-level claim must hold on the simulated substrate.  The Fig. 6
 sweeps are the slow ones and run in quick mode.
 """
 
+import json
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -111,3 +113,20 @@ class TestSection5:
         result = experiment_fig17()
         assert result.passed, result.report()
         assert result.measured["throughput_sps"] == pytest.approx(50.0)
+
+
+ALL_EXPERIMENTS = (
+    experiment_fig5, experiment_fig6a, experiment_fig6b, experiment_fig7,
+    experiment_fig8, experiment_fig10, experiment_fig11, experiment_fig13,
+    experiment_fig14, experiment_fig15, experiment_fig16, experiment_fig17,
+)
+
+
+@pytest.mark.parametrize("experiment", ALL_EXPERIMENTS,
+                         ids=lambda f: f.__name__)
+def test_result_holds_builtins(experiment):
+    """``passed`` is a builtin bool and ``measured`` serializes as JSON
+    (the golden capture writes it verbatim)."""
+    result = experiment()
+    assert isinstance(result.passed, bool)
+    json.dumps(result.measured)
