@@ -1,9 +1,9 @@
 """Ablation — chord-approximation vs exact-lateral (ray) channel model.
 
-DESIGN.md commits to cross-validating the fast convolution kernel
-(analytic chord weighting) against the full lateral ray quadrature.
-This bench measures both the waveform agreement and the speed gap that
-justifies using the chord kernel by default.
+The simulator's default is the fast convolution kernel (analytic chord
+weighting); this bench cross-validates it against the full lateral ray
+quadrature, measuring both the waveform agreement and the speed gap
+that justifies the default.
 """
 
 import numpy as np

@@ -8,20 +8,17 @@ accuracy and runtime across band settings.
 
 import time
 
-from repro.analysis.experiments import indoor_capture
-from repro.channel.mobility import speed_doubling_profile
+from repro.analysis.experiments import dark_room_spec
 from repro.core.classifier import DtwClassifier
-from repro.tags.packet import Packet
+from repro.engine.executor import capture_trace
 
 
 def _dataset():
-    clean00, _ = indoor_capture("00", 0.03, 0.2, seed=6)
-    clean10, _ = indoor_capture("10", 0.03, 0.2, seed=6)
-    packet = Packet.from_bitstring("10", symbol_width_m=0.03)
-    distorted = [indoor_capture(
-        "10", 0.03, 0.2,
-        motion=speed_doubling_profile(packet.length_m, 0.08, -0.3),
-        seed=seed)[0] for seed in (7, 8, 9, 10)]
+    clean00 = capture_trace(dark_room_spec("00", 6))
+    clean10 = capture_trace(dark_room_spec("10", 6))
+    distorted = [capture_trace(dark_room_spec(
+        "10", seed, motion="speed_doubling", start_position_m=-0.3))
+        for seed in (7, 8, 9, 10)]
     return clean00, clean10, distorted
 
 

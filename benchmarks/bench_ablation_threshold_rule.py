@@ -1,7 +1,7 @@
 """Ablation — the paper's literal tau_r rule vs the midpoint reading.
 
-DESIGN.md Section 5: the paper compares a window max against tau_r
-directly.  tau_r is a peak-to-valley *difference*, so the comparison
+The paper compares a window max against tau_r directly (see the
+threshold-rule note in repro.core.decoder).  tau_r is a peak-to-valley *difference*, so the comparison
 only works when LOW-symbol valleys descend close to the waveform floor.
 That holds for sharply resolved signals (little FoV blur — the regime
 of the paper's Fig. 5 plots), but under realistic footprint blur the
@@ -13,10 +13,11 @@ collapses, while the midpoint reading (threshold at
 
 import numpy as np
 
-from repro.analysis.experiments import indoor_capture
+from repro.analysis.experiments import dark_room_spec
 from repro.channel.trace import SignalTrace
 from repro.core.decoder import AdaptiveThresholdDecoder, DecoderConfig
 from repro.core.errors import DecodeError, PreambleNotFoundError
+from repro.engine.executor import capture_trace
 
 
 def _sharp_trace(symbols, seed=0, fs=200.0):
@@ -49,10 +50,8 @@ def test_ablation_threshold_rules(benchmark):
     sharp = [(_sharp_trace("HLHL" + data, seed=s), bits)
              for data, bits in (("HLHL", "00"), ("LHHL", "10"))
              for s in (1, 2, 3)]
-    blurred = [(tr, pkt.bit_string())
-               for tr, pkt in (indoor_capture(bits, 0.03, 0.2, seed=s)
-                               for bits in ("00", "10")
-                               for s in (3, 4, 5))]
+    blurred = [(capture_trace(dark_room_spec(bits, s)), bits)
+               for bits in ("00", "10") for s in (3, 4, 5)]
 
     def run():
         return {

@@ -4,7 +4,8 @@ Paper: a decodable region bounded by a *linear* relationship between
 maximal emitter/receiver height and symbol width (1.5-7.5 cm symbols
 mapping to roughly 0.2-0.5 m).  The reproduction asserts positive slope
 and a linear fit with R^2 >= 0.85; the absolute frontier sits at
-slightly wider symbols than the paper's (see DESIGN.md).
+slightly wider symbols than the paper's, because the capped photodiode
+accepts a wider cone than the paper's optics.
 """
 
 from repro.analysis.experiments import experiment_fig6a

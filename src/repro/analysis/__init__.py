@@ -28,7 +28,6 @@ from .reporting import format_series, format_table, summarize_results
 from .waterfall import (
     WaterfallCurve,
     WaterfallPoint,
-    decode_rate,
     dirt_waterfall,
     fog_waterfall,
     noise_floor_waterfall,
@@ -55,6 +54,6 @@ __all__ = [
     "DecodabilityGrid", "FusionGainSweep", "sweep_decodability",
     "sweep_frontier", "sweep_fusion_gain", "sweep_scenario_family",
     "sweep_throughput",
-    "WaterfallCurve", "WaterfallPoint", "decode_rate",
-    "noise_floor_waterfall", "dirt_waterfall", "fog_waterfall",
+    "WaterfallCurve", "WaterfallPoint", "noise_floor_waterfall",
+    "dirt_waterfall", "fog_waterfall",
 ]

@@ -3,24 +3,26 @@
 Every experiment returns an :class:`ExperimentResult` holding the
 measured series, the paper's claim, and a shape-level pass verdict.
 Benchmarks call these functions and print the paper-vs-measured rows;
-EXPERIMENTS.md is the curated record of their output.
+the golden baselines in ``tests/baselines/`` pin their measured output.
 
-Scene parameters follow the paper exactly where stated (heights, symbol
-widths, speeds, noise floors, sampling rate); unstated constants (lamp
-intensity, sun elevation) are fixed at the values calibrated in
-DESIGN.md.
+Every scene is a :class:`~repro.engine.ScenarioSpec`.  Its parameters
+follow the paper exactly where stated (heights, symbol widths, speeds,
+noise floors, sampling rate); unstated constants (lamp intensity, sun
+elevation) are the spec defaults and those of the source models in
+:mod:`repro.optics.sources`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from ..channel.mobility import ConstantSpeed, speed_doubling_profile
-from ..channel.scene import MovingObject, PassiveScene
-from ..channel.simulator import ChannelSimulator, SimulatorConfig
+from ..channel.mobility import ConstantSpeed
+from ..channel.scene import MovingObject
+from ..channel.simulator import ChannelSimulator
 from ..channel.trace import SignalTrace
 from ..core.capacity import IndoorSetup
 from ..core.classifier import DtwClassifier
@@ -29,16 +31,12 @@ from ..core.decoder import AdaptiveThresholdDecoder
 from ..core.errors import DecodeError, PreambleNotFoundError
 from ..core.receiver_select import DualReceiverController
 from ..engine import BatchRunner, ScenarioSpec, expand_grid, success_rate_by
-from ..hardware.frontend import FovCap, ReceiverFrontEnd
+from ..engine.executor import build_scene, build_simulator, capture_trace
 from ..hardware.led_receiver import LedReceiver
 from ..hardware.photodiode import PdGain, Photodiode, normalized_sensitivity
-from ..optics.geometry import Vec3
-from ..optics.materials import TARMAC
-from ..optics.sources import FluorescentCeiling, LedLamp, Sun
 from ..tags.packet import Packet
 from ..tags.surface import TagSurface
 from ..vehicles.profiles import bmw_3_series, volvo_v40
-from ..vehicles.rooftag import TaggedCar, TwoPhaseDecoder
 from ..vehicles.signature import extract_signature, match_car
 from .metrics import fit_exponential, fit_linear
 from .sweeps import sweep_frontier, sweep_throughput
@@ -107,70 +105,41 @@ class ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Shared scene builders
+# Shared scene specs
 # ----------------------------------------------------------------------
 
-def indoor_capture(bits: str, symbol_width_m: float, height_m: float,
-                   speed_mps: float = 0.08,
-                   motion=None,
-                   lamp_intensity_cd: float = 2.0,
-                   pd_gain: PdGain = PdGain.G1,
-                   sample_rate_hz: float = 500.0,
-                   seed: int = 7) -> tuple[SignalTrace, Packet]:
-    """One dark-room pass (Sections 4.1-4.3 setup)."""
-    packet = Packet.from_bitstring(bits, symbol_width_m=symbol_width_m)
-    tag = TagSurface.from_packet(packet)
-    frontend = ReceiverFrontEnd(
-        detector=Photodiode.opt101(gain=pd_gain),
-        cap=FovCap.paper_cap(), seed=seed)
-    if motion is None:
-        motion = ConstantSpeed(speed_mps, -(0.6 * height_m
-                                            + 3.0 * symbol_width_m))
-    scene = PassiveScene(
-        source=LedLamp(position=Vec3(0.12, 0.0, height_m),
-                       luminous_intensity=lamp_intensity_cd),
-        receiver_height_m=height_m,
-        objects=[MovingObject(tag, motion, "tag")])
-    sim = ChannelSimulator(scene, frontend,
-                           SimulatorConfig(sample_rate_hz=sample_rate_hz,
-                                           seed=seed))
-    return sim.capture_pass(), packet
+def dark_room_spec(bits: str, seed: int, **fields: Any) -> ScenarioSpec:
+    """Engine spec for one dark-room pass (Sections 4.1-4.3 setup).
+
+    3 cm symbols under the LED lamp at h = 0.2 m, 8 cm/s, sampled at
+    500 S/s by the capped OPT101 (G1); ``fields`` override any of it.
+    """
+    return ScenarioSpec(bits=bits, symbol_width_m=0.03,
+                        receiver_height_m=0.2, speed_mps=0.08,
+                        sample_rate_hz=500.0, seed=seed).replace(**fields)
 
 
-def outdoor_car_capture(bits: str | None, noise_floor_lux: float,
-                        height_m: float, receiver: ReceiverFrontEnd,
-                        car=None, seed: int = 3) -> tuple[SignalTrace, Packet | None]:
-    """A (possibly tagged) car passing outdoors at 18 km/h."""
-    car = car if car is not None else volvo_v40()
-    packet = None
-    if bits is not None:
-        packet = Packet.from_bitstring(bits,
-                                       symbol_width_m=CAR_SYMBOL_WIDTH_M)
-        surface = TaggedCar(car=car, packet=packet).surface()
-    else:
-        surface = car
-    receiver.seed = seed
-    scene = PassiveScene(
-        source=Sun(ground_lux=noise_floor_lux),
-        receiver_height_m=height_m, ground=TARMAC,
-        objects=[MovingObject(surface, ConstantSpeed(CAR_SPEED_MPS, -1.5),
-                              car.model)])
-    sim = ChannelSimulator(scene, receiver,
-                           SimulatorConfig(
-                               sample_rate_hz=OUTDOOR_SAMPLE_RATE_HZ,
-                               seed=seed))
-    return sim.capture_pass(), packet
+def _capture_with_objects(spec: ScenarioSpec,
+                          objects: list[MovingObject]) -> SignalTrace:
+    """Capture ``spec``'s pass with the scene's objects swapped out.
+
+    For scenes no spec field expresses (Fig. 10's two tags sharing the
+    FoV, Figs. 13-14's untagged car): source, receiver, sampling and
+    noise all come from the spec.
+    """
+    sim = build_simulator(spec)
+    scene = dataclasses.replace(sim.scene, objects=objects)
+    return ChannelSimulator(scene, sim.frontend, sim.config).capture_pass()
 
 
-def _decode_ok(trace: SignalTrace, packet: Packet,
+def _decode_ok(trace: SignalTrace, bits: str,
                decoder: AdaptiveThresholdDecoder | None = None) -> bool:
     decoder = decoder or AdaptiveThresholdDecoder()
     try:
-        result = decoder.decode(trace,
-                                n_data_symbols=2 * len(packet.data_bits))
+        result = decoder.decode(trace, n_data_symbols=2 * len(bits))
     except (PreambleNotFoundError, DecodeError):
         return False
-    return result.bit_string() == packet.bit_string()
+    return result.bit_string() == bits
 
 
 def outdoor_tag_spec(bits: str, noise_floor_lux: float,
@@ -197,10 +166,8 @@ def outdoor_tag_spec(bits: str, noise_floor_lux: float,
 
 def outdoor_car_spec(bits: str, noise_floor_lux: float, height_m: float,
                      car: str = "volvo_v40") -> ScenarioSpec:
-    """Engine spec for a tagged car decoded with the two-phase decoder.
-
-    Matches :func:`outdoor_car_capture` + :class:`TwoPhaseDecoder`.
-    """
+    """Engine spec for a tagged car decoded with the two-phase decoder
+    (:class:`~repro.vehicles.rooftag.TwoPhaseDecoder`)."""
     return outdoor_tag_spec(bits, noise_floor_lux, height_m).replace(
         car=car, decoder="two_phase")
 
@@ -215,9 +182,8 @@ def experiment_fig5(seed: int = 7) -> ExperimentResult:
     traces: dict[str, SignalTrace] = {}
     ok_all = True
     for bits in ("00", "10"):
-        trace, packet = indoor_capture(bits, symbol_width_m=0.03,
-                                       height_m=0.2, seed=seed)
-        ok = _decode_ok(trace, packet)
+        trace = capture_trace(dark_room_spec(bits, seed))
+        ok = _decode_ok(trace, bits)
         results[f"code_{bits}_decoded"] = ok
         traces[bits] = trace.normalized()
         ok_all = ok_all and ok
@@ -317,22 +283,15 @@ def experiment_fig6b(quick: bool = True) -> ExperimentResult:
 
 def experiment_fig7(seed: int = 5) -> ExperimentResult:
     """Fig. 7: decoding still works under AC-driven ceiling lights."""
-    packet = Packet.from_bitstring("00", symbol_width_m=0.03)
-    tag = TagSurface.from_packet(packet)
-    frontend = ReceiverFrontEnd(detector=Photodiode.opt101(gain=PdGain.G2),
-                                cap=FovCap.paper_cap(), seed=seed)
-    scene = PassiveScene(
-        source=FluorescentCeiling(ground_lux=300.0, height=2.3),
-        receiver_height_m=0.2,
-        objects=[MovingObject(tag, ConstantSpeed(0.08, -0.3), "tag")])
-    sim = ChannelSimulator(scene, frontend,
-                           SimulatorConfig(sample_rate_hz=2000.0, seed=seed))
-    trace = sim.capture_pass()
-    decoded = _decode_ok(trace, packet)
+    spec = dark_room_spec("00", seed, source="fluorescent",
+                          ground_lux=300.0, pd_gain="G2",
+                          start_position_m=-0.3, sample_rate_hz=2000.0)
+    trace = capture_trace(spec)
+    decoded = _decode_ok(trace, "00")
 
     # Reference: the dark-room equivalent for ripple/noise-floor compare.
-    clean_trace, _ = indoor_capture("00", 0.03, 0.2, seed=seed,
-                                    sample_rate_hz=2000.0)
+    clean_trace = capture_trace(dark_room_spec("00", seed,
+                                               sample_rate_hz=2000.0))
 
     def ac_ripple_share(t: SignalTrace) -> float:
         """Spectral energy near 100 Hz relative to the symbol band."""
@@ -354,7 +313,7 @@ def experiment_fig7(seed: int = 5) -> ExperimentResult:
 
     ripple_fluor = ac_ripple_share(trace)
     ripple_dark = ac_ripple_share(clean_trace)
-    noise_floor = scene.nominal_noise_floor_lux()
+    noise_floor = build_scene(spec).nominal_noise_floor_lux()
     mod_fluor = modulation_index(trace)
     mod_dark = modulation_index(clean_trace)
     passed = (decoded
@@ -386,10 +345,10 @@ def experiment_fig7(seed: int = 5) -> ExperimentResult:
 
 def experiment_fig8(seed: int = 9) -> ExperimentResult:
     """Fig. 8: speed doubling breaks decoding; DTW classifies correctly."""
-    clean00, p00 = indoor_capture("00", 0.03, 0.2, seed=6)
-    clean10, p10 = indoor_capture("10", 0.03, 0.2, seed=6)
-    motion = speed_doubling_profile(p10.length_m, 0.08, -0.3)
-    distorted, _ = indoor_capture("10", 0.03, 0.2, motion=motion, seed=seed)
+    clean00 = capture_trace(dark_room_spec("00", 6))
+    clean10 = capture_trace(dark_room_spec("10", 6))
+    distorted = capture_trace(dark_room_spec(
+        "10", seed, motion="speed_doubling", start_position_m=-0.3))
 
     decoder = AdaptiveThresholdDecoder()
     threshold_bits = ""
@@ -441,26 +400,18 @@ def experiment_fig8(seed: int = 9) -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 def _collision_capture(share_low: float, share_high: float,
-                       seed: int = 11) -> tuple[SignalTrace, Packet, Packet]:
-    low_pkt = Packet.from_bitstring("00", symbol_width_m=0.08)
-    high_pkt = Packet.from_bitstring("000000", symbol_width_m=0.04)
-    frontend = ReceiverFrontEnd(detector=Photodiode.opt101(gain=PdGain.G1),
-                                cap=FovCap.paper_cap(), seed=seed)
-    scene = PassiveScene(
-        source=LedLamp(position=Vec3(0.12, 0.0, 0.2),
-                       luminous_intensity=2.0),
-        receiver_height_m=0.2,
-        objects=[
-            MovingObject(TagSurface.from_packet(low_pkt, label="low-freq"),
-                         ConstantSpeed(0.16, -0.3), "low",
-                         fov_share=share_low),
-            MovingObject(TagSurface.from_packet(high_pkt, label="high-freq"),
-                         ConstantSpeed(0.16, -0.3), "high",
-                         fov_share=share_high),
-        ])
-    sim = ChannelSimulator(scene, frontend,
-                           SimulatorConfig(sample_rate_hz=500.0, seed=seed))
-    return sim.capture_pass(), low_pkt, high_pkt
+                       seed: int = 11) -> SignalTrace:
+    """Two packets at 16 cm/s splitting the dark-room receiver's FoV."""
+    low = TagSurface.from_packet(
+        Packet.from_bitstring("00", symbol_width_m=0.08), label="low-freq")
+    high = TagSurface.from_packet(
+        Packet.from_bitstring("000000", symbol_width_m=0.04),
+        label="high-freq")
+    return _capture_with_objects(dark_room_spec("00", seed), [
+        MovingObject(low, ConstantSpeed(0.16, -0.3), "low",
+                     fov_share=share_low),
+        MovingObject(high, ConstantSpeed(0.16, -0.3), "high",
+                     fov_share=share_high)])
 
 
 def experiment_fig10(seed: int = 11) -> ExperimentResult:
@@ -471,32 +422,24 @@ def experiment_fig10(seed: int = 11) -> ExperimentResult:
     measured: dict[str, Any] = {}
     series: dict[str, Any] = {}
 
-    def decodes_as(trace: SignalTrace, packet: Packet) -> bool:
-        try:
-            res = decoder.decode(trace,
-                                 n_data_symbols=2 * len(packet.data_bits))
-        except (PreambleNotFoundError, DecodeError):
-            return False
-        return res.bit_string() == packet.bit_string()
-
     # Case 1: low-frequency packet dominates.
-    trace1, low_pkt, high_pkt = _collision_capture(0.85, 0.15, seed)
-    case1_ok = decodes_as(trace1, low_pkt)
+    trace1 = _collision_capture(0.85, 0.15, seed)
+    case1_ok = _decode_ok(trace1, "00", decoder)
     freqs1 = analyzer.spectrum_peaks(trace1)
     measured["case1_decodes_dominant"] = case1_ok
     measured["case1_peak_frequencies_hz"] = [round(f, 2) for f in freqs1]
 
     # Case 2: high-frequency packet dominates.
-    trace2, _, _ = _collision_capture(0.15, 0.85, seed)
-    case2_ok = decodes_as(trace2, high_pkt)
+    trace2 = _collision_capture(0.15, 0.85, seed)
+    case2_ok = _decode_ok(trace2, "000000", decoder)
     freqs2 = analyzer.spectrum_peaks(trace2)
     measured["case2_decodes_dominant"] = case2_ok
     measured["case2_peak_frequencies_hz"] = [round(f, 2) for f in freqs2]
 
     # Case 3: equal shares — undecodable, two spectral components.
-    trace3, _, _ = _collision_capture(0.5, 0.5, seed)
-    case3_low = decodes_as(trace3, low_pkt)
-    case3_high = decodes_as(trace3, high_pkt)
+    trace3 = _collision_capture(0.5, 0.5, seed)
+    case3_low = _decode_ok(trace3, "00", decoder)
+    case3_high = _decode_ok(trace3, "000000", decoder)
     freqs3 = analyzer.spectrum_peaks(trace3)
     measured["case3_decodes_either"] = case3_low or case3_high
     measured["case3_peak_frequencies_hz"] = [round(f, 2) for f in freqs3]
@@ -599,9 +542,10 @@ def experiment_fig11() -> ExperimentResult:
 
 def _signature_experiment(car, fig_id: str, expected_pattern: str,
                           seed: int = 3) -> ExperimentResult:
-    receiver = ReceiverFrontEnd(detector=LedReceiver.red_5mm(), seed=seed)
-    trace, _ = outdoor_car_capture(None, 5000.0, 0.75, receiver, car=car,
-                                   seed=seed)
+    spec = outdoor_tag_spec("00", 5000.0, 0.75).replace(seed=seed)
+    trace = _capture_with_objects(
+        spec, [MovingObject(car, ConstantSpeed(CAR_SPEED_MPS, -1.5),
+                            car.model)])
     signature = extract_signature(trace)
     matched = match_car(signature, [volvo_v40(), bmw_3_series()])
     passed = (signature.pattern == expected_pattern

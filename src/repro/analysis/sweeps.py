@@ -7,9 +7,10 @@ widths 1.5-7.5 cm, speed 8 cm/s).  Grid sweeps execute through
 :class:`~repro.engine.ScenarioSpec` and runs through a
 :class:`~repro.engine.BatchRunner`, so sweeps parallelize across cores
 and repeated sweeps hit the engine's result cache.  The bisection-based
-frontier searches reuse the sequential single-point probes in
-:mod:`repro.core.capacity` (each probe depends on the previous verdict,
-so there is nothing to batch).
+frontier searches reuse the single-point probes in
+:mod:`repro.core.capacity`: each probe is one engine batch of its
+seeds, and the probes run one after another because each depends on
+the previous verdict.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.capacity import IndoorSetup, min_decodable_width
+from ..core.capacity import (
+    IndoorSetup,
+    max_decodable_height,
+    min_decodable_width,
+    probe_spec,
+)
 from ..engine import (
     BatchResult,
     BatchRunner,
@@ -29,35 +35,9 @@ from ..engine import (
 )
 from ..scenarios import expand_family
 
-__all__ = ["DecodabilityGrid", "FusionGainSweep", "probe_spec",
-           "sweep_decodability", "sweep_frontier", "sweep_fusion_gain",
+__all__ = ["DecodabilityGrid", "FusionGainSweep", "sweep_decodability",
+           "sweep_frontier", "sweep_fusion_gain",
            "sweep_scenario_family", "sweep_throughput"]
-
-
-def probe_spec(setup: IndoorSetup, height_m: float, symbol_width_m: float,
-               seed: int, speed_mps: float | None = None) -> ScenarioSpec:
-    """The engine spec equivalent to one dark-room decodability probe.
-
-    Reproduces :func:`repro.core.capacity.probe_decodable`'s scene
-    exactly — same lamp, start margin, sampling rule, decoder and seed —
-    so engine-run grids agree with the sequential probes cell for cell.
-    """
-    speed = speed_mps if speed_mps is not None else setup.speed_mps
-    return ScenarioSpec(
-        bits=setup.data_bits,
-        symbol_width_m=symbol_width_m,
-        receiver_height_m=height_m,
-        speed_mps=speed,
-        source="led_lamp",
-        lamp_intensity_cd=setup.lamp_intensity_cd,
-        lamp_offset_m=setup.lamp_offset_m,
-        detector="pd",
-        pd_gain=setup.pd_gain.name,
-        cap=True,
-        sample_rate_hz=setup.sample_rate_hz(symbol_width_m, speed),
-        threshold_rule=setup.threshold_rule,
-        seed=seed,
-    )
 
 
 @dataclass
@@ -263,8 +243,6 @@ def sweep_frontier(setup: IndoorSetup, widths_m: np.ndarray,
                    tolerance_m: float = 0.02,
                    ) -> list[tuple[float, float]]:
     """Max decodable height per width via bisection (Fig. 6(a) curve)."""
-    from ..core.capacity import max_decodable_height
-
     out: list[tuple[float, float]] = []
     for width in np.sort(np.asarray(widths_m, dtype=float)):
         h = max_decodable_height(setup, float(width),

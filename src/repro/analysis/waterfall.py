@@ -5,30 +5,21 @@ The paper reports single operating points (decodable at 450 lux, not at
 falls as the ambient light dims, as dirt accumulates on the tag, or as
 fog thickens.  This module sweeps those stressors through the complete
 stack and reports per-point decode rates with the crossover (the
-stressor level where the rate first drops below a target).
+stressor level where the rate first drops below a target).  Each curve
+is one engine batch: :func:`~repro.analysis.experiments.outdoor_tag_spec`
+(a bare tag under the RX-LED) expanded over (stress level x seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
-import numpy as np
+from ..engine import BatchRunner, expand_grid, success_rate_by
+from .experiments import outdoor_tag_spec
 
-from ..channel.distortion import Atmosphere
-from ..channel.mobility import ConstantSpeed
-from ..channel.scene import MovingObject, PassiveScene
-from ..channel.simulator import ChannelSimulator, SimulatorConfig
-from ..core.decoder import AdaptiveThresholdDecoder
-from ..core.errors import DecodeError, PreambleNotFoundError
-from ..hardware.frontend import ReceiverFrontEnd
-from ..optics.materials import TARMAC, Material
-from ..optics.sources import Sun
-from ..tags.packet import Packet
-from ..tags.surface import TagSurface
-
-__all__ = ["WaterfallPoint", "WaterfallCurve", "decode_rate",
-           "noise_floor_waterfall", "dirt_waterfall", "fog_waterfall"]
+__all__ = ["WaterfallPoint", "WaterfallCurve", "noise_floor_waterfall",
+           "dirt_waterfall", "fog_waterfall"]
 
 
 @dataclass(frozen=True)
@@ -82,44 +73,22 @@ class WaterfallCurve:
         return "\n".join(lines)
 
 
-def decode_rate(scene_factory: Callable[[int], PassiveScene],
-                frontend_factory: Callable[[int], ReceiverFrontEnd],
-                expected_bits: str,
-                n_data_symbols: int,
-                seeds: Sequence[int] = (2, 3, 4, 5, 6),
-                sample_rate_hz: float = 2_000.0) -> float:
-    """Fraction of seeded passes whose decode matches ``expected_bits``."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    decoder = AdaptiveThresholdDecoder()
-    wins = 0
-    for seed in seeds:
-        sim = ChannelSimulator(
-            scene_factory(seed), frontend_factory(seed),
-            SimulatorConfig(sample_rate_hz=sample_rate_hz, seed=seed))
-        try:
-            result = decoder.decode(sim.capture_pass(),
-                                    n_data_symbols=n_data_symbols)
-        except (PreambleNotFoundError, DecodeError):
-            continue
-        wins += result.bit_string() == expected_bits
-    return wins / len(seeds)
+def _waterfall(parameter: str, axis: str, levels: Sequence[float],
+               bits: str, symbol_width_m: float, lux: float,
+               height_m: float, speed_mps: float,
+               seeds: Sequence[int]) -> WaterfallCurve:
+    """Decode rate per level of one spec field, over the seeds."""
+    template = outdoor_tag_spec(bits, lux, height_m).replace(
+        symbol_width_m=symbol_width_m, speed_mps=speed_mps)
+    specs = expand_grid(template, {axis: list(levels), "seed": list(seeds)})
+    records = BatchRunner(backend="tensor").run(specs).records
+    rates = success_rate_by(records, axis)
+    return WaterfallCurve(parameter=parameter, points=[
+        WaterfallPoint(stress=float(level), decode_rate=rates[level])
+        for level in levels])
 
 
-def _outdoor_scene(tag: TagSurface, lux: float, height: float,
-                   speed: float, atmosphere: Atmosphere | None = None,
-                   ground: Material = TARMAC) -> PassiveScene:
-    scene = PassiveScene(
-        source=Sun(ground_lux=lux), receiver_height_m=height,
-        ground=ground,
-        objects=[MovingObject(tag, ConstantSpeed(speed, -1.5), "tag")])
-    if atmosphere is not None:
-        scene.atmosphere = atmosphere
-    return scene
-
-
-def noise_floor_waterfall(frontend_factory: Callable[[int], ReceiverFrontEnd],
-                          lux_levels: Sequence[float],
+def noise_floor_waterfall(lux_levels: Sequence[float],
                           bits: str = "00",
                           symbol_width_m: float = 0.1,
                           height_m: float = 0.25,
@@ -127,21 +96,12 @@ def noise_floor_waterfall(frontend_factory: Callable[[int], ReceiverFrontEnd],
                           seeds: Sequence[int] = (2, 3, 4, 5, 6),
                           ) -> WaterfallCurve:
     """Decode rate vs ambient noise floor (generalises Fig. 15)."""
-    packet = Packet.from_bitstring(bits, symbol_width_m=symbol_width_m)
-    curve = WaterfallCurve(parameter="noise floor (lux)")
-    for lux in lux_levels:
-        rate = decode_rate(
-            lambda seed, lux=lux: _outdoor_scene(
-                TagSurface.from_packet(packet), lux, height_m, speed_mps),
-            frontend_factory, packet.bit_string(),
-            2 * len(packet.data_bits), seeds)
-        curve.points.append(WaterfallPoint(stress=float(lux),
-                                           decode_rate=rate))
-    return curve
+    # The template's noise floor is a placeholder: the sweep sets it.
+    return _waterfall("noise floor (lux)", "ground_lux", lux_levels, bits,
+                      symbol_width_m, 6200.0, height_m, speed_mps, seeds)
 
 
-def dirt_waterfall(frontend_factory: Callable[[int], ReceiverFrontEnd],
-                   dirt_levels: Sequence[float],
+def dirt_waterfall(dirt_levels: Sequence[float],
                    bits: str = "00",
                    symbol_width_m: float = 0.1,
                    lux: float = 6200.0,
@@ -149,26 +109,16 @@ def dirt_waterfall(frontend_factory: Callable[[int], ReceiverFrontEnd],
                    speed_mps: float = 5.0,
                    seeds: Sequence[int] = (2, 3, 4, 5, 6),
                    ) -> WaterfallCurve:
-    """Decode rate vs tag dirt coverage (the Section 3 distortion)."""
-    packet = Packet.from_bitstring(bits, symbol_width_m=symbol_width_m)
-    clean = TagSurface.from_packet(packet)
-    curve = WaterfallCurve(parameter="dirt factor")
-    for dirt in dirt_levels:
-        if not 0.0 <= dirt <= 1.0:
-            raise ValueError(f"dirt factor must be in [0, 1], got {dirt}")
-        tag = clean.degraded(dirt) if dirt > 0.0 else clean
-        rate = decode_rate(
-            lambda seed, tag=tag: _outdoor_scene(tag, lux, height_m,
-                                                 speed_mps),
-            frontend_factory, packet.bit_string(),
-            2 * len(packet.data_bits), seeds)
-        curve.points.append(WaterfallPoint(stress=float(dirt),
-                                           decode_rate=rate))
-    return curve
+    """Decode rate vs tag dirt coverage (the Section 3 distortion).
+
+    Raises:
+        ValueError: for a dirt factor outside [0, 1].
+    """
+    return _waterfall("dirt factor", "dirt", dirt_levels, bits,
+                      symbol_width_m, lux, height_m, speed_mps, seeds)
 
 
-def fog_waterfall(frontend_factory: Callable[[int], ReceiverFrontEnd],
-                  visibilities_m: Sequence[float],
+def fog_waterfall(visibilities_m: Sequence[float],
                   bits: str = "00",
                   symbol_width_m: float = 0.1,
                   lux: float = 6200.0,
@@ -181,16 +131,6 @@ def fog_waterfall(frontend_factory: Callable[[int], ReceiverFrontEnd],
     Swept from clear towards dense fog; note the stress axis is
     *decreasing* visibility.
     """
-    packet = Packet.from_bitstring(bits, symbol_width_m=symbol_width_m)
-    tag = TagSurface.from_packet(packet)
-    curve = WaterfallCurve(parameter="visibility (m), decreasing")
-    for vis in visibilities_m:
-        atmosphere = Atmosphere.from_visibility(vis)
-        rate = decode_rate(
-            lambda seed, a=atmosphere: _outdoor_scene(
-                tag, lux, height_m, speed_mps, atmosphere=a),
-            frontend_factory, packet.bit_string(),
-            2 * len(packet.data_bits), seeds)
-        curve.points.append(WaterfallPoint(stress=float(vis),
-                                           decode_rate=rate))
-    return curve
+    return _waterfall("visibility (m), decreasing", "visibility_m",
+                      visibilities_m, bits, symbol_width_m, lux, height_m,
+                      speed_mps, seeds)

@@ -139,14 +139,3 @@ class PassiveScene:
         """Time-averaged noise floor (the single number the paper quotes)."""
         t = np.linspace(0.0, 0.1, 256)
         return float(np.mean(self.noise_floor_lux(t)))
-
-    def with_receiver_height(self, height_m: float) -> "PassiveScene":
-        """Copy of the scene at a different receiver height (for sweeps)."""
-        return PassiveScene(
-            source=self.source,
-            receiver_height_m=height_m,
-            objects=self.objects,
-            ground=self.ground,
-            atmosphere=self.atmosphere,
-            receiver_x_m=self.receiver_x_m,
-        )

@@ -7,6 +7,7 @@ from .capacity import (
     max_supported_speed_mps,
     min_decodable_width,
     probe_decodable,
+    probe_spec,
     throughput_symbols_per_second,
 )
 from .classifier import ClassificationResult, DtwClassifier, Template
@@ -31,7 +32,7 @@ from .receiver_select import DualReceiverController, ReceiverChoice
 
 __all__ = [
     "IndoorSetup", "max_decodable_height", "max_supported_speed_mps",
-    "min_decodable_width", "probe_decodable",
+    "min_decodable_width", "probe_decodable", "probe_spec",
     "throughput_symbols_per_second",
     "ClassificationResult", "DtwClassifier", "Template",
     "CollisionAnalyzer", "CollisionReport",

@@ -12,7 +12,9 @@ The paper's designer-facing questions:
 Probes run the full simulation stack — scene, optics, receiver, decoder
 — on the paper's indoor setup: LED lamp and receiver at equal heights,
 12 cm apart, dark room, objects at 8 cm/s, with decodability decided by
-majority vote over noise seeds.
+majority vote over noise seeds.  :func:`probe_spec` is the one
+description of a probe: each probe runs its seeds as one
+:class:`~repro.engine.BatchRunner` batch.
 
 Also here: the "maximal supported speed of an object" analysis promised
 in Section 6 — bounded by the detector's response time and the
@@ -21,26 +23,16 @@ receiver's sampling rate.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel.mobility import ConstantSpeed
-from ..channel.scene import MovingObject, PassiveScene
-from ..channel.simulator import ChannelSimulator, SimulatorConfig
-from ..hardware.frontend import FovCap, ReceiverFrontEnd
-from ..hardware.photodiode import PdGain, Photodiode
-from ..optics.geometry import Vec3
-from ..optics.sources import LedLamp
-from ..tags.packet import Packet
-from ..tags.surface import TagSurface
-from .decoder import AdaptiveThresholdDecoder, DecoderConfig
-from .errors import DecodeError, PreambleNotFoundError
+from ..engine import BatchRunner, ScenarioSpec
+from ..hardware.photodiode import PdGain
 
-__all__ = ["IndoorSetup", "probe_decodable", "min_decodable_width",
-           "max_decodable_height", "throughput_symbols_per_second",
-           "max_supported_speed_mps"]
+__all__ = ["IndoorSetup", "probe_spec", "probe_decodable",
+           "min_decodable_width", "max_decodable_height",
+           "throughput_symbols_per_second", "max_supported_speed_mps"]
 
 
 @dataclass(frozen=True)
@@ -66,48 +58,49 @@ class IndoorSetup:
     seeds: tuple[int, ...] = (11, 23, 47)
     threshold_rule: str = "midpoint"
 
-    def frontend(self, seed: int | None = None) -> ReceiverFrontEnd:
-        """The indoor receiver: capped OPT101 (narrow acceptance)."""
-        return ReceiverFrontEnd(
-            detector=Photodiode.opt101(gain=self.pd_gain),
-            cap=FovCap.paper_cap(),
-            seed=seed,
-        )
-
-    def packet(self, symbol_width_m: float) -> Packet:
-        """The probe packet at a given symbol width."""
-        return Packet.from_bitstring(self.data_bits,
-                                     symbol_width_m=symbol_width_m)
-
-    def scene(self, height_m: float, symbol_width_m: float,
-              speed_mps: float | None = None) -> PassiveScene:
-        """Assemble the dark-room scene for one probe."""
-        if height_m <= 0.0:
-            raise ValueError(f"height must be positive, got {height_m}")
-        if symbol_width_m <= 0.0:
-            raise ValueError(
-                f"symbol width must be positive, got {symbol_width_m}")
-        speed = speed_mps if speed_mps is not None else self.speed_mps
-        packet = self.packet(symbol_width_m)
-        tag = TagSurface.from_packet(packet)
-        # Start upstream so the capture window sees quiet ground first.
-        start = -(0.6 * height_m + 3.0 * symbol_width_m)
-        lamp = LedLamp(position=Vec3(self.lamp_offset_m, 0.0, height_m),
-                       luminous_intensity=self.lamp_intensity_cd)
-        return PassiveScene(
-            source=lamp,
-            receiver_height_m=height_m,
-            objects=[MovingObject(surface=tag,
-                                  motion=ConstantSpeed(speed, start),
-                                  name="probe-tag")],
-        )
-
     def sample_rate_hz(self, symbol_width_m: float,
                        speed_mps: float | None = None) -> float:
-        """A rate giving ~40 samples per symbol, clamped to [200, 2000]."""
+        """A rate giving ~40 samples per symbol, clamped to [200, 2000].
+
+        Kept apart from the spec's auto rate: ``40 / (w / v)`` and
+        ``40 * v / w`` differ in the last bit for many widths, which
+        would move the Fig. 6 bisections.
+        """
         speed = speed_mps if speed_mps is not None else self.speed_mps
         symbol_duration = symbol_width_m / speed
         return float(np.clip(40.0 / symbol_duration, 200.0, 2000.0))
+
+
+def probe_spec(setup: IndoorSetup, height_m: float, symbol_width_m: float,
+               seed: int, speed_mps: float | None = None) -> ScenarioSpec:
+    """The engine spec of one dark-room decodability probe.
+
+    The capped OPT101 under the LED lamp, which rides at the receiver's
+    height; the tag starts upstream (the spec's auto start) so the
+    capture window sees quiet ground first.
+
+    Raises:
+        ValueError: for a non-positive height or symbol width.
+    """
+    speed = speed_mps if speed_mps is not None else setup.speed_mps
+    spec = ScenarioSpec(
+        bits=setup.data_bits,
+        symbol_width_m=symbol_width_m,
+        receiver_height_m=height_m,
+        speed_mps=speed,
+        source="led_lamp",
+        lamp_intensity_cd=setup.lamp_intensity_cd,
+        lamp_offset_m=setup.lamp_offset_m,
+        detector="pd",
+        pd_gain=setup.pd_gain.name,
+        cap=True,
+        threshold_rule=setup.threshold_rule,
+        seed=seed,
+    )
+    # The spec validates the geometry first: a zero width is a
+    # ValueError, not a division by zero in the rate.
+    return spec.replace(
+        sample_rate_hz=setup.sample_rate_hz(symbol_width_m, speed))
 
 
 def probe_decodable(setup: IndoorSetup, height_m: float,
@@ -117,27 +110,13 @@ def probe_decodable(setup: IndoorSetup, height_m: float,
 
     Majority vote across the setup's noise seeds: a point counts as
     decodable when more than half of the simulated passes recover the
-    exact payload.
+    exact payload.  The seeds differ only in noise, so the tensor
+    backend computes the probe's optics once for all of them.
     """
-    packet = setup.packet(symbol_width_m)
-    scene = setup.scene(height_m, symbol_width_m, speed_mps)
-    decoder = AdaptiveThresholdDecoder(
-        DecoderConfig(threshold_rule=setup.threshold_rule))
-    fs = setup.sample_rate_hz(symbol_width_m, speed_mps)
-    successes = 0
-    for seed in setup.seeds:
-        sim = ChannelSimulator(
-            scene, setup.frontend(seed=seed),
-            SimulatorConfig(sample_rate_hz=fs, seed=seed))
-        trace = sim.capture_pass()
-        try:
-            result = decoder.decode(
-                trace, n_data_symbols=2 * len(packet.data_bits))
-        except (PreambleNotFoundError, DecodeError):
-            continue
-        if result.bit_string() == packet.bit_string():
-            successes += 1
-    return successes * 2 > len(setup.seeds)
+    specs = [probe_spec(setup, height_m, symbol_width_m, seed, speed_mps)
+             for seed in setup.seeds]
+    records = BatchRunner(backend="tensor").run(specs).records
+    return sum(r.success for r in records) * 2 > len(setup.seeds)
 
 
 def min_decodable_width(setup: IndoorSetup, height_m: float,

@@ -22,8 +22,8 @@ against it directly implicitly assumes the valley level sits near zero
 available as ``threshold_rule="paper"``; the default ``"midpoint"`` rule
 compares against ``rB + tau_r / 2``, which is identical for
 valley-anchored signals and strictly more robust on raw ADC counts with
-a non-zero pedestal (see DESIGN.md Section 5 and the threshold-rule
-ablation bench).
+a non-zero pedestal (see the threshold-rule ablation bench,
+``benchmarks/bench_ablation_threshold_rule.py``).
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
 """Spec -> simulation: the per-scenario driver of the shared pipeline.
 
 :func:`execute_scenario` is the single choke point through which every
-engine-driven simulation passes.  It reconstructs exactly the scene /
-front-end / simulator assembly the analysis layer used to hand-roll
-(:mod:`repro.core.capacity`, :mod:`repro.analysis.experiments`), so
-engine results are bit-identical to the legacy code paths for the same
-parameters and seed.
+engine-driven simulation passes, and :func:`build_scene` is the one
+scene builder: the figure experiments, the capacity probes and the
+waterfalls describe their scenes as specs and capture them here.
 
 One scenario runs the canonical ``build → simulate → inject_faults →
 … → decide → fuse`` pipeline (:class:`repro.exec.ExecStage`) as plain

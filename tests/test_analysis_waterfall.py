@@ -9,13 +9,6 @@ from repro.analysis.waterfall import (
     fog_waterfall,
     noise_floor_waterfall,
 )
-from repro.hardware.frontend import ReceiverFrontEnd
-from repro.hardware.led_receiver import LedReceiver
-
-
-def led_factory(seed):
-    return ReceiverFrontEnd(detector=LedReceiver.red_5mm(), seed=seed)
-
 
 SEEDS = (2, 3, 4)
 
@@ -49,9 +42,8 @@ class TestNoiseFloorWaterfall:
     def test_fig15_generalised(self):
         """The decode rate must fall as the ambient light dims, with the
         Fig. 15 operating points on the right sides of the cliff."""
-        curve = noise_floor_waterfall(
-            led_factory, lux_levels=[450.0, 100.0], height_m=0.25,
-            seeds=SEEDS)
+        curve = noise_floor_waterfall(lux_levels=[450.0, 100.0],
+                                      height_m=0.25, seeds=SEEDS)
         rates = {p.stress: p.decode_rate for p in curve.points}
         assert rates[450.0] > rates[100.0]
         assert rates[100.0] <= 0.34
@@ -59,23 +51,20 @@ class TestNoiseFloorWaterfall:
 
 class TestDirtWaterfall:
     def test_dirt_degrades_monotonically_at_ends(self):
-        curve = dirt_waterfall(led_factory, dirt_levels=[0.0, 0.95],
-                               seeds=SEEDS)
+        curve = dirt_waterfall(dirt_levels=[0.0, 0.95], seeds=SEEDS)
         assert curve.points[0].decode_rate >= curve.points[-1].decode_rate
 
     def test_clean_tag_decodes(self):
-        curve = dirt_waterfall(led_factory, dirt_levels=[0.0], seeds=SEEDS)
+        curve = dirt_waterfall(dirt_levels=[0.0], seeds=SEEDS)
         assert curve.points[0].decode_rate >= 0.67
 
     def test_dirt_bounds_validated(self):
         with pytest.raises(ValueError):
-            dirt_waterfall(led_factory, dirt_levels=[1.5], seeds=SEEDS)
+            dirt_waterfall(dirt_levels=[1.5], seeds=SEEDS)
 
 
 class TestFogWaterfall:
     def test_clear_beats_dense_fog(self):
-        curve = fog_waterfall(led_factory,
-                              visibilities_m=[10_000.0, 3.0],
-                              seeds=SEEDS)
+        curve = fog_waterfall(visibilities_m=[10_000.0, 3.0], seeds=SEEDS)
         assert curve.points[0].decode_rate >= curve.points[-1].decode_rate
         assert curve.points[0].decode_rate >= 0.67

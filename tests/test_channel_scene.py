@@ -87,10 +87,3 @@ class TestPassiveScene:
         t = np.linspace(0.0, 0.02, 500)
         floor = scene.noise_floor_lux(t)
         assert floor.max() - floor.min() > 10.0
-
-    def test_with_receiver_height(self):
-        scene = build_indoor_scene()
-        taller = scene.with_receiver_height(0.5)
-        assert taller.receiver_height_m == 0.5
-        assert taller.source is scene.source
-        assert taller.objects is scene.objects

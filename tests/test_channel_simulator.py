@@ -46,7 +46,7 @@ class TestGeometry:
 
     def test_ambient_equivalent_coupling_positive_and_stable(self):
         """C = 2*pi*Omega_eff/Omega_fov is an O(1) constant across
-        heights and FoVs (see DESIGN.md)."""
+        heights and FoVs (derived in the method's docstring)."""
         couplings = []
         for h in (0.2, 0.5, 1.0):
             sim = ChannelSimulator(build_indoor_scene(height_m=h),
@@ -171,7 +171,8 @@ class TestCapture:
 class TestKernelMethods:
     def test_chord_and_exact_agree(self):
         """The fast chord kernel matches the ray-integration kernel on a
-        realistic waveform (cross-validation promised in DESIGN.md)."""
+        realistic waveform (the chord-vs-exact ablation bench measures
+        the same agreement and the speed gap)."""
         scene = build_indoor_scene(bits="10", symbol_width_m=0.04)
         traces = {}
         for method in ("chord", "exact"):

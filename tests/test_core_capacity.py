@@ -8,8 +8,10 @@ from repro.core.capacity import (
     max_supported_speed_mps,
     min_decodable_width,
     probe_decodable,
+    probe_spec,
     throughput_symbols_per_second,
 )
+from repro.engine import build_scene
 
 QUICK = IndoorSetup(seeds=(11, 23))
 
@@ -21,16 +23,16 @@ class TestIndoorSetup:
         assert setup.speed_mps == pytest.approx(0.08)
 
     def test_scene_assembly(self):
-        scene = QUICK.scene(0.3, 0.05)
+        scene = build_scene(probe_spec(QUICK, 0.3, 0.05, seed=11))
         assert scene.receiver_height_m == 0.3
         assert scene.source.position.z == 0.3  # lamp rides with receiver
         assert len(scene.objects) == 1
 
     def test_scene_validation(self):
         with pytest.raises(ValueError):
-            QUICK.scene(-0.1, 0.05)
+            probe_spec(QUICK, -0.1, 0.05, seed=11)
         with pytest.raises(ValueError):
-            QUICK.scene(0.3, 0.0)
+            probe_spec(QUICK, 0.3, 0.0, seed=11)
 
     def test_sample_rate_clamped(self):
         assert 200.0 <= QUICK.sample_rate_hz(0.01) <= 2000.0

@@ -162,7 +162,7 @@ class TestFailureModes:
 class TestThresholdRules:
     def test_rules_agree_on_valley_anchored_signal(self):
         """With the valley near zero the 'paper' and 'midpoint' rules
-        coincide (DESIGN.md Section 5)."""
+        coincide (see the threshold-rule note in repro.core.decoder)."""
         trace = synthetic_packet_trace("HLHLLHHL", high=1.0, low=0.02,
                                        base=0.0)
         r_mid = AdaptiveThresholdDecoder(
