@@ -26,7 +26,8 @@ from .spec import ScenarioSpec
 _SPEC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ScenarioSpec)
                   if f.default is not dataclasses.MISSING}
 
-__all__ = ["success_rate", "success_rate_by", "stage_counts",
+__all__ = ["success_rate", "success_rate_by", "fused_rate",
+           "fault_event_totals", "executor_error_count", "stage_counts",
            "mean_ber", "format_ms", "fusion_stats", "latency_stats",
            "robustness_stats", "stage_stats", "summarize",
            "group_table", "fusion_table", "latency_table",
@@ -43,6 +44,28 @@ def success_rate(records: Sequence[RunRecord]) -> float:
     if not records:
         return 0.0
     return sum(r.success for r in records) / len(records)
+
+
+def fused_rate(records: Sequence[RunRecord]) -> float:
+    """Fraction of records whose fused verdict decoded the payload
+    (the decode rate, for single-receiver records)."""
+    if not records:
+        return 0.0
+    return sum(r.fused_success for r in records) / len(records)
+
+
+def fault_event_totals(records: Iterable[RunRecord]) -> dict[str, int]:
+    """Injected-fault event counts summed by kind, in kind order."""
+    totals: Counter[str] = Counter()
+    for record in records:
+        totals.update(record.fault_events)
+    return dict(sorted(totals.items()))
+
+
+def executor_error_count(records: Iterable[RunRecord]) -> int:
+    """Records the runner synthesized because the scenario never
+    completed (a timeout, a crashed worker)."""
+    return sum(r.stage == RecordStage.EXECUTOR_ERROR for r in records)
 
 
 def _group_by_axis(records: Iterable[RunRecord],
@@ -109,7 +132,7 @@ def fusion_stats(records: Sequence[RunRecord]) -> dict[str, Any]:
     speed_errors = [r.speed_error for r in records
                     if r.speed_error is not None]
     return {
-        "fused_rate": sum(r.fused_success for r in records) / n,
+        "fused_rate": fused_rate(records),
         "best_node_rate": sum(r.best_node_success for r in records) / n,
         "mean_fusion_gain": sum(r.fusion_gain for r in records) / n,
         "mean_speed_error": (sum(speed_errors) / len(speed_errors)
@@ -187,16 +210,12 @@ def robustness_stats(records: Sequence[RunRecord]) -> dict[str, Any]:
     """
     faulted = [r for r in records if r.faulted]
     clean = [r for r in records if not r.faulted]
-    events: Counter[str] = Counter()
-    for record in records:
-        events.update(record.fault_events)
     faulted_rate = success_rate(faulted) if faulted else None
     clean_rate = success_rate(clean) if clean else None
     return {
         "n_faulted": len(faulted),
-        "executor_errors": sum(r.stage == RecordStage.EXECUTOR_ERROR
-                               for r in records),
-        "fault_events": dict(sorted(events.items())),
+        "executor_errors": executor_error_count(records),
+        "fault_events": fault_event_totals(records),
         "faulted_rate": faulted_rate,
         "clean_rate": clean_rate,
         "degradation": (clean_rate - faulted_rate

@@ -43,6 +43,7 @@ from ..obs.registry import (MetricsRegistry, active_registry, telemetry,
 from .cache import SqliteResultCache
 from .executor import error_record, execute_scenario
 from .records import RecordStage, RunRecord
+from .report import executor_error_count, fault_event_totals, success_rate
 from .spec import ScenarioSpec, expand_grid
 
 __all__ = ["RunStats", "BatchResult", "BatchRunner", "BatchAborted",
@@ -201,9 +202,7 @@ class BatchResult:
 
     def success_rate(self) -> float:
         """Fraction of scenarios that decoded the exact payload."""
-        if not self.records:
-            return 0.0
-        return sum(r.success for r in self.records) / len(self.records)
+        return success_rate(self.records)
 
     def successes(self) -> list[RunRecord]:
         """Records whose payload decoded exactly."""
@@ -385,10 +384,9 @@ class BatchRunner:
             backend=self.backend,
             pool_restarts=self._pool_restarts,
             serial_fallback=self._serial_fallback,
-            executor_errors=sum(r.stage == RecordStage.EXECUTOR_ERROR
-                                for r in kept),
+            executor_errors=executor_error_count(kept),
             timeouts=self._timeouts,
-            fault_events=_sum_fault_events(kept),
+            fault_events=fault_event_totals(kept),
         )
         registry = active_registry()
         if registry is not None:
@@ -617,15 +615,6 @@ def _publish_trace(registry: MetricsRegistry, spec: ScenarioSpec,
     driver = ("network" if spec.n_receivers > 1
               else "tensor" if "batch_rows" in trace.counters else "serial")
     publish_stage_trace(registry, trace, driver, shared_by=trace.shared_by)
-
-
-def _sum_fault_events(records: Sequence[RunRecord]) -> dict[str, int]:
-    """Batch-wide injected-fault totals, summed by kind."""
-    totals: dict[str, int] = {}
-    for record in records:
-        for kind, count in record.fault_events.items():
-            totals[kind] = totals.get(kind, 0) + count
-    return totals
 
 
 def run_grid(template: ScenarioSpec, axes: Mapping[str, Sequence],

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..engine.records import RunRecord
+from ..engine.report import (executor_error_count, fault_event_totals,
+                             fused_rate, success_rate)
 from ..engine.runner import BatchRunner
 from ..engine.spec import ScenarioSpec
 from .plan import FaultPlan
@@ -47,27 +49,19 @@ class ChaosPoint:
 
     @property
     def decode_rate(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(r.success for r in self.records) / len(self.records)
+        return success_rate(self.records)
 
     @property
     def fused_rate(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(r.fused_success for r in self.records) / len(self.records)
+        return fused_rate(self.records)
 
     @property
     def fault_events(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for record in self.records:
-            for kind, count in record.fault_events.items():
-                totals[kind] = totals.get(kind, 0) + count
-        return totals
+        return fault_event_totals(self.records)
 
     @property
     def executor_errors(self) -> int:
-        return sum(r.stage == "executor_error" for r in self.records)
+        return executor_error_count(self.records)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from ..core.errors import DecodeError, PreambleNotFoundError
 from ..hardware.frontend import ReceiverFrontEnd
 
 __all__ = ["Detection", "ReceiverNode", "decode_confidence",
-           "onset_timestamp"]
+           "detection_from_decode", "onset_timestamp"]
 
 
 def decode_confidence(result: DecodeResult) -> float:
@@ -108,6 +108,31 @@ class Detection:
         return self.bits != ""
 
 
+def detection_from_decode(node_id: str, position_m: float,
+                          trace: SignalTrace,
+                          result: DecodeResult | None) -> Detection:
+    """One receiver's pass report from its decode of ``trace``.
+
+    Shared by deployed receiver nodes and streaming sessions.  A decode
+    that returned anchors on the preamble; one that raised (``result``
+    None) estimates the signal onset from the raw trace instead.
+    """
+    if result is None:
+        return Detection(node_id=node_id, position_m=position_m,
+                         timestamp_s=onset_timestamp(trace),
+                         bits="", confidence=0.0,
+                         timestamp_source="onset_estimate")
+    return Detection(
+        node_id=node_id,
+        position_m=position_m,
+        timestamp_s=result.anchor_points[0].time_s,
+        bits=result.bit_string(),
+        confidence=decode_confidence(result) if result.success else 0.0,
+        symbol_period_s=result.tau_t,
+        timestamp_source="preamble_anchor",
+    )
+
+
 @dataclass
 class ReceiverNode:
     """A deployed receiver at a fixed position along a track.
@@ -137,18 +162,6 @@ class ReceiverNode:
         try:
             result = self.decoder.decode(trace, n_data_symbols=n_data_symbols)
         except (PreambleNotFoundError, DecodeError):
-            return Detection(node_id=self.node_id,
-                             position_m=self.position_m,
-                             timestamp_s=onset_timestamp(trace),
-                             bits="", confidence=0.0,
-                             timestamp_source="onset_estimate")
-        anchor = result.anchor_points[0]
-        return Detection(
-            node_id=self.node_id,
-            position_m=self.position_m,
-            timestamp_s=anchor.time_s,
-            bits=result.bit_string(),
-            confidence=decode_confidence(result) if result.success else 0.0,
-            symbol_period_s=result.tau_t,
-            timestamp_source="preamble_anchor",
-        )
+            result = None
+        return detection_from_decode(self.node_id, self.position_m, trace,
+                                     result)

@@ -5,11 +5,11 @@ whole pass, then decode.  This package is the deployment mode the paper
 actually describes — a receiver processing RSS samples *as they
 arrive* — built from five pieces:
 
-* :class:`StreamBuffer` — chunked ingestion with zero-copy
-  time-indexed windows (bounded or unbounded history);
-* :class:`OnlineNormalizer` — running min/max/percentile state whose
-  normalisation matches :meth:`SignalTrace.normalized` once the pass
-  has fully arrived;
+* :class:`StreamBuffer` — chunked ingestion of the whole history,
+  with zero-copy time-indexed windows;
+* :class:`OnlineNormalizer` — the running count, min, max and span,
+  whose extremes are those :meth:`SignalTrace.normalized` uses once
+  the pass has fully arrived;
 * :class:`PreambleDetector` — incremental acquisition over the unseen
   suffix (plus adaptive overlap) instead of the full history;
 * :class:`StreamDecoder` — the IDLE -> ACQUIRING -> DECODING -> EMITTED
@@ -35,12 +35,12 @@ From the shell::
 from .buffer import StreamBuffer
 from .decode import DecodeEvent, StreamDecoder, StreamState
 from .detect import AcquiredPreamble, PreambleDetector
-from .normalize import OnlineNormalizer, P2Quantile
+from .normalize import OnlineNormalizer
 from .replay import StreamReplay, iter_chunks, replay_trace
 from .session import SessionMux, SessionStats, StreamSession, replay_traces
 
 __all__ = [
-    "AcquiredPreamble", "DecodeEvent", "OnlineNormalizer", "P2Quantile",
+    "AcquiredPreamble", "DecodeEvent", "OnlineNormalizer",
     "PreambleDetector", "SessionMux", "SessionStats", "StreamBuffer",
     "StreamDecoder", "StreamReplay", "StreamSession", "StreamState",
     "iter_chunks", "replay_trace", "replay_traces",

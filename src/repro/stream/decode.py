@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -41,6 +41,9 @@ from ..tags.encoding import Symbol
 from .buffer import StreamBuffer
 from .detect import AcquiredPreamble, PreambleDetector
 from .normalize import OnlineNormalizer
+
+if TYPE_CHECKING:
+    from ..vehicles.rooftag import TwoPhaseDecoder
 
 __all__ = ["StreamState", "DecodeEvent", "StreamDecoder"]
 
@@ -54,8 +57,11 @@ class StreamState(Enum):
     EMITTED = "emitted"
 
 
-#: Event kinds, in the order a successful pass emits them.
-EVENT_KINDS = ("onset", "first_bit", "verdict")
+#: Sample periods between two acquisition checks.  Re-running
+#: acquisition every sample at chunk size 1 would dominate the cost;
+#: one check per 8 periods keeps detection latency below a fraction of
+#: a symbol.
+CHECK_STRIDE_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -107,64 +113,40 @@ class StreamDecoder:
     """Chunk-at-a-time online decoding of one pass.
 
     Attributes:
-        buffer: the sample history (unbounded by default, so the flush
-            verdict sees exactly what an offline capture would).
-        normalizer: running level state over the stream (min/max only
-            by default; construct with percentiles and pass it in to
-            track streaming quantiles too).
-        detector: incremental preamble acquisition.
+        buffer: the whole sample history, so the flush verdict sees
+            exactly what an offline capture would.
+        normalizer: running count/min/max over the stream.
+        detector: incremental preamble acquisition, driven by the
+            adaptive decoder the verdict uses (the two-phase car
+            decoder's inner one).
         decoder: the offline decoder that produces the final verdict —
-            anything with ``decode(trace, n_data_symbols=...)``
-            (:class:`AdaptiveThresholdDecoder`, a two-phase car
-            decoder, ...).
+            an :class:`AdaptiveThresholdDecoder` or a two-phase car
+            decoder wrapping one, as ``build_decoder`` makes them.
         n_data_symbols: expected data-field length, when known.
         session_id: stamped on every emitted event.
         stage_trace: optional :class:`StageTrace` — the incremental
             path attributes per-chunk normaliser updates to
             ``normalize`` and acquisition checks to ``acquire``; the
-            flush verdict lands in ``decide``.  Telemetry only, never
+            flush decode times its own stages.  Telemetry only, never
             part of any verdict.
     """
 
     def __init__(self, sample_rate_hz: float, start_time_s: float = 0.0,
                  n_data_symbols: int | None = None,
-                 decoder: object | None = None,
-                 detector: PreambleDetector | None = None,
-                 check_stride_s: float | None = None,
-                 max_samples: int | None = None,
-                 normalizer: OnlineNormalizer | None = None,
+                 decoder: AdaptiveThresholdDecoder | TwoPhaseDecoder
+                 | None = None,
                  session_id: str = "",
                  stage_trace: StageTrace | None = None) -> None:
-        self.buffer = StreamBuffer(sample_rate_hz, start_time_s,
-                                   max_samples=max_samples)
-        # Default to running min/max only: the P2 percentile trackers
-        # walk every sample in pure Python, a cost only callers that
-        # actually read level percentiles should pay (pass a
-        # normalizer with percentiles to opt in).
-        self.normalizer = (normalizer if normalizer is not None
-                           else OnlineNormalizer(percentiles=()))
+        self.buffer = StreamBuffer(sample_rate_hz, start_time_s)
+        self.normalizer = OnlineNormalizer()
         self.decoder = decoder or AdaptiveThresholdDecoder()
-        # Incremental acquisition needs an adaptive decoder.  A wrapper
-        # decoder (e.g. the two-phase car decoder) carries its
-        # configured inner adaptive decoder as `.decoder` — use that,
-        # so detection telemetry shares the verdict's threshold rule
-        # and window shrink, and only fall back to defaults for
-        # decoders exposing nothing adaptive at all.
-        acquisition = self.decoder
-        if not isinstance(acquisition, AdaptiveThresholdDecoder):
-            acquisition = getattr(self.decoder, "decoder", None)
-        if not isinstance(acquisition, AdaptiveThresholdDecoder):
-            acquisition = AdaptiveThresholdDecoder()
-        self.detector = detector or PreambleDetector(acquisition)
-        if check_stride_s is None:
-            # Re-running acquisition every sample at chunk size 1 would
-            # dominate the cost; one check per ~8 sample periods keeps
-            # detection latency below a fraction of a symbol.
-            check_stride_s = 8.0 / sample_rate_hz
-        if check_stride_s < 0.0:
-            raise ValueError(
-                f"check_stride_s must be >= 0, got {check_stride_s}")
-        self.check_stride_s = check_stride_s
+        # Detection shares the verdict's threshold rule and window
+        # shrink: a two-phase car decoder carries its configured
+        # adaptive decoder as ``.decoder``.
+        self.detector = PreambleDetector(
+            self.decoder if isinstance(self.decoder, AdaptiveThresholdDecoder)
+            else self.decoder.decoder)
+        self._check_stride_s = CHECK_STRIDE_SAMPLES / sample_rate_hz
         if n_data_symbols is not None and n_data_symbols < 1:
             raise ValueError(
                 f"n_data_symbols must be >= 1, got {n_data_symbols}")
@@ -217,7 +199,7 @@ class StreamDecoder:
             self.state = StreamState.ACQUIRING
         if (self.state is StreamState.ACQUIRING
                 and self.buffer.end_time_s - self._last_check_s
-                >= self.check_stride_s):
+                >= self._check_stride_s):
             self._last_check_s = self.buffer.end_time_s
             with maybe_stage(trace, ExecStage.ACQUIRE):
                 acquired = self.detector.check(self.buffer)
@@ -244,9 +226,8 @@ class StreamDecoder:
         first_bit_end = acq.data_start_s + 2.0 * acq.tau_t
         if self.buffer.end_time_s < first_bit_end:
             return
-        shrink_cfg = getattr(self.detector.decoder.config,
-                             "window_shrink_fraction", 0.0)
-        shrink = shrink_cfg * acq.tau_t
+        config = self.detector.decoder.config
+        shrink = config.window_shrink_fraction * acq.tau_t
         first = self._provisional_symbol(acq.data_start_s,
                                          acq.data_start_s + acq.tau_t, shrink)
         second = self._provisional_symbol(acq.data_start_s + acq.tau_t,
@@ -278,17 +259,11 @@ class StreamDecoder:
         stage, bits, success = "decode_failed", "", False
         signal_time = self.buffer.end_time_s
         try:
-            # An adaptive decoder attributes its own interior stages
-            # (normalize/acquire/refine_clock/decide); an opaque one
-            # is charged wholesale to ``decide``.
-            if isinstance(self.decoder, AdaptiveThresholdDecoder):
-                result = self.decoder.decode(
-                    trace, n_data_symbols=self.n_data_symbols,
-                    stage_trace=self.stage_trace)
-            else:
-                with maybe_stage(self.stage_trace, ExecStage.DECIDE):
-                    result = self.decoder.decode(
-                        trace, n_data_symbols=self.n_data_symbols)
+            # The decoder attributes its own interior stages
+            # (normalize/acquire/refine_clock/decide).
+            result = self.decoder.decode(
+                trace, n_data_symbols=self.n_data_symbols,
+                stage_trace=self.stage_trace)
             self.result = result
             bits = result.bit_string()
             success = result.success

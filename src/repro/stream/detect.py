@@ -115,8 +115,7 @@ class PreambleDetector:
         if self._scan_from_s is None:
             self._scan_from_s = buffer.start_time_s
         t_end = buffer.end_time_s
-        start = max(self._scan_from_s, buffer.first_time_s,
-                    t_end - self.max_overlap_s)
+        start = max(self._scan_from_s, t_end - self.max_overlap_s)
         view, t0 = buffer.window_with_time(start, t_end + 1.0)
         if len(view) < self.MIN_WINDOW_SAMPLES:
             return None

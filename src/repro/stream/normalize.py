@@ -1,21 +1,12 @@
-"""Online normalisation state for streaming decode.
+"""Online level state for streaming decode.
 
 The paper's plots (and the offline decoder's inputs) are min-max
 normalised over the *whole* captured pass — an operation a streaming
 receiver cannot perform directly because the extremes are only known
-once the pass has fully arrived.  :class:`OnlineNormalizer` maintains
-the running state that makes the same normalisation available online:
-
-* exact running min / max, so after the final chunk
-  ``normalize(samples)`` is **bit-identical** to
-  :meth:`repro.channel.SignalTrace.normalized` (same expression, same
-  operand order), and
-* P² streaming percentile estimates (Jain & Chlamtac 1985) — constant
-  memory, no sample retention — for level statistics (median signal
-  level, near-extreme percentiles).  Session dumps surface the running
-  min/max/span; percentile tracking walks every sample in pure Python,
-  so it is opt-in on the decode hot path (pass a normalizer
-  constructed with percentiles to :class:`repro.stream.StreamDecoder`).
+once the pass has fully arrived.  :class:`OnlineNormalizer` keeps the
+exact running min / max, so once the final chunk has arrived its
+extremes are those :meth:`repro.channel.SignalTrace.normalized` divides
+by.  Session dumps surface the running min/max/span.
 """
 
 from __future__ import annotations
@@ -24,127 +15,13 @@ import math
 
 import numpy as np
 
-__all__ = ["OnlineNormalizer", "P2Quantile"]
-
-
-class P2Quantile:
-    """Streaming quantile estimate via the P² algorithm.
-
-    Five markers track the running quantile without storing samples;
-    the estimate converges to the true quantile for stationary inputs
-    and tracks drifting ones.  Exact for the first five observations.
-    """
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {p}")
-        self.p = p
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p,
-                         3.0 + 2.0 * p, 5.0]
-        self._increments = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        """Observations absorbed so far."""
-        return self._count
-
-    def update(self, value: float) -> None:
-        """Absorb one observation.
-
-        Raises:
-            ValueError: on any non-finite value — an inf would poison
-                the marker heights as permanently as a NaN.
-        """
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(
-                f"cannot absorb non-finite value {value!r} into a "
-                "quantile estimate")
-        self._count += 1
-        if len(self._heights) < 5:
-            self._heights.append(value)
-            self._heights.sort()
-            return
-        q = self._heights
-        if value < q[0]:
-            q[0] = value
-            k = 0
-        elif value >= q[4]:
-            q[4] = value
-            k = 3
-        else:
-            k = 0
-            while value >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers towards their desired
-        # positions with the parabolic (P²) formula, falling back to
-        # linear interpolation when the parabola would de-sort them.
-        for i in (1, 2, 3):
-            n = self._positions
-            d = self._desired[i] - n[i]
-            if ((d >= 1.0 and n[i + 1] - n[i] > 1.0)
-                    or (d <= -1.0 and n[i - 1] - n[i] < -1.0)):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
-                else:
-                    q[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (q[i + 1] - q[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (q[i] - q[i - 1])
-            / (n[i] - n[i - 1]))
-
-    def _linear(self, i: int, step: float) -> float:
-        q, n = self._heights, self._positions
-        j = i + int(step)
-        return q[i] + step * (q[j] - q[i]) / (n[j] - n[i])
-
-    def estimate(self) -> float:
-        """The current quantile estimate.
-
-        Exact order statistics while fewer than five observations have
-        arrived; NaN before the first one.
-        """
-        if self._count == 0:
-            return math.nan
-        if len(self._heights) < 5:
-            rank = self.p * (len(self._heights) - 1)
-            lo = int(math.floor(rank))
-            hi = min(lo + 1, len(self._heights) - 1)
-            frac = rank - lo
-            return (self._heights[lo] * (1.0 - frac)
-                    + self._heights[hi] * frac)
-        return self._heights[2]
+__all__ = ["OnlineNormalizer"]
 
 
 class OnlineNormalizer:
-    """Running min/max/percentile state over a sample stream.
+    """Running count, min, max and span over a sample stream."""
 
-    Attributes:
-        percentiles: the tracked percentile levels, in (0, 100).
-    """
-
-    def __init__(self,
-                 percentiles: tuple[float, ...] = (5.0, 50.0, 95.0)) -> None:
-        for p in percentiles:
-            if not 0.0 < p < 100.0:
-                raise ValueError(
-                    f"percentiles must be in (0, 100), got {p}")
-        self.percentiles = tuple(percentiles)
-        self._quantiles = {p: P2Quantile(p / 100.0) for p in self.percentiles}
+    def __init__(self) -> None:
         self._min = math.inf
         self._max = -math.inf
         self._count = 0
@@ -171,14 +48,6 @@ class OnlineNormalizer:
         """Running peak-to-peak range (0.0 before any finite sample)."""
         return self._max - self._min if self._n_finite else 0.0
 
-    def percentile(self, p: float) -> float:
-        """Streaming estimate of one tracked percentile.
-
-        Raises:
-            KeyError: for a percentile not passed at construction.
-        """
-        return self._quantiles[p].estimate()
-
     # ------------------------------------------------------------------
     def update(self, chunk: np.ndarray) -> None:
         """Absorb one chunk of samples.
@@ -200,22 +69,3 @@ class OnlineNormalizer:
         self._n_finite += len(finite)
         self._min = min(self._min, float(finite.min()))
         self._max = max(self._max, float(finite.max()))
-        for quantile in self._quantiles.values():
-            for value in finite:
-                quantile.update(float(value))
-
-    def normalize(self, values: np.ndarray) -> np.ndarray:
-        """Min-max normalise against the *running* extremes.
-
-        Matches :meth:`SignalTrace.normalized` exactly once every
-        sample of the pass has been absorbed: same ``(x - lo) / span``
-        expression, and a constant (or empty) stream maps to zeros
-        rather than dividing by zero.
-        """
-        x = np.asarray(values, dtype=float)
-        lo = float(self._min) if self._n_finite else 0.0
-        hi = float(self._max) if self._n_finite else 0.0
-        span = hi - lo
-        if span == 0.0:
-            return np.zeros_like(x)
-        return (x - lo) / span

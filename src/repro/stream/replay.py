@@ -133,7 +133,6 @@ class StreamReplay:
 def replay_trace(trace: SignalTrace, chunk_size: int,
                  n_data_symbols: int | None = None,
                  decoder: object | None = None,
-                 check_stride_s: float | None = None,
                  chunks: list[np.ndarray] | None = None,
                  stage_trace: Any | None = None) -> StreamReplay:
     """Feed one captured trace chunk-by-chunk and flush.
@@ -149,7 +148,6 @@ def replay_trace(trace: SignalTrace, chunk_size: int,
         chunk_size: samples per chunk, >= 1.
         n_data_symbols: expected data-field length, when known.
         decoder: offline decoder for the verdict (default adaptive).
-        check_stride_s: acquisition re-check stride override.
         chunks: optional pre-chunked feed replacing the trace's own
             samples — the fault layer's entry point for corrupted
             transport (dropped/duplicated/reordered chunks).  The
@@ -159,7 +157,6 @@ def replay_trace(trace: SignalTrace, chunk_size: int,
     """
     stream = StreamDecoder(trace.sample_rate_hz, trace.start_time_s,
                            n_data_symbols=n_data_symbols, decoder=decoder,
-                           check_stride_s=check_stride_s,
                            stage_trace=stage_trace)
     feed = chunks if chunks is not None else iter_chunks(trace.samples,
                                                          chunk_size)

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..exec.graph import new_trace
 from ..net.fusion import FusedObservation, fuse_detections, group_by_pass
-from ..net.node import Detection, decode_confidence, onset_timestamp
+from ..net.node import Detection, detection_from_decode
 from ..obs.events import active_events
 from ..obs.export import publish_stage_trace
 from ..obs.registry import MetricsRegistry, active_registry
@@ -159,33 +159,18 @@ class StreamSession:
         return self.decoder.event("verdict")
 
     def detection(self) -> Detection:
-        """This session's pass report, in the fusion layer's currency.
-
-        Mirrors :meth:`repro.net.ReceiverNode.observe`: decoded
-        sessions anchor on the preamble, failed ones estimate the
-        signal onset from the buffered samples.
+        """This session's pass report, in the fusion layer's currency
+        (the mapping :meth:`repro.net.ReceiverNode.observe` uses).
 
         Raises:
             RuntimeError: before the stream has been flushed.
         """
-        result = self.decoder.result
-        if result is None or self.decoder.final_trace is None:
-            if self.decoder.final_trace is None:
-                raise RuntimeError(
-                    f"session {self.session_id!r} not flushed yet")
-            return Detection(
-                node_id=self.session_id, position_m=self.position_m,
-                timestamp_s=onset_timestamp(self.decoder.final_trace),
-                bits="", confidence=0.0,
-                timestamp_source="onset_estimate")
-        return Detection(
-            node_id=self.session_id, position_m=self.position_m,
-            timestamp_s=result.anchor_points[0].time_s,
-            bits=result.bit_string(),
-            confidence=(decode_confidence(result) if result.success
-                        else 0.0),
-            symbol_period_s=result.tau_t,
-            timestamp_source="preamble_anchor")
+        if self.decoder.final_trace is None:
+            raise RuntimeError(
+                f"session {self.session_id!r} not flushed yet")
+        return detection_from_decode(self.session_id, self.position_m,
+                                     self.decoder.final_trace,
+                                     self.decoder.result)
 
 
 class SessionMux:
@@ -219,19 +204,16 @@ class SessionMux:
             ``session.error``/``session.exception`` for the caller to
             inspect.  Watchdog timeouts are the mux's own verdict and
             are never re-raised.
-        registry: telemetry sink.  Each completed session folds its
-            :class:`SessionStats` in (queue-depth peak, backpressure
-            waits, poisoned/timed-out outcomes) and publishes its
-            decoder's stage trace when one was collected.  ``None``
-            (default) adopts the process-wide active registry at
-            construction time, so ``--telemetry`` runs need no plumbing
-            and undecorated use stays zero-cost.
+        registry: the active telemetry registry at construction
+            (None while telemetry is off).  Each completed session
+            folds its :class:`SessionStats` in (queue-depth peak,
+            backpressure waits, poisoned/timed-out outcomes) and
+            publishes its decoder's stage trace when one was collected.
     """
 
     def __init__(self, queue_chunks: int = 8,
                  watchdog_s: float | None = None,
-                 isolate_errors: bool = False,
-                 registry: MetricsRegistry | None = None) -> None:
+                 isolate_errors: bool = False) -> None:
         if queue_chunks < 1:
             raise ValueError(
                 f"queue_chunks must be >= 1, got {queue_chunks}")
@@ -241,8 +223,7 @@ class SessionMux:
         self.queue_chunks = queue_chunks
         self.watchdog_s = watchdog_s
         self.isolate_errors = isolate_errors
-        self.registry = (registry if registry is not None
-                         else active_registry())
+        self.registry = active_registry()
         self.sessions: dict[str, StreamSession] = {}
 
     # ------------------------------------------------------------------

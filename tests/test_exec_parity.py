@@ -40,7 +40,6 @@ NETWORK_FAILURE = road_spec(n_receivers=2, car="volvo_v40",
 FULL_DECODE = {"build", "simulate", "normalize", "acquire",
                "refine_clock", "decide"}
 NO_PREAMBLE = {"build", "simulate", "normalize", "acquire"}
-NO_CLOCK = {"build", "simulate", "normalize", "acquire", "decide"}
 FAULTED_NO_PREAMBLE = {"build", "simulate", "inject_faults",
                        "normalize", "acquire"}
 NETWORKED = {"build", "simulate", "inject_faults", "decide", "fuse"}
@@ -69,14 +68,14 @@ STAGE_KEYS = [
     (FULL_DECODE, {"stream_chunks": 13}),         # 17 streamed
     (FULL_DECODE, {"stream_chunks": 813}),        # 18
     (FAULTED_NO_PREAMBLE, {"stream_chunks": 9}),  # 19 stream faults
-    (NO_CLOCK, {"stream_chunks": 44}),            # 20 streamed car
+    (FULL_DECODE, {"stream_chunks": 44}),         # 20 streamed car
     (FAULTED_NO_PREAMBLE, {}),                    # 21 signal faults
     (FULL_DECODE, {"stream_chunks": 84}),         # 22
     (FULL_DECODE, {"stream_chunks": 10}),         # 23
     (FULL_DECODE, {"stream_chunks": 102}),        # 24
     (FULL_DECODE, {"stream_chunks": 12}),         # 25
-    (NO_CLOCK, {"stream_chunks": 328}),           # 26
-    (NO_CLOCK, {"stream_chunks": 36}),            # 27
+    (FULL_DECODE, {"stream_chunks": 328}),        # 26
+    (FULL_DECODE, {"stream_chunks": 36}),         # 27
 ]
 
 

@@ -83,6 +83,21 @@ class TestChaosPoint:
         assert point.fused_rate == 0.0
         assert point.executor_errors == 0
 
+    def test_aggregates_agree_with_batch_and_report(self):
+        from repro.engine.report import fusion_stats, robustness_stats
+
+        batch = BatchRunner().run([s.replace(fault_plan=PLAN)
+                                   for s in make_specs()])
+        point = ChaosPoint(intensity=1.0, plan=PLAN, records=batch.records)
+        robust = robustness_stats(batch.records)
+        assert point.fault_events
+        assert point.fault_events == batch.stats.fault_events
+        assert point.fault_events == robust["fault_events"]
+        assert point.executor_errors == batch.stats.executor_errors
+        assert point.executor_errors == robust["executor_errors"]
+        assert point.decode_rate == batch.success_rate()
+        assert point.fused_rate == fusion_stats(batch.records)["fused_rate"]
+
 
 class TestStreamChunkLossStress:
     """The CI stress leg's core property, kept in-tree: the streaming

@@ -266,13 +266,6 @@ class TestPooledTelemetry:
 
 
 class TestStreamWiring:
-    def test_mux_accepts_explicit_registry(self):
-        from repro.stream.session import SessionMux
-
-        reg = MetricsRegistry()
-        mux = SessionMux(registry=reg)
-        assert mux.registry is reg
-
     def test_mux_defaults_to_active_registry(self):
         from repro.stream.session import SessionMux
 
