@@ -252,7 +252,9 @@ def time_to_reach(profile: MotionProfile, target_position_m: float,
     """Earliest time the leading edge reaches a target position.
 
     Assumes the profile is non-decreasing (true for all profiles here)
-    and uses bisection.
+    and uses bisection.  On a :class:`ConstantSpeed` profile the search
+    starts at the closed-form time instead; it returns the same float
+    (see :func:`_first_reaching`).
 
     Raises:
         ValueError: if the target is not reached within ``t_max_s``.
@@ -262,6 +264,15 @@ def time_to_reach(profile: MotionProfile, target_position_m: float,
     if float(profile.position(t_max_s)) < target_position_m:
         raise ValueError(
             f"target {target_position_m} m not reached within {t_max_s} s")
+    if type(profile) is ConstantSpeed:
+        t0 = ((target_position_m - profile.start_position_m)
+              / profile.speed_mps)
+        # Above this floor, 100 halvings of [0, t_max_s] end on two
+        # adjacent floats (2**-100 * t_max_s is far below one ulp of
+        # t0), so the bisection returns the smallest float whose
+        # position reaches the target: the float found from t0.
+        if max(1e-6, t_max_s * 2.0**-32) < t0 < math.inf:
+            return _first_reaching(profile, target_position_m, t0)
     lo, hi = 0.0, t_max_s
     for _ in range(100):
         mid = (lo + hi) / 2.0
@@ -270,3 +281,38 @@ def time_to_reach(profile: MotionProfile, target_position_m: float,
         else:
             hi = mid
     return hi
+
+
+def _first_reaching(profile: MotionProfile, target_position_m: float,
+                    t0: float) -> float:
+    """The smallest float time whose position reaches the target.
+
+    Brackets the answer by ulp steps that double outward from ``t0``,
+    then bisects the bracket down to two adjacent floats.  Exact because
+    ``x0 + v * t`` is monotone in float arithmetic.  The caller has
+    checked that position 0 falls short of the target and that the
+    horizon reaches it, so the outward search ends on either side.
+    """
+    def reaches(t: float) -> bool:
+        return float(profile.position(t)) >= target_position_m
+
+    step = math.ulp(t0)
+    if reaches(t0):
+        hi, lo = t0, t0 - step
+        while lo > 0.0 and reaches(lo):
+            hi, step = lo, 2.0 * step
+            lo = t0 - step
+        lo = max(lo, 0.0)
+    else:
+        lo, hi = t0, t0 + step
+        while not reaches(hi):
+            lo, step = hi, 2.0 * step
+            hi = t0 + step
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid <= lo or mid >= hi:
+            return hi
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid

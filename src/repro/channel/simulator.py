@@ -93,10 +93,15 @@ class ChannelSimulator:
     """Simulates one scene as seen by one receiver front end.
 
     The scene and config are treated as immutable after construction:
-    expensive scene-derived quantities (footprint kernel, illumination
-    geometry, object reflectance profiles, the static ground-illuminance
-    field) are computed once and cached on the instance, so repeated
-    captures pay only for the time-dependent physics.
+    expensive scene-derived quantities (illumination geometry, object
+    reflectance profiles, the static ground-illuminance field, the
+    nominal noise floor) are computed once and cached on the instance,
+    so repeated captures pay only for the time-dependent physics.  The
+    pure optics behind them are memoised per process on their frozen
+    arguments: :func:`~repro.optics.propagation.footprint_kernel`
+    (shared, read-only arrays) and
+    :func:`~repro.optics.reflection.effective_reflectance`, so
+    simulators of one height, field of view and lighting share them.
     """
 
     def __init__(self, scene: PassiveScene, frontend: ReceiverFrontEnd,
@@ -109,6 +114,7 @@ class ChannelSimulator:
         self._profiles: dict[tuple[int, float],
                              tuple[np.ndarray, np.ndarray]] = {}
         self._static_field: tuple[np.ndarray, float] | None = None
+        self._noise_floor: float | None = None
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -140,6 +146,13 @@ class ChannelSimulator:
         """Footprint radius on the ground."""
         fov = self.frontend.effective_fov
         return self.scene.receiver_height_m * math.tan(fov.half_angle_rad)
+
+    @property
+    def noise_floor_lux(self) -> float:
+        """The scene's (cached) nominal noise floor, in lux."""
+        if self._noise_floor is None:
+            self._noise_floor = self.scene.nominal_noise_floor_lux()
+        return self._noise_floor
 
     def ambient_equivalent_coupling(self) -> float:
         """Factor ``C`` converting footprint luminance to ambient lux.
@@ -202,19 +215,34 @@ class ChannelSimulator:
 
     def _rho_block(self, t: np.ndarray, offsets: np.ndarray,
                    rho_ground: float, du: float) -> np.ndarray:
-        """The ``(len(t), len(offsets))`` effective-reflectance matrix."""
+        """The ``(len(t), len(offsets))`` effective-reflectance matrix.
+
+        Each object contributes ``fov_share`` times its profile where it
+        covers the offset and times ``rho_ground`` elsewhere; the share
+        no object covers sees the ground.  Only the covered cells are
+        interpolated, each contribution is built in its object's local
+        coordinate array, and the first one becomes the block.
+        """
         geometry = self.illumination_geometry()
-        rho = np.full((len(t), len(offsets)), rho_ground, dtype=float)
         total_share = sum(obj.fov_share for obj in self.scene.objects)
-        rho *= max(0.0, 1.0 - total_share)
+        uncovered = rho_ground * max(0.0, 1.0 - total_share)
+        rho = None
         for obj in self.scene.objects:
             us, profile = self._object_profile(obj, du, geometry)
             local = obj.local_coordinates(offsets[None, :], t[:, None])
             inside = (local >= 0.0) & (local <= obj.surface.length_m)
-            sampled = np.interp(local.ravel(), us,
-                                profile).reshape(local.shape)
-            contribution = np.where(inside, sampled, rho_ground)
-            rho += obj.fov_share * contribution
+            covered = np.interp(local[inside], us, profile)
+            contribution = local
+            contribution.fill(rho_ground)
+            contribution[inside] = covered
+            contribution *= obj.fov_share
+            if rho is None:
+                rho = contribution
+                rho += uncovered
+            else:
+                rho += contribution
+        if rho is None:
+            return np.full((len(t), len(offsets)), uncovered)
         return rho
 
     def weighted_luminance(self, t: np.ndarray) -> np.ndarray:
@@ -322,7 +350,7 @@ class ChannelSimulator:
             "source": self.scene.source.name,
             "receiver": self.frontend.describe(),
             "height_m": self.scene.receiver_height_m,
-            "noise_floor_lux": self.scene.nominal_noise_floor_lux(),
+            "noise_floor_lux": self.noise_floor_lux,
             "footprint_radius_m": self.footprint_radius_m,
             "kernel_method": self.config.kernel_method,
             "objects": [obj.name for obj in self.scene.objects],

@@ -340,9 +340,11 @@ def _execute_networked(spec: ScenarioSpec, ident: SpecIdentity,
                 trace = intermittent_window(trace, plan, node_rng)
         if first_trace is None:
             first_trace = trace
-            noise_floor = node_scene.nominal_noise_floor_lux()
-        with maybe_stage(profile, ExecStage.DECIDE):
-            detection = node.observe(trace, n_data_symbols=n_data_symbols)
+            noise_floor = sim.noise_floor_lux
+        # The node's decoder times its own normalize/acquire/refine/
+        # decide interior.
+        detection = node.observe(trace, n_data_symbols=n_data_symbols,
+                                 stage_trace=profile)
         network.record(detection)
         node_rows.append({
             "node_id": node.node_id,
@@ -526,7 +528,7 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
         stage=stage,
         n_samples=len(trace.samples),
         sample_rate_hz=trace.sample_rate_hz,
-        noise_floor_lux=sim.scene.nominal_noise_floor_lux(),
+        noise_floor_lux=sim.noise_floor_lux,
         fault_events=fault_log.counts(),
         elapsed_s=time.perf_counter() - started,
         stage_trace=profile,

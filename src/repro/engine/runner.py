@@ -391,8 +391,9 @@ class BatchRunner:
         registry = active_registry()
         if registry is not None:
             stats.to_metrics(registry)
+            series: dict = {}
             for i, record in done:
-                _publish_trace(registry, resolved[i], record)
+                _publish_trace(registry, resolved[i], record, series)
         if log is not None:
             if stats.fault_events:
                 log.emit("fault_injected",
@@ -604,17 +605,19 @@ def _kill(pool: ProcessPoolExecutor) -> None:
 
 
 def _publish_trace(registry: MetricsRegistry, spec: ScenarioSpec,
-                   record: RunRecord) -> None:
+                   record: RunRecord, series: dict) -> None:
     """Fold one fresh record's stage trace into ``registry``, labelled
     ``network`` (a receiver array), ``tensor`` (a fused group's row,
     which adds its :attr:`~repro.exec.StageTrace.shared_by` share of
-    the group's counters) or ``serial``."""
+    the group's counters) or ``serial``.  ``series`` holds the batch's
+    series handles (see :func:`~repro.obs.publish_stage_trace`)."""
     trace = record.stage_trace
     if trace is None:
         return
     driver = ("network" if spec.n_receivers > 1
               else "tensor" if "batch_rows" in trace.counters else "serial")
-    publish_stage_trace(registry, trace, driver, shared_by=trace.shared_by)
+    publish_stage_trace(registry, trace, driver, shared_by=trace.shared_by,
+                        series=series)
 
 
 def run_grid(template: ScenarioSpec, axes: Mapping[str, Sequence],

@@ -18,6 +18,7 @@ import numpy as np
 from ..channel.trace import SignalTrace
 from ..core.decoder import AdaptiveThresholdDecoder, DecodeResult
 from ..core.errors import DecodeError, PreambleNotFoundError
+from ..exec.graph import StageTrace
 from ..hardware.frontend import ReceiverFrontEnd
 
 __all__ = ["Detection", "ReceiverNode", "decode_confidence",
@@ -142,9 +143,10 @@ class ReceiverNode:
         position_m: location along the track (m).
         frontend: the node's receiver chain.
         decoder: decoding algorithm — anything with the
-            ``decode(trace, n_data_symbols=...) -> DecodeResult``
-            interface; pass a :class:`repro.vehicles.TwoPhaseDecoder`
-            for nodes watching tagged cars.
+            ``decode(trace, n_data_symbols=..., stage_trace=...) ->
+            DecodeResult`` interface; pass a
+            :class:`repro.vehicles.TwoPhaseDecoder` for nodes watching
+            tagged cars.
     """
 
     node_id: str
@@ -157,10 +159,16 @@ class ReceiverNode:
             raise ValueError("node_id must be non-empty")
 
     def observe(self, trace: SignalTrace,
-                n_data_symbols: int | None = None) -> Detection:
-        """Process one captured pass into a detection record."""
+                n_data_symbols: int | None = None,
+                stage_trace: StageTrace | None = None) -> Detection:
+        """Process one captured pass into a detection record.
+
+        ``stage_trace`` goes to the decoder, which times its own
+        normalize/acquire/refine_clock/decide stages into it.
+        """
         try:
-            result = self.decoder.decode(trace, n_data_symbols=n_data_symbols)
+            result = self.decoder.decode(trace, n_data_symbols=n_data_symbols,
+                                         stage_trace=stage_trace)
         except (PreambleNotFoundError, DecodeError):
             result = None
         return detection_from_decode(self.node_id, self.position_m, trace,

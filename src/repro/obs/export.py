@@ -196,7 +196,8 @@ def _quantile(entry: Mapping[str, Any], q: float) -> float:
 
 
 def publish_stage_trace(registry: MetricsRegistry, trace: Any,
-                        driver: str, shared_by: int = 1) -> None:
+                        driver: str, shared_by: int = 1,
+                        series: dict | None = None) -> None:
     """Fold a :class:`repro.exec.StageTrace` into stage histograms.
 
     Reuses the timings the existing ``maybe_stage`` hooks already
@@ -204,15 +205,26 @@ def publish_stage_trace(registry: MetricsRegistry, trace: Any,
     labels which execution path produced the trace (``serial``,
     ``network``, ``tensor``, ``stream``).  When ``shared_by`` traces
     carry the same counters (the rows of a fused group), each adds its
-    share of them.
+    share of them.  A caller folding many traces passes one ``series``
+    dict to all of them, so each (driver, stage) and (driver, event)
+    series is looked up in the registry once.
     """
     if trace is None:
         return
+    if series is None:
+        series = {}
     for stage, seconds in trace.timings_s.items():
-        registry.histogram(
-            "exec_stage_seconds",
-            {"stage": str(stage), "driver": driver}).observe(seconds)
-    for counter, value in trace.counters.items():
-        registry.counter(
-            "exec_stage_events_total",
-            {"event": str(counter), "driver": driver}).inc(value / shared_by)
+        key = ("exec_stage_seconds", stage, driver)
+        histogram = series.get(key)
+        if histogram is None:
+            histogram = series[key] = registry.histogram(
+                "exec_stage_seconds", {"stage": str(stage), "driver": driver})
+        histogram.observe(seconds)
+    for event, value in trace.counters.items():
+        key = ("exec_stage_events_total", event, driver)
+        counter = series.get(key)
+        if counter is None:
+            counter = series[key] = registry.counter(
+                "exec_stage_events_total",
+                {"event": str(event), "driver": driver})
+        counter.inc(value / shared_by)

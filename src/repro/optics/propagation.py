@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,10 +143,16 @@ def exact_patch_transfer_weights(xs: np.ndarray, height: float,
     return out
 
 
+@lru_cache(maxsize=128)
 def footprint_kernel(height: float, fov: FieldOfView,
                      sample_step: float,
                      method: str = "chord") -> FootprintKernel:
     """Build the normalised footprint kernel for a receiver.
+
+    Memoised per process on its arguments, and the kernel's arrays are
+    read-only because every caller shares them: the receivers of an
+    array, and every capture at one height and field of view, reuse
+    one kernel.
 
     Args:
         height: receiver height (m), > 0.
@@ -181,7 +188,10 @@ def footprint_kernel(height: float, fov: FieldOfView,
     # Absolute gain: integral of g(x) dx — luminance (cd/m^2) times this
     # gives illuminance (lux) at the detector.
     gain = float(total * sample_step)
-    return FootprintKernel(offsets=offsets, weights=raw / total,
+    weights = raw / total
+    for arr in (offsets, weights):
+        arr.flags.writeable = False
+    return FootprintKernel(offsets=offsets, weights=weights,
                            gain=gain, height=height)
 
 

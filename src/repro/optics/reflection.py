@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,6 +127,7 @@ OVERHEAD_GEOMETRY = IlluminationGeometry(
 )
 
 
+@lru_cache(maxsize=256)
 def effective_reflectance(material: Material,
                           geometry: IlluminationGeometry = OVERHEAD_GEOMETRY,
                           ) -> float:
@@ -136,6 +138,11 @@ def effective_reflectance(material: Material,
     patch's *surface illuminance* (which already contains the incidence
     cosine — see :meth:`AmbientLightSource.ground_illuminance`) gives the
     patch luminance seen by the receiver.
+
+    Memoised per process on its two frozen arguments: the value is a
+    pure function of them, and every capture of a scene asks again.
+    Geometries equal up to the sign of a zero component share an entry,
+    which is exact: a signed zero changes no cosine or angle here.
     """
     df = geometry.diffuse_fraction
     back_lit = geometry.incidence_cosine() == 0.0

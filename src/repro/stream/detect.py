@@ -79,8 +79,6 @@ class PreambleDetector:
         decoder: the :class:`AdaptiveThresholdDecoder` whose acquisition
             (multi-scale smoothing, plausibility gates) is re-used
             verbatim on each window.
-        min_overlap_s: overlap kept past a provably quiet prefix.
-        max_overlap_s: hard cap on the scan window length.
         n_checks / n_scanned_samples: cost accounting — the incremental
             contract is that ``n_scanned_samples`` stays far below
             ``n_checks * stream_length``.
@@ -88,18 +86,14 @@ class PreambleDetector:
 
     #: Windows shorter than this many samples are not worth scanning.
     MIN_WINDOW_SAMPLES = 8
+    #: Overlap (s) kept past a provably quiet prefix.
+    min_overlap_s = 1.0
+    #: Hard cap (s) on the scan window length.
+    max_overlap_s = 12.0
 
-    def __init__(self, decoder: AdaptiveThresholdDecoder | None = None,
-                 min_overlap_s: float = 1.0,
-                 max_overlap_s: float = 12.0) -> None:
-        if min_overlap_s <= 0.0:
-            raise ValueError(
-                f"min_overlap_s must be positive, got {min_overlap_s}")
-        if max_overlap_s < min_overlap_s:
-            raise ValueError("max_overlap_s must be >= min_overlap_s")
+    def __init__(self, decoder: AdaptiveThresholdDecoder | None = None
+                 ) -> None:
         self.decoder = decoder or AdaptiveThresholdDecoder()
-        self.min_overlap_s = min_overlap_s
-        self.max_overlap_s = max_overlap_s
         self._scan_from_s: float | None = None
         self.n_checks = 0
         self.n_scanned_samples = 0

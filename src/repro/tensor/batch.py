@@ -102,7 +102,6 @@ class _GroupPlan:
     t_start: float
     v0: np.ndarray             # detector response before noise
     sigma: np.ndarray          # detector noise sigma at v0
-    noise_floor: float
 
 
 def _build_plan(spec: ScenarioSpec) -> _GroupPlan:
@@ -115,8 +114,7 @@ def _build_plan(spec: ScenarioSpec) -> _GroupPlan:
     t_start, duration = sim.pass_window()
     lux = sim.aperture_illuminance(sim.time_grid(duration, t_start))
     v0, sigma = sim.frontend.respond(lux, sim.config.sample_rate_hz)
-    return _GroupPlan(sim=sim, t_start=t_start, v0=v0, sigma=sigma,
-                      noise_floor=sim.scene.nominal_noise_floor_lux())
+    return _GroupPlan(sim=sim, t_start=t_start, v0=v0, sigma=sigma)
 
 
 def _plan_for(key: str, spec: ScenarioSpec) -> _GroupPlan:
@@ -201,7 +199,7 @@ def _run_group(key: str, specs: list[ScenarioSpec],
             stage=stage,
             n_samples=raw.shape[1],
             sample_rate_hz=fs,
-            noise_floor_lux=plan.noise_floor,
+            noise_floor_lux=plan.sim.noise_floor_lux,
             elapsed_s=elapsed,
             stage_trace=profile,
         ))

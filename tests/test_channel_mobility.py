@@ -15,6 +15,8 @@ from repro.channel.mobility import (
     time_to_reach,
 )
 
+from . import reference_channel as reference
+
 
 class TestConstantSpeed:
     def test_position(self):
@@ -150,15 +152,16 @@ class _ArrayTimeSpeed(ConstantSpeed):
                 + self.speed_mps * np.asarray(t, dtype=float))
 
 
-def _reach(profile, target, t_max):
+def _reach(profile, target, t_max, search=time_to_reach):
     try:
-        return time_to_reach(profile, target, t_max)
+        return search(profile, target, t_max)
     except ValueError:
         return ValueError
 
 
 class TestFloatTimeExact:
-    """Float-time ``ConstantSpeed`` bisects exactly as the array form."""
+    """Float-time ``ConstantSpeed`` reaches targets exactly as the
+    array form, which bisects."""
 
     @given(speed=st.floats(1e-3, 60.0), start=st.floats(-50.0, 5.0),
            frac=st.floats(0.0, 1.0), ulps=st.integers(1, 4),
@@ -184,3 +187,29 @@ class TestFloatTimeExact:
             assert new.position(t) == float(old.position(t))
         t = np.linspace(0.0, t_max, 7)
         assert new.position(t).tobytes() == old.position(t).tobytes()
+
+
+class TestClosedFormReach:
+    """A constant-speed search from the closed-form time returns the
+    float the 100-step bisection returns."""
+
+    @given(speed=st.one_of(st.floats(1e-3, 60.0), st.floats(1e-9, 1e-3)),
+           start=st.floats(-50.0, 5.0),
+           t_max=st.sampled_from([2.5, 10.0, 3600.0]),
+           when=st.sampled_from(["anywhere", "near 1e-6 s", "near t_max"]),
+           frac=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                          st.floats(0.0, 1.0)),
+           ulps=st.integers(-4, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection(self, speed, start, t_max, when, frac,
+                               ulps):
+        t = {"anywhere": frac * t_max,
+             "near 1e-6 s": 1e-6 * (0.9 + 0.2 * frac),
+             "near t_max": t_max * (1.0 - 1e-6 * frac)}[when]
+        profile = ConstantSpeed(speed, start)
+        # A reachable position, then up to four ulps either side of it.
+        target = profile.position(t)
+        for _ in range(abs(ulps)):
+            target = float(np.nextafter(target, np.copysign(np.inf, ulps)))
+        assert (_reach(profile, target, t_max)
+                == _reach(profile, target, t_max, reference.time_to_reach))

@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel.mobility import ConstantSpeed
 from repro.channel.scene import MovingObject, PassiveScene
 from repro.channel.simulator import ChannelSimulator, SimulatorConfig
 from repro.hardware.frontend import FovCap, ReceiverFrontEnd
 from repro.hardware.photodiode import PdGain, Photodiode
+from repro.optics import reflection
+from repro.optics.geometry import Vec3
+from repro.optics.reflection import IlluminationGeometry
 from repro.optics.sources import Sun
 from repro.optics.materials import TARMAC
 from repro.tags.packet import Packet
 from repro.tags.surface import TagSurface
 
+from . import reference_channel as reference
 from .conftest import build_indoor_scene, build_outdoor_scene
 
 
@@ -293,3 +299,118 @@ class TestHotPathCaching:
         lum = sim.weighted_luminance(t)
         assert lum.shape == t.shape
         assert np.all(lum >= 0.0)
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+_COMPONENT = st.one_of(_SIGNED_ZERO, st.floats(-0.7, 0.7))
+
+
+@st.composite
+def _geometries(draw):
+    """Illumination geometries whose zero components carry either sign."""
+    return IlluminationGeometry(
+        incident_direction=Vec3(draw(_COMPONENT), draw(_COMPONENT),
+                                -draw(st.floats(0.3, 1.0))),
+        view_direction=Vec3(draw(_COMPONENT), draw(_COMPONENT),
+                            draw(st.floats(0.3, 1.0))),
+        diffuse_fraction=draw(st.one_of(_SIGNED_ZERO, st.floats(0.0, 1.0))))
+
+
+def _flip_zero_signs(geometry):
+    """An equal geometry (one memo key) with every zero's sign flipped."""
+    def flip(v):
+        return Vec3(*(-c if c == 0.0 else c for c in (v.x, v.y, v.z)))
+
+    df = geometry.diffuse_fraction
+    return IlluminationGeometry(flip(geometry.incident_direction),
+                                flip(geometry.view_direction),
+                                flip(geometry.normal),
+                                -df if df == 0.0 else df)
+
+
+#: Where an object's leading edge sits over the time window, relative
+#: to the footprint's offsets ``[x_min, x_max]``: never under them
+#: (before, after), wholly within them, crossing them, or covering all.
+PLACEMENTS = ("before", "inside", "crossing", "covering", "after")
+_FS = 1000.0
+
+
+def _placed_object(placement, bits, speed, share, u, x_min, x_max, t0,
+                   duration):
+    """A tag whose width and start realise ``placement`` over the window
+    ``[t0, t0 + duration]``; ``u`` in [0, 1] picks within the slack."""
+    span = x_max - x_min
+    if duration > 0.0:
+        speed = min(speed, span / (2.0 * duration))
+    travel = speed * duration
+    n_symbols = Packet.from_bitstring(bits, symbol_width_m=1.0).length_m
+    width = {"inside": (span - travel) * (0.1 + 0.8 * u),
+             "covering": (span + travel) * (1.05 + u)}.get(
+                 placement, span * (0.2 + u))
+    tag = TagSurface.from_packet(
+        Packet.from_bitstring(bits, symbol_width_m=width / n_symbols))
+    length = tag.length_m
+    gap = 1e-3 + u * span
+    lead0 = {"before": x_min - travel - gap,
+             "after": x_max + length + gap,
+             "inside": x_min + length + u * (span - travel - length),
+             "crossing": x_min + u * (span + length),
+             "covering": x_max + u * (length - span - travel)}[placement]
+    motion = ConstantSpeed(speed, lead0 - speed * t0)
+    return MovingObject(tag, motion, placement, fov_share=share)
+
+
+class TestRhoBlockExact:
+    """The single-pass reflectance block, fed by the memoised
+    reflectance, equals the full-matrix oracle byte for byte."""
+
+    @given(geometry=_geometries(), height=st.floats(0.1, 0.6),
+           t0=st.floats(0.0, 2.0), n_t=st.integers(1, 48),
+           total_share=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+           objects=st.lists(
+               st.tuples(st.sampled_from(PLACEMENTS),
+                         st.text("01", min_size=1, max_size=4),
+                         st.floats(0.05, 1.0), st.floats(0.05, 1.0),
+                         st.floats(0.0, 1.0)),
+               max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, geometry, height, t0, n_t,
+                               total_share, objects):
+        fe = _receiver()
+        radius = height * np.tan(fe.effective_fov.half_angle_rad)
+        config = SimulatorConfig(spatial_step_m=radius / 8.0)
+        probe = ChannelSimulator(PassiveScene(Sun(), height), fe, config)
+        offsets = probe.kernel.offsets + probe.scene.receiver_x_m
+        t = t0 + np.arange(n_t) / _FS
+        weights = [w for _, _, _, w, _ in objects]
+        scene = PassiveScene(
+            source=Sun(), receiver_height_m=height, ground=TARMAC,
+            objects=[_placed_object(placement, bits, speed,
+                                    total_share * w / sum(weights), u,
+                                    offsets[0], offsets[-1], t0, t[-1] - t0)
+                     for placement, bits, speed, w, u in objects])
+        du = ((offsets[1] - offsets[0]) / config.profile_oversample
+              if objects else 0.0)
+
+        def block(rho_block, reflectance, geometry):
+            sim = ChannelSimulator(scene, fe, config)
+            sim._geometry = geometry
+            rho_ground = reflectance(scene.ground, geometry)
+            return rho_ground, rho_block(sim, t, offsets, rho_ground, du)
+
+        # The sign-flipped twin fills the memo, so the block below reads
+        # every reflectance it needs from the twin's entries.
+        memoised = reflection.effective_reflectance
+        block(ChannelSimulator._rho_block, memoised,
+              _flip_zero_signs(geometry))
+        got_ground, got = block(ChannelSimulator._rho_block, memoised,
+                                geometry)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reflection, "effective_reflectance",
+                       memoised.__wrapped__)
+            ref_ground, ref = block(reference.rho_block,
+                                    memoised.__wrapped__, geometry)
+        assert (np.float64(got_ground).tobytes()
+                == np.float64(ref_ground).tobytes())
+        assert got.shape == (n_t, len(offsets))
+        assert got.tobytes() == ref.tobytes()

@@ -42,7 +42,9 @@ FULL_DECODE = {"build", "simulate", "normalize", "acquire",
 NO_PREAMBLE = {"build", "simulate", "normalize", "acquire"}
 FAULTED_NO_PREAMBLE = {"build", "simulate", "inject_faults",
                        "normalize", "acquire"}
-NETWORKED = {"build", "simulate", "inject_faults", "decide", "fuse"}
+#: A networked record times each node's decode by its own stages.
+NETWORKED = {"build", "simulate", "inject_faults", "normalize", "acquire",
+             "refine_clock", "decide", "fuse"}
 
 #: Per golden spec: the stage keys and counters of one profiled serial
 #: run.  A driver that skips, renames or re-enters a stage changes the

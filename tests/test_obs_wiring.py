@@ -6,6 +6,7 @@ guarantee: enabling telemetry never changes a single canonical record
 byte (checked against the full ``stage_parity.json`` golden set).
 """
 
+import collections
 import hashlib
 import json
 from pathlib import Path
@@ -16,6 +17,7 @@ import repro.obs.registry as registry_mod
 from repro.engine import BatchRunner, ScenarioSpec, SqliteResultCache
 from repro.engine.executor import execute_scenario
 from repro.engine.runner import RunStats
+from repro.engine.spec import expand_grid
 from repro.faults.inject import FaultLog
 from repro.faults.retry import RetryExhausted, RetryPolicy
 from repro.obs import (
@@ -30,6 +32,7 @@ from repro.stream.session import SessionStats
 
 from tests.test_engine_cache import make_record
 from tests.test_exec_parity import NETWORK_FAILURE, SERIAL_FAILURE
+from tests.test_tensor_batch import FAST
 
 GOLDEN_PATH = Path(__file__).parent / "baselines" / "stage_parity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -263,6 +266,30 @@ class TestPooledTelemetry:
                 runner.run(subset)
         assert not [h for h in reg.snapshot()["histograms"]
                     if h["name"] == "exec_stage_seconds"]
+
+
+class TestFoldLookups:
+    """The runner's fold resolves each stage series once per batch."""
+
+    def test_one_registry_lookup_per_series(self, monkeypatch):
+        specs = expand_grid(FAST, {"ground_lux": [450.0, 2000.0],
+                                   "seed": [2, 3, 4, 5]})
+        lookups = collections.Counter()
+        get_or_create = MetricsRegistry._get_or_create
+
+        def spy(self, cls, name, labels, **kwargs):
+            lookups[name, tuple(sorted((labels or {}).items()))] += 1
+            return get_or_create(self, cls, name, labels, **kwargs)
+
+        with telemetry_session() as (reg, _):
+            with BatchRunner(backend="tensor") as runner:
+                monkeypatch.setattr(MetricsRegistry, "_get_or_create", spy)
+                records = runner.run(specs).records
+        assert all("batch_rows" in r.stage_trace.counters for r in records)
+        stage_series = [key for key in lookups
+                        if key[0].startswith("exec_stage_")]
+        assert len(stage_series) > 4
+        assert max(lookups.values()) == 1, lookups.most_common(3)
 
 
 class TestStreamWiring:

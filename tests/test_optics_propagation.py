@@ -102,6 +102,16 @@ class TestFootprintKernel:
         with pytest.raises(ValueError):
             footprint_kernel(0.1, FieldOfView(16.0), 0.1)
 
+    def test_memoised_kernel_is_shared_and_read_only(self):
+        """Equal arguments share one kernel, so no caller may write to
+        its arrays."""
+        kern = footprint_kernel(0.4, FieldOfView(30.0), 0.002)
+        assert footprint_kernel(0.4, FieldOfView(30.0), 0.002) is kern
+        for arr in (kern.offsets, kern.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
 
 class TestAbsoluteGain:
     def test_matches_kernel_gain(self):
