@@ -300,18 +300,37 @@ class ChannelSimulator:
         return SignalTrace(lux, self.config.sample_rate_hz, t_start_s,
                            meta=self._meta(kind="optical"))
 
+    def respond(self, duration_s: float, t_start_s: float = 0.0,
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The seed-independent half of a capture: the front end's
+        ``respond`` output ``(v0, sigma)`` over the window."""
+        t = self.time_grid(duration_s, t_start_s)
+        return self.frontend.respond(self.aperture_illuminance(t),
+                                     self.config.sample_rate_hz)
+
+    def digitize(self, v0: np.ndarray, sigma: np.ndarray,
+                 seeds: list[int | None]) -> np.ndarray:
+        """The seeded half, a row of RSS codes per seed: row ``r`` puts
+        ``default_rng(seeds[r]).normal`` (zeros without noise) through
+        the front end's ``digitize``, as a capture with that seed does."""
+        noise = np.zeros((len(seeds), v0.shape[-1]))
+        if self.config.include_noise:
+            for row, seed in zip(noise, seeds):
+                row[:] = np.random.default_rng(seed).normal(
+                    0.0, 1.0, size=len(row))
+        return self.frontend.digitize(
+            v0, sigma, noise, self.config.sample_rate_hz).astype(float)
+
+    def rss_trace(self, codes: np.ndarray, t_start_s: float) -> SignalTrace:
+        """One row of :meth:`digitize` as a captured trace."""
+        return SignalTrace(codes, self.config.sample_rate_hz, t_start_s,
+                           meta=self._meta(kind="rss"))
+
     def capture(self, duration_s: float, t_start_s: float = 0.0) -> SignalTrace:
         """Run the scene through the receiver: RSS codes over time."""
-        t = self.time_grid(duration_s, t_start_s)
-        lux = self.aperture_illuminance(t)
-        if self.config.include_noise:
-            rng = np.random.default_rng(self.config.seed)
-        else:
-            rng = _ZeroNoise()
-        counts = self.frontend.capture(
-            lux, sample_rate_hz=self.config.sample_rate_hz, rng=rng)
-        return SignalTrace(counts.astype(float), self.config.sample_rate_hz,
-                           t_start_s, meta=self._meta(kind="rss"))
+        v0, sigma = self.respond(duration_s, t_start_s)
+        return self.rss_trace(self.digitize(v0, sigma, [self.config.seed])[0],
+                              t_start_s)
 
     def pass_window(self, margin_fraction: float = 0.3,
                     min_margin_s: float = 0.05) -> tuple[float, float]:
@@ -355,11 +374,3 @@ class ChannelSimulator:
             "kernel_method": self.config.kernel_method,
             "objects": [obj.name for obj in self.scene.objects],
         }
-
-
-class _ZeroNoise:
-    """An rng stand-in that produces zeros (noise-free captures)."""
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0,
-               size=None) -> np.ndarray:
-        return np.zeros(size if size is not None else ())

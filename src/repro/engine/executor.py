@@ -7,12 +7,13 @@ waterfalls describe their scenes as specs and capture them here.
 
 One scenario runs the canonical ``build → simulate → inject_faults →
 … → decide → fuse`` pipeline (:class:`repro.exec.ExecStage`) as plain
-straight-line code: one function for a single receiver, one for a
-receiver array (the tensor backend runs the same stages vectorized
-over a batch; the streaming runtime runs them incrementally per
-chunk).  With telemetry on (``REPRO_TELEMETRY`` / ``--telemetry``, or
-``--profile``) every record carries a :class:`repro.exec.StageTrace`
-of per-stage wall time.  The drivers publish nothing themselves:
+straight-line code: a single receiver as one row of a
+:class:`CapturePlan` (:meth:`CapturePlan.capture`, then
+:func:`decode_captures`), which :func:`repro.tensor.execute_batch`
+runs over many rows, and a receiver array by its own function.  With telemetry
+on (``REPRO_TELEMETRY`` / ``--telemetry``, or ``--profile``) every
+record carries a :class:`repro.exec.StageTrace` of per-stage wall
+time.  The drivers publish nothing themselves:
 :class:`repro.engine.BatchRunner` folds the fresh records' traces into
 the registry, in the parent process.
 
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from dataclasses import dataclass
+import numpy as np
 
 from ..channel.distortion import CLEAR, Atmosphere
 from ..faults.inject import (
@@ -43,7 +46,7 @@ from ..channel.mobility import (
 )
 from ..channel.scene import MovingObject, PassiveScene
 from ..channel.simulator import ChannelSimulator, SimulatorConfig
-from ..core.decoder import AdaptiveThresholdDecoder, DecoderConfig
+from ..core.decoder import AdaptiveThresholdDecoder, DecoderConfig, decode_rows
 from ..core.errors import DecodeError, PreambleNotFoundError
 from ..exec.graph import ExecStage, StageTrace, maybe_stage, new_trace
 from ..hardware.frontend import FovCap, ReceiverFrontEnd
@@ -59,8 +62,9 @@ from ..vehicles.rooftag import TaggedCar, TwoPhaseDecoder
 from .records import RecordStage, RunRecord, make_record, outcome_stage
 from .spec import ScenarioSpec, SpecIdentity, derive_seed
 
-__all__ = ["build_scene", "build_decoder", "build_frontend",
-           "build_simulator", "build_network", "capture_trace",
+__all__ = ["CapturePlan", "build_scene", "build_decoder", "build_frontend",
+           "build_simulator", "build_network", "capture_plan",
+           "capture_trace", "decode_captures",
            "error_record", "execute_scenario", "inject_faults",
            "node_positions", "node_seed"]
 
@@ -178,6 +182,160 @@ def build_decoder(spec: ScenarioSpec):
 
 
 # ----------------------------------------------------------------------
+# Capture plans and the rows step (single receivers)
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CapturePlan:
+    """The seed-independent half of a pass capture, which specs that
+    differ only in their seed share: the built simulator, the start of
+    its pass window, the front end's ``respond`` output over it and the
+    scene's nominal noise floor (which every record carries)."""
+
+    sim: ChannelSimulator
+    t_start: float
+    v0: np.ndarray
+    sigma: np.ndarray
+    noise_floor_lux: float
+
+    def capture(self, specs: list[ScenarioSpec],
+                profile: StageTrace | None) -> np.ndarray:
+        """A row of RSS codes per spec: its seeded noise row through
+        ``digitize``, timed as ``simulate``."""
+        with maybe_stage(profile, ExecStage.SIMULATE):
+            return self.sim.digitize(self.v0, self.sigma,
+                                     [spec.seed for spec in specs])
+
+
+def capture_plan(spec: ScenarioSpec,
+                 profile: StageTrace | None = None) -> CapturePlan:
+    """Build a spec's :class:`CapturePlan`: ``build`` times the
+    simulator, ``simulate`` the pass window, the response and the
+    noise floor."""
+    with maybe_stage(profile, ExecStage.BUILD):
+        sim = build_simulator(spec)
+    with maybe_stage(profile, ExecStage.SIMULATE):
+        t_start, duration = sim.pass_window()
+        v0, sigma = sim.respond(duration, t_start)
+        noise_floor = sim.noise_floor_lux
+    return CapturePlan(sim=sim, t_start=t_start, v0=v0, sigma=sigma,
+                       noise_floor_lux=noise_floor)
+
+
+def _stall(spec: ScenarioSpec) -> None:
+    """The chaos harness's deterministic stuck worker: a wall-clock
+    stall the runner's per-scenario timeout is expected to catch."""
+    plan = spec.fault_plan
+    if plan is not None and plan.exec_sleep_s > 0.0:
+        time.sleep(plan.exec_sleep_s)
+
+
+def _decode_stage(error: Exception | None, decoded: str, sent: str) -> str:
+    """A decode's record stage: the payload verdict, or the error's."""
+    if error is None:
+        return outcome_stage(decoded, sent)
+    return (RecordStage.PREAMBLE_NOT_FOUND
+            if isinstance(error, PreambleNotFoundError)
+            else RecordStage.DECODE_FAILED).value
+
+
+def _decode_row(spec: ScenarioSpec, trace, sent: str, n_data_symbols: int,
+                profile: StageTrace | None) -> dict:
+    """One row's faults and decode, as record fields."""
+    trace, chunks, fault_log = inject_faults(spec, trace, spec.stream_chunk,
+                                             profile)
+    fields = dict(n_samples=len(trace.samples),
+                  sample_rate_hz=trace.sample_rate_hz,
+                  fault_events=fault_log.counts())
+    if spec.stream_chunk > 0:
+        # Online replay through the streaming runtime (imported lazily,
+        # like ``repro.net``, to keep engine import light).  The flush
+        # verdict is byte-identical to the offline decode, so streaming
+        # adds the latency telemetry, nothing else.  The runtime times
+        # its own normalize/acquire/decide interior per pushed chunk.
+        from ..stream.replay import replay_trace
+
+        replay = replay_trace(trace, spec.stream_chunk,
+                              n_data_symbols=n_data_symbols,
+                              decoder=build_decoder(spec), chunks=chunks,
+                              stage_trace=profile)
+        # A returned decode call is staged by payload comparison,
+        # exactly as the offline decode labels it.
+        result = replay.decoder.result
+        decoded = "" if result is None else result.bit_string()
+        return dict(
+            fields, decoded_bits=decoded,
+            stage=(replay.verdict.stage if result is None
+                   else outcome_stage(decoded, sent)),
+            stream_chunks=replay.n_chunks,
+            onset_latency_s=replay.latency("onset"),
+            first_bit_latency_s=replay.latency("first_bit"),
+            # Gated on decode success inside the decoder: a failed
+            # decode's placeholder event time must not skew latency
+            # percentiles.
+            verdict_latency_s=replay.decoder.verdict_latency_s)
+    # The decoder times its own normalize/acquire/refine/decide
+    # interior.
+    try:
+        decoded = build_decoder(spec).decode(
+            trace, n_data_symbols=n_data_symbols,
+            stage_trace=profile).bit_string()
+    except (PreambleNotFoundError, DecodeError) as exc:
+        return dict(fields, stage=_decode_stage(exc, "", sent))
+    return dict(fields, decoded_bits=decoded,
+                stage=outcome_stage(decoded, sent))
+
+
+def decode_captures(plan: CapturePlan, codes: np.ndarray,
+                    specs: list[ScenarioSpec], idents: list[SpecIdentity],
+                    started: float, profile: StageTrace | None,
+                    ) -> list[RunRecord]:
+    """The decode half of the rows step: one record per captured row.
+
+    Each spec serves its ``exec_sleep_s`` stall here, after its
+    capture, so a group that raises and reruns through
+    :func:`execute_scenario` stalls nobody twice.  Its faults
+    (:func:`inject_faults`) then run on its row.  A plain adaptive
+    stack (no signal faults, no streaming) decodes in one
+    :func:`~repro.core.decoder.decode_rows` call; other rows decode one
+    by one.  Rows share ``profile``: each record carries ``1/N`` of its
+    timings, so stage totals add up as serial traces do, and all of its
+    counters.
+    """
+    for spec in specs:
+        _stall(spec)
+    spec0, fs = specs[0], plan.sim.config.sample_rate_hz
+    packet = Packet.from_bitstring(spec0.bits,
+                                   symbol_width_m=spec0.symbol_width_m)
+    sent = packet.bit_string()
+    n_data_symbols = 2 * len(packet.data_bits)
+    faults = spec0.fault_plan
+    if (spec0.decoder == "adaptive" and spec0.stream_chunk == 0
+            and (faults is None or not faults.signals)):
+        rows = decode_rows(codes, fs, plan.t_start, n_data_symbols,
+                           DecoderConfig(threshold_rule=spec0.threshold_rule),
+                           stage_trace=profile)
+        outcomes = []
+        for r, error in enumerate(rows.errors):
+            decoded = rows.bit_string(r)
+            outcomes.append(dict(decoded_bits=decoded,
+                                 stage=_decode_stage(error, decoded, sent),
+                                 n_samples=codes.shape[1], sample_rate_hz=fs))
+    else:
+        outcomes = [_decode_row(spec, plan.sim.rss_trace(row, plan.t_start),
+                                sent, n_data_symbols, profile)
+                    for spec, row in zip(specs, codes)]
+    elapsed = (time.perf_counter() - started) / len(specs)
+    if profile is not None and len(specs) > 1:
+        profile = profile.scaled(1.0 / len(specs))
+    return [make_record(spec_hash=ident.content_hash, spec=ident.payload,
+                        seed=spec.seed, sent_bits=sent,
+                        noise_floor_lux=plan.noise_floor_lux,
+                        elapsed_s=elapsed, stage_trace=profile, **fields)
+            for spec, ident, fields in zip(specs, idents, outcomes)]
+
+
+# ----------------------------------------------------------------------
 # Networked receivers (Section 6)
 # ----------------------------------------------------------------------
 
@@ -275,7 +433,7 @@ def _select_track(tracks):
 # ----------------------------------------------------------------------
 
 def _execute_networked(spec: ScenarioSpec, ident: SpecIdentity,
-                       sent: str, n_data_symbols: int, started: float,
+                       started: float,
                        profile: StageTrace | None) -> RunRecord:
     """One pass over a receiver array: build, observe per node, fuse.
 
@@ -287,6 +445,15 @@ def _execute_networked(spec: ScenarioSpec, ident: SpecIdentity,
     viewpoint (``rx0``) — with a ``partitioned`` topology that is
     deliberately only rx0's island.
     """
+    # The first networked spec of a process imports the network layer
+    # (and networkx) here, before the build clock starts: that one-time
+    # import is not scene building.
+    from .. import net  # noqa: F401
+
+    packet = Packet.from_bitstring(spec.bits,
+                                   symbol_width_m=spec.symbol_width_m)
+    sent = packet.bit_string()
+    n_data_symbols = 2 * len(packet.data_bits)
     plan = spec.fault_plan
     with maybe_stage(profile, ExecStage.BUILD):
         scene = build_scene(spec)
@@ -399,7 +566,7 @@ def inject_faults(spec: ScenarioSpec, trace, chunk_size: int,
 
     Signal faults corrupt the trace; with ``chunk_size > 0``, stream
     faults then corrupt its chunk transport.  The one fault path of a
-    streamed spec, offline (:func:`execute_scenario`) and live
+    streamed spec, offline (:func:`decode_captures`) and live
     (:func:`repro.engine.run_stream`), so both see the same feed.
 
     Returns ``(trace, chunks, log)``: the (possibly corrupted) trace,
@@ -431,8 +598,12 @@ def inject_faults(spec: ScenarioSpec, trace, chunk_size: int,
 def execute_scenario(spec: ScenarioSpec) -> RunRecord:
     """Run one scenario end to end and record the outcome.
 
-    Deterministic: the resolved spec carries its concrete seed, so the
-    same spec yields the same record no matter where or when it runs.
+    A single receiver runs as one row of an uncached
+    :class:`CapturePlan`, the same rows step that
+    :func:`repro.tensor.execute_batch` runs per optics group; a
+    receiver array runs :func:`_execute_networked`.  Deterministic:
+    the resolved spec carries its concrete seed, so the same spec
+    yields the same record no matter where or when it runs.
     Telemetry attaches a per-stage :class:`StageTrace` without
     changing the record's canonical bytes.
     """
@@ -440,108 +611,35 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
     ident = spec.identity()
     started = time.perf_counter()
     profile = new_trace()
-    packet = Packet.from_bitstring(spec.bits,
-                                   symbol_width_m=spec.symbol_width_m)
-    sent = packet.bit_string()
-    plan = spec.fault_plan
-    n_data_symbols = 2 * len(packet.data_bits)
-    if plan is not None and plan.exec_sleep_s > 0.0:
-        # The chaos harness's deterministic stuck worker: a wall-clock
-        # stall the runner's per-scenario timeout is expected to catch.
-        time.sleep(plan.exec_sleep_s)
     try:
         if spec.n_receivers > 1:
-            return _execute_networked(spec, ident, sent, n_data_symbols,
-                                      started, profile)
-        with maybe_stage(profile, ExecStage.BUILD):
-            sim = build_simulator(spec)
-        with maybe_stage(profile, ExecStage.SIMULATE):
-            trace = sim.capture_pass()
+            _stall(spec)
+            return _execute_networked(spec, ident, started, profile)
+        plan = capture_plan(spec, profile)
+        codes = plan.capture([spec], profile)
     except Exception as exc:
         # Contain per-scenario failures (a tag that does not fit the
         # car roof, a degenerate geometry): one bad grid point must
         # not abort a thousand-scenario batch.
-        return make_record(
-            spec_hash=ident.content_hash,
-            spec=ident.payload,
-            seed=spec.seed,
-            sent_bits=sent,
-            stage=RecordStage.SIMULATION_FAILED,
-            sample_rate_hz=spec.sample_rate_hz,
-            error=f"{type(exc).__name__}: {exc}",
-            elapsed_s=time.perf_counter() - started,
-            stage_trace=profile,
-        )
+        return error_record(spec, f"{type(exc).__name__}: {exc}",
+                            time.perf_counter() - started,
+                            RecordStage.SIMULATION_FAILED, profile)
     # Fault injection and decode run *outside* the containment
     # boundary: their failures are verdicts (or bugs), not per-grid-
     # point simulation hazards.
-    trace, chunks, fault_log = inject_faults(spec, trace, spec.stream_chunk,
-                                             profile)
-    decoded = ""
-    stream_fields: dict = {}
-    if spec.stream_chunk > 0:
-        # Online replay through the streaming runtime (imported lazily,
-        # like ``repro.net``, to keep engine import light).  The flush
-        # verdict is byte-identical to the offline decode, so streaming
-        # adds the latency telemetry, nothing else.  The runtime times
-        # its own normalize/acquire/decide interior per pushed chunk.
-        from ..stream.replay import replay_trace
-
-        replay = replay_trace(trace, spec.stream_chunk,
-                              n_data_symbols=n_data_symbols,
-                              decoder=build_decoder(spec), chunks=chunks,
-                              stage_trace=profile)
-        if replay.decoder.result is not None:
-            # The decode call returned: stage by payload comparison,
-            # exactly as the offline decode labels it.
-            decoded = replay.decoder.result.bit_string()
-            stage = outcome_stage(decoded, sent)
-        else:
-            stage = replay.verdict.stage
-        stream_fields = dict(
-            stream_chunks=replay.n_chunks,
-            onset_latency_s=replay.latency("onset"),
-            first_bit_latency_s=replay.latency("first_bit"),
-            # Gated on decode success inside the decoder: a failed
-            # decode's placeholder event time must not skew latency
-            # percentiles.
-            verdict_latency_s=replay.decoder.verdict_latency_s,
-        )
-    else:
-        # The decoder times its own normalize/acquire/refine/decide
-        # interior.
-        try:
-            result = build_decoder(spec).decode(
-                trace, n_data_symbols=n_data_symbols, stage_trace=profile)
-            decoded = result.bit_string()
-            stage = outcome_stage(decoded, sent)
-        except PreambleNotFoundError:
-            stage = RecordStage.PREAMBLE_NOT_FOUND.value
-        except DecodeError:
-            stage = RecordStage.DECODE_FAILED.value
-    return make_record(
-        spec_hash=ident.content_hash,
-        spec=ident.payload,
-        seed=spec.seed,
-        sent_bits=sent,
-        decoded_bits=decoded,
-        stage=stage,
-        n_samples=len(trace.samples),
-        sample_rate_hz=trace.sample_rate_hz,
-        noise_floor_lux=sim.noise_floor_lux,
-        fault_events=fault_log.counts(),
-        elapsed_s=time.perf_counter() - started,
-        stage_trace=profile,
-        **stream_fields,
-    )
+    return decode_captures(plan, codes, [spec], [ident], started,
+                           profile)[0]
 
 
-def error_record(spec: ScenarioSpec, message: str,
-                 elapsed_s: float = 0.0) -> RunRecord:
-    """A runner-synthesized record for a scenario that never completed.
+def error_record(spec: ScenarioSpec, message: str, elapsed_s: float = 0.0,
+                 stage: RecordStage = RecordStage.EXECUTOR_ERROR,
+                 stage_trace: StageTrace | None = None) -> RunRecord:
+    """A record for a scenario that produced no decode outcome.
 
-    The batch runner stamps these when it has to give up on a scenario
-    — a per-scenario timeout fired, or a worker crash outlived every
+    :func:`execute_scenario` stamps ``simulation_failed`` ones for a
+    scene that cannot be built or captured.  The batch runner stamps
+    ``executor_error`` ones when it has to give up on a scenario — a
+    per-scenario timeout fired, or a worker crash outlived every
     retry — so the batch stays complete (one record per spec) without
     pretending the pipeline produced an outcome.  ``executor_error``
     records are never written to the result cache.
@@ -555,8 +653,9 @@ def error_record(spec: ScenarioSpec, message: str,
         spec=ident.payload,
         seed=spec.seed,
         sent_bits=packet.bit_string(),
-        stage=RecordStage.EXECUTOR_ERROR,
+        stage=stage,
         sample_rate_hz=spec.sample_rate_hz,
         error=message,
         elapsed_s=elapsed_s,
+        stage_trace=stage_trace,
     )

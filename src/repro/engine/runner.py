@@ -12,11 +12,11 @@ Determinism contract: because every resolved spec carries its own seed
 and :func:`execute_scenario` touches no shared state, ``workers=N``
 produces records byte-identical (``RunRecord.canonical_json``) to
 ``workers=1`` for the same scenario list, in the same order.  The same
-contract extends to ``backend="tensor"``: the fused array passes of
-:func:`repro.tensor.execute_batch` run the serial driver's own front
-end and decode over each optics group's rows (the serial driver is a
-batch of one), so they reproduce the serial records byte for byte and
-share the result cache with them, at any worker count.
+contract extends to ``backend="tensor"``: both backends run a single
+receiver through the executor's one rows step, the process backend
+as a row of one and :func:`repro.tensor.execute_batch` over each
+optics group's rows, so they reproduce the serial records byte for
+byte and share the result cache with them, at any worker count.
 
 The runner is also the one producer of stage telemetry for batches:
 :meth:`BatchRunner.run` folds the stage traces of the fresh records
@@ -231,9 +231,9 @@ class BatchRunner:
             *directory* (str/Path) to open one in, which :meth:`close`
             closes; hits skip simulation.
         backend: what a task runs: ``"process"`` runs each spec
-            through :func:`execute_scenario`, ``"tensor"`` fused array
-            passes (:func:`repro.tensor.execute_batch`) over the whole
-            batch in-process, or over one optics group per pool task.
+            through :func:`execute_scenario`, ``"tensor"`` runs
+            :func:`repro.tensor.execute_batch` over the whole batch
+            in-process, or over one optics group per pool task.
         retry_policy: :class:`~repro.faults.RetryPolicy` governing
             worker-pool recovery after a ``BrokenProcessPool``: one
             pool attempt per allowed attempt, backoff between them,

@@ -1,7 +1,8 @@
-"""Cross-scenario batched tensor execution.
+"""Cross-scenario batched execution.
 
-Public surface: :func:`execute_batch` runs N scenarios as fused
-``(N, T)`` array passes in one process (see :mod:`repro.tensor.batch`).
+Public surface: :func:`execute_batch` runs N scenarios through the
+executor's rows step, one ``(N, T)`` stack per optics group, in one
+process (see :mod:`repro.tensor.batch`).
 
 The package init stays import-light: the batch executor loads lazily
 on first attribute access, because :mod:`repro.core.decoder` imports
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 __all__ = ["execute_batch", "optical_key", "fast_path_eligible",
            "clear_plan_cache"]
-
 
 
 def __getattr__(name: str):

@@ -82,17 +82,19 @@ STAGE_KEYS = [
 
 
 #: Per golden spec: the stage keys and counters of a profiled
-#: ``execute_batch(SPECS)``.  A fused optics group times the serial
-#: decode stages once and counts its rows on every record (specs 0-2
-#: share one group; spec 4 never acquires); delegated specs keep their
-#: serial keys.
+#: ``execute_batch(SPECS)``.  Every single receiver runs in an optics
+#: group, which times the serial stages once and counts its rows on
+#: every record (specs 0-2 share one group; spec 4 never acquires);
+#: the delegated receiver arrays keep their serial keys.
 FUSED_STAGE_KEYS = [
     *[(FULL_DECODE, {"batch_rows": 3})] * 3,     # 0-2 one group
     (FULL_DECODE, {"batch_rows": 1}),             # 3
     (NO_PREAMBLE, {"batch_rows": 1}),             # 4  preamble not found
-    STAGE_KEYS[5],                                # 5  two-phase: serial
+    (FULL_DECODE, {"batch_rows": 1}),             # 5  two-phase car
     *[(FULL_DECODE, {"batch_rows": 1})] * 7,     # 6-12
-    *STAGE_KEYS[13:],                             # 13-27 delegated
+    *STAGE_KEYS[13:17],                           # 13-16 delegated arrays
+    *[(keys, {**counters, "batch_rows": 1})       # 17-27 streamed and
+      for keys, counters in STAGE_KEYS[17:]],     # faulted groups of one
 ]
 
 

@@ -9,6 +9,10 @@ determinism contract extended to multi-receiver batches.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -122,6 +126,58 @@ class TestNetworkBuilding:
         net = build_network(road_spec(n_receivers=3))
         seeds = {node.frontend.seed for node in net.nodes}
         assert len(seeds) == 3
+
+
+#: Run in a fresh interpreter: an import hook delays the network
+#: layer's tracker module by 0.5 s, then the first networked record of
+#: the process prints its ``build`` stage time.
+_SLOW_NET_IMPORT = """
+import importlib.machinery, sys, time
+
+class SlowTracker:
+    @staticmethod
+    def find_spec(name, path, target=None):
+        if name != "repro.net.tracker":
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        exec_module = spec.loader.exec_module
+        def slow(module):
+            time.sleep(0.5)
+            exec_module(module)
+        spec.loader.exec_module = slow
+        return spec
+
+sys.meta_path.insert(0, SlowTracker)
+import repro.engine
+from repro.engine import ScenarioSpec, execute_scenario
+from repro.exec import profiled
+assert "networkx" not in sys.modules, "import repro.engine loaded networkx"
+spec = ScenarioSpec(source="sun", detector="led", cap=False,
+                    ground="tarmac", bits="00", symbol_width_m=0.1,
+                    speed_mps=5.0, receiver_height_m=0.25,
+                    start_position_m=-1.5, sample_rate_hz=2000.0,
+                    ground_lux=450.0, seed=2, n_receivers=2)
+with profiled():
+    record = execute_scenario(spec)
+assert "networkx" in sys.modules
+print(record.stage_trace.timings_s["build"])
+"""
+
+
+class TestNetImportOutsideBuild:
+    def test_first_networked_build_excludes_the_net_import(self):
+        """The first networked spec of a process imports ``repro.net``
+        (and networkx) before its ``build`` stage opens, so a slow
+        import does not read as scene building; ``import repro.engine``
+        still leaves networkx unloaded."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("REPRO_TELEMETRY", None)
+        out = subprocess.run([sys.executable, "-c", _SLOW_NET_IMPORT],
+                             env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert float(out.stdout.split()[-1]) < 0.25
 
 
 class TestNetworkedExecution:

@@ -243,7 +243,8 @@ class TestPooledTelemetry:
                 records = runner.run(SPECS).records
         fused = [r.stage_trace for r in records
                  if "batch_rows" in r.stage_trace.counters]
-        assert len(fused) == 12
+        # Every single receiver of the goldens; the 4 arrays delegate.
+        assert len(fused) == 24
         snapshot = reg.snapshot()
         stages = {h["labels"]["stage"]: h for h in snapshot["histograms"]
                   if h["name"] == "exec_stage_seconds"

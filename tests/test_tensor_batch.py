@@ -7,6 +7,8 @@ bench grid, every registered scenario family, and hypothesis-drawn
 specs.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro.engine.cache import SqliteResultCache
 from repro.engine.executor import execute_scenario
 from repro.engine.runner import BatchRunner
 from repro.engine.spec import ScenarioSpec, expand_grid
+from repro.faults.plan import FaultPlan
 from repro.scenarios.library import expand_family, family_names
 from repro.tensor.batch import (
     clear_plan_cache,
@@ -107,18 +110,44 @@ class TestGrouping:
         assert len(batch_mod._PLAN_CACHE) == 2
 
     def test_eligibility_gates(self):
-        assert fast_path_eligible(FAST.resolve())
-        assert not fast_path_eligible(
-            FAST.replace(n_receivers=3).resolve())
-        assert not fast_path_eligible(
-            FAST.replace(stream_chunk=64).resolve())
-        assert not fast_path_eligible(
-            FAST.replace(decoder="two_phase").resolve())
+        # Every single receiver groups, streamed, faulted and two-phase
+        # ones included; only receiver arrays are delegated.
+        burst = FaultPlan(burst_rate_hz=4.0)
+        for spec in (FAST, FAST.replace(stream_chunk=64),
+                     FAST.replace(decoder="two_phase"),
+                     FAST.replace(fault_plan=burst),
+                     FAST.replace(n_receivers=3),
+                     FAST.replace(n_receivers=3, fault_plan=burst)):
+            spec = spec.resolve()
+            assert fast_path_eligible(spec) == (spec.n_receivers == 1)
 
     def test_ineligible_specs_delegate_and_match_serial(self):
         specs = [FAST.replace(n_receivers=3).resolve(),
                  FAST.replace(stream_chunk=64).resolve()]
         _assert_byte_identical(specs)
+
+    def test_serial_driver_caches_no_plan(self):
+        # A serial run is one row of an uncached plan: reruns of the
+        # same specs must not skip their physics.
+        clear_plan_cache()
+        execute_scenario(FAST)
+        assert not batch_mod._PLAN_CACHE
+
+    def test_grouping_keeps_one_stall_per_stuck_spec(self, monkeypatch):
+        """``exec_sleep_s`` (the chaos harness's stuck worker) stalls
+        each stuck spec once when specs group, and leaves its healthy
+        siblings' records as they are; the sleep is spied, so the test
+        waits for nothing."""
+        stalls = []
+        monkeypatch.setattr(time, "sleep", stalls.append)
+        stuck = FAST.replace(fault_plan=FaultPlan(exec_sleep_s=30.0))
+        healthy = expand_grid(FAST, {"seed": [2, 3, 4]})
+        records = execute_batch(healthy[:1]
+                                + expand_grid(stuck, {"seed": [98, 99]})
+                                + healthy[1:])
+        assert stalls == [30.0, 30.0]
+        assert [r.canonical_json() for r in records[:1] + records[3:]] == \
+            [execute_scenario(s).canonical_json() for s in healthy]
 
 
 @st.composite
