@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 
 from bisect import bisect_left
+from functools import lru_cache
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,16 @@ __all__ = ["DecoderConfig", "SymbolWindow", "DecodeResult",
 
 #: The preamble's known symbol pattern as HIGH flags (H, L, H, L).
 _EXPECTED_HIGH = np.array([True, False, True, False])
+_HLHL = _EXPECTED_HIGH.tolist()
+#: The four preamble windows' offsets, in symbols from the anchor.
+_PREAMBLE_KS = np.arange(4.0)
+
+#: The clock search's 15 phase offsets (fractions of a candidate
+#: tau_t) and their score penalty.
+_REL_DELTAS = np.linspace(-0.35, 0.35, 15)
+_DELTA_PENALTY = 0.25 * np.abs(_REL_DELTAS)
+for _constant in (_EXPECTED_HIGH, _PREAMBLE_KS, _REL_DELTAS, _DELTA_PENALTY):
+    _constant.flags.writeable = False
 
 #: Extrema count as preamble candidates when their prominence is at
 #: least this fraction of the smoothed trace's peak-to-peak span.
@@ -346,37 +357,57 @@ def window_tables(smooths: np.ndarray, tau_t: float, config: DecoderConfig,
             build_table(smooths, np.minimum, max_len=lmax))
 
 
-def window_maxima(tmax: np.ndarray, log: np.ndarray, times: np.ndarray,
+def window_maxima(tmax: np.ndarray, log: np.ndarray, t0, n, fs: float,
                   starts: np.ndarray,
                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maxima inside ``(R, K)`` consecutive ``[start, end)`` windows.
+    """Maxima inside ``(R, K)`` ``[start, end)`` windows.
 
-    Each row's windows are consumed in order until the first one
-    holding no sample (it fell off the trace).  Returns the ``(R, K)``
-    maxima, meaningless from that window on, and the per-row count of
-    windows before it.  A decode asks for a few symbol windows per
-    row, where binary search costs less than the grid search's passes.
+    Row ``r`` holds ``n[r]`` samples from ``t0[r]`` (``t0`` and ``n``
+    are scalars for rows on one grid, else ``(R, 1)``).  Returns the
+    ``(R, K)`` maxima and whether each window holds a sample of its
+    own row; a maximum is meaningless where it does not.
     """
-    i0 = np.searchsorted(times, starts, side="left")
-    i1 = np.searchsorted(times, ends, side="left")
-    valid = (i1 > i0) & (i0 < len(times))
+    i0, i1 = grid_searchsorted(t0, n, fs, np.stack((starts, ends)))
+    valid = (i1 > i0) & (i0 < n)
     rows = np.arange(len(valid))[:, None]
-    return (masked_query(tmax, log, np.maximum, rows, i0, i1, valid),
-            np.cumprod(valid, axis=1).sum(axis=1))
+    return masked_query(tmax, log, np.maximum, rows, i0, i1, valid), valid
 
 
-def refine_clock_rows(config: DecoderConfig, times: np.ndarray,
-                      t0: float, fs: float, tmax: np.ndarray,
-                      tmin: np.ndarray, log: np.ndarray,
+def _leading(valid: np.ndarray) -> list[int]:
+    """Per row, how many windows come before the first one that holds
+    no sample (it fell off the row's end)."""
+    return np.cumprod(valid, axis=-1).sum(axis=-1).tolist()
+
+
+@lru_cache(maxsize=8)
+def _clock_scales(span: float) -> tuple[np.ndarray, np.ndarray]:
+    """The clock search's 13 tau_t scales for a search span, and their
+    score penalty, as read-only arrays."""
+    scales = np.linspace(1.0 - span, 1.0 + span, 13)
+    penalty = 0.9 * np.abs(scales - 1.0)
+    scales.flags.writeable = penalty.flags.writeable = False
+    return scales, penalty
+
+
+def _per_row(x, ndim: int):
+    """A scalar as is; an ``(R,)`` array shaped to broadcast over
+    ``ndim`` trailing axes."""
+    return x if np.ndim(x) == 0 else np.reshape(x, (-1,) + (1,) * ndim)
+
+
+def refine_clock_rows(config: DecoderConfig, t0, n, fs: float,
+                      tmax: np.ndarray, tmin: np.ndarray, log: np.ndarray,
                       base_anchor: np.ndarray, tau_t: np.ndarray,
                       tau_r: np.ndarray, level: np.ndarray,
-                      n_probe: int) -> tuple[np.ndarray, np.ndarray]:
+                      n_probe) -> tuple[np.ndarray, np.ndarray]:
     """Search (tau_t, phase) that best reproduces the HLHL preamble.
 
     The one clock search: the serial decoder runs it on one row, the
-    tensor backend on every row of a group.  Candidates (13 scales x 15
-    phases around the A/B/C estimate) are scored on two terms using
-    only per-packet information:
+    stacked drivers on every acquired row of a stack.  Row ``r`` holds
+    ``n[r]`` samples from ``t0[r]`` and probes ``n_probe[r]`` data
+    windows (each a scalar when the rows share it).  Candidates (13
+    scales x 15 phases around the A/B/C estimate) are scored on two
+    terms using only per-packet information:
 
     * the worst signed margin of the four *preamble* windows against
       their known HLHL pattern (must be positive);
@@ -397,15 +428,13 @@ def refine_clock_rows(config: DecoderConfig, times: np.ndarray,
         of preamble symbol 1; data windows begin at ``anchor + 4
         tau_t``.  Rows without a surviving candidate keep their input.
     """
-    rows, n = len(tau_t), len(times)
-    span = config.clock_search_span
-
-    scales = np.linspace(1.0 - span, 1.0 + span, 13)
-    rel_deltas = np.linspace(-0.35, 0.35, 15)
+    rows = len(tau_t)
+    scales, scale_penalty = _clock_scales(config.clock_search_span)
+    n_deltas = len(_REL_DELTAS)
     cand_tau = tau_t[:, None] * scales[None, :]                # (R, 13)
     shrink = config.window_shrink_fraction * cand_tau
     anchors = (base_anchor[:, None, None]
-               + rel_deltas[None, None, :] * cand_tau[:, :, None])
+               + _REL_DELTAS[None, None, :] * cand_tau[:, :, None])
 
     tau_c = cand_tau[:, :, None, None]
     shrink_c = shrink[:, :, None, None]
@@ -414,14 +443,13 @@ def refine_clock_rows(config: DecoderConfig, times: np.ndarray,
     # Preamble windows k = 0..3, expected H, L, H, L: the candidate
     # survives only when every window exists and every margin against
     # `level` is positive.
-    ks = np.arange(4.0)
-    i0, i1 = grid_searchsorted(times, t0, fs, np.stack((
-        anchor_c + ks * tau_c + shrink_c,
-        anchor_c + (ks + 1.0) * tau_c - shrink_c)))
-    valid = (i1 > i0) & (i0 < n)
-    rows4 = np.broadcast_to(
-        np.arange(rows)[:, None, None, None], valid.shape)
-    w_max = masked_query(tmax, log, np.maximum, rows4, i0, i1, valid)
+    n_c = _per_row(n, 3)
+    i0, i1 = grid_searchsorted(_per_row(t0, 3), n_c, fs, np.stack((
+        anchor_c + _PREAMBLE_KS * tau_c + shrink_c,
+        anchor_c + (_PREAMBLE_KS + 1.0) * tau_c - shrink_c)))
+    valid = (i1 > i0) & (i0 < n_c)
+    w_max = masked_query(tmax, log, np.maximum,
+                         np.arange(rows)[:, None, None, None], i0, i1, valid)
     level_c = level[:, None, None, None]
     margins = np.where(_EXPECTED_HIGH, w_max - level_c, level_c - w_max)
     min_margin = margins.min(axis=-1)
@@ -434,18 +462,22 @@ def refine_clock_rows(config: DecoderConfig, times: np.ndarray,
         return out_tau, out_anchor
 
     # Data-window roughness, survivors only: mean internal peak-to-peak
-    # excursion of the probe windows before the first one falling off
-    # the trace.
+    # excursion of the row's probe windows before the first one
+    # falling off the row.
     dtau = cand_tau[okr, oks]
     dshrink = shrink[okr, oks]
     data_start = anchors[okr, oks, okd] + 4.0 * dtau
-    kd = np.arange(float(max(n_probe, 0)))
-    j0, j1 = grid_searchsorted(times, t0, fs, np.stack(
+    kd = np.arange(float(max(n_probe if np.ndim(n_probe) == 0
+                             else n_probe.max(), 0)))
+    t0_d, n_d = (x if np.ndim(x) == 0 else x[okr][:, None] for x in (t0, n))
+    j0, j1 = grid_searchsorted(t0_d, n_d, fs, np.stack(
         (data_start[:, None] + kd * dtau[:, None] + dshrink[:, None],
          data_start[:, None] + (kd + 1.0) * dtau[:, None]
          - dshrink[:, None])))
-    d_valid = (j1 > j0) & (j0 < n)
-    rows_d = np.broadcast_to(okr[:, None], d_valid.shape)
+    d_valid = (j1 > j0) & (j0 < n_d)
+    if np.ndim(n_probe):
+        d_valid &= kd < n_probe[okr][:, None]
+    rows_d = okr[:, None]
     seg_max = masked_query(tmax, log, np.maximum, rows_d, j0, j1, d_valid)
     seg_min = masked_query(tmin, log, np.minimum, rows_d, j0, j1, d_valid)
     ranges = np.where(d_valid, seg_max - seg_min, 0.0)
@@ -464,14 +496,14 @@ def refine_clock_rows(config: DecoderConfig, times: np.ndarray,
     # consistent meaning across signal amplitudes.
     score = (min_margin[okr, oks, okd] / tau_r[okr]
              - 0.5 * roughness / tau_r[okr]
-             - 0.9 * np.abs(scales - 1.0)[oks]
-             - 0.25 * np.abs(rel_deltas)[okd])
+             - scale_penalty[oks]
+             - _DELTA_PENALTY[okd])
 
     # Row-major first-max tie-breaking over the (13, 15) candidate grid.
-    full = np.full((rows, len(scales) * len(rel_deltas)), -np.inf)
-    full[okr, oks * len(rel_deltas) + okd] = score
+    full = np.full((rows, len(scales) * n_deltas), -np.inf)
+    full[okr, oks * n_deltas + okd] = score
     flat_idx = np.argmax(full, axis=1)
-    s_idx, d_idx = np.divmod(flat_idx, len(rel_deltas))
+    s_idx, d_idx = np.divmod(flat_idx, n_deltas)
     has = np.zeros(rows, dtype=bool)
     has[okr] = True
     r = np.flatnonzero(has)
@@ -539,62 +571,103 @@ class DecodedRows:
         )
 
 
-def decode_rows(raw: np.ndarray, fs: float, t0: float,
-                n_data_symbols: int | None = None,
+def _row_sigmas(raw, lengths: list[int]) -> list[float]:
+    """:func:`noise_sigma` of every row: one reduction over an ``(R, T)``
+    array, else one over the stacked rows of each distinct length."""
+    if isinstance(raw, np.ndarray):
+        return noise_sigma(raw).tolist()
+    by_length: dict[int, list[int]] = {}
+    for r, n in enumerate(lengths):
+        by_length.setdefault(n, []).append(r)
+    sigma = [0.0] * len(lengths)
+    for rows in by_length.values():
+        block = noise_sigma(np.stack([raw[r] for r in rows])).tolist()
+        for r, value in zip(rows, block):
+            sigma[r] = value
+    return sigma
+
+
+def decode_rows(raw, fs: float, t0, n_data_symbols=None,
                 config: DecoderConfig | None = None,
                 stage_trace: StageTrace | None = None) -> DecodedRows:
-    """Section 4.1's decode of ``(R, T)`` rows sampled on one time grid.
+    """Section 4.1's decode of a stack of rows sampled at one rate.
 
     The one decode every driver runs: the serial decoder on one row,
-    the tensor backend on every row of an optics group.  Each row
-    acquires by :func:`scan_scale` at each of :func:`smoothing_scales`,
-    finest first, until one accepts an A/B/C triple (scipy's C peak
-    routines beat any vectorised reformulation at this trace length).
-    The acquired rows then share sparse max/min tables
-    (:func:`window_tables`) through which the clock search
-    (:func:`refine_clock_rows`), the decision windows and the HLHL
-    preamble check read every row's windows at once.  Profiled stages
-    time the whole stack once.
+    the stacked drivers on every row they hold (an optics group, a pool
+    task's single receivers, a receiver array's nodes).  Rows share the
+    sample rate and the config, not a time grid: each brings its own
+    start time, length and ``n_data_symbols``, and each row's outcome
+    is bit-identical to its own one-row decode.
+
+    Each row acquires by :func:`scan_scale` at each of
+    :func:`smoothing_scales` of its own length, finest first, until one
+    accepts an A/B/C triple (scipy's C peak routines beat any
+    vectorised reformulation at this trace length).  The acquired rows
+    then share sparse max/min tables (:func:`window_tables`) over their
+    smoothed rows, padded to the longest, through which the clock
+    search (:func:`refine_clock_rows`), the decision windows and the
+    HLHL preamble check read every row's windows at once.  Each window
+    is located by :func:`~repro.tensor.rmq.grid_searchsorted` on its
+    own row's grid and must hold samples of that row, so the padding
+    is never read.  Profiled stages time the whole stack once.
 
     Args:
-        raw: ``(R, T)`` samples (raw counts or normalised — the
+        raw: ``(R, T)`` samples on one time grid, or a sequence of R
+            1-D rows of any lengths (raw counts or normalised — the
             thresholds adapt either way).
-        fs: sample rate.
-        t0: timestamp of column 0.
+        fs: sample rate of every row.
+        t0: timestamp of each row's first sample: one for every row, or
+            a sequence of R.
         n_data_symbols: expected number of data symbols (2N for an
-            N-bit payload).  None switches every row to auto length:
-            windows are consumed until the trace ends, then trailing
-            LOW windows (the empty ground after the tag) are trimmed
-            and an odd count is padded with a LOW.
+            N-bit payload), one for every row or a sequence of R.  None
+            switches a row to auto length: windows are consumed until
+            the row ends, then trailing LOW windows (the empty ground
+            after the tag) are trimmed and an odd count is padded with
+            a LOW.
         config: decoder tuning.
         stage_trace: optional per-stage timing sink.
 
     Raises:
-        ValueError: ``n_data_symbols < 1`` once a row has acquired.
+        ValueError: ``n_data_symbols < 1`` on a row that acquired.
     """
     decoder = AdaptiveThresholdDecoder(config)
     cfg = decoder.config
-    out = DecodedRows(len(raw))
-    n = raw.shape[1]
-    if n == 0:
-        # Streaming probes degenerate windows (empty suffixes, sub-symbol
-        # fragments); acquisition must answer "no preamble", not crash.
-        out.errors = [PreambleNotFoundError("empty trace; no preamble")
-                      for _ in out.errors]
+    size = len(raw)
+    out = DecodedRows(size)
+    lengths = ([raw.shape[1]] * size if isinstance(raw, np.ndarray)
+               else [len(row) for row in raw])
+    one_grid = np.ndim(t0) == 0 and len(set(lengths)) <= 1
+    t0s = [t0] * size if np.ndim(t0) == 0 else [float(t) for t in t0]
+    wanted = (list(n_data_symbols) if isinstance(n_data_symbols,
+                                                 (list, tuple))
+              else [n_data_symbols] * size)
+    sigma = _row_sigmas(raw, lengths)
+    scans: list = [None] * size
+    scales: dict[int, list[int]] = {}
+    for r, n in enumerate(lengths):
+        if n == 0:
+            # Streaming probes degenerate windows (empty suffixes,
+            # sub-symbol fragments); acquisition must answer "no
+            # preamble", not crash.
+            out.errors[r] = PreambleNotFoundError("empty trace; no preamble")
+            continue
+        if n not in scales:
+            scales[n] = smoothing_scales(n)
+        for window in scales[n]:
+            scan = scan_scale(raw[r], window, sigma[r], fs, t0s[r],
+                              cfg.min_preamble_swing_fraction,
+                              stage_trace=stage_trace)
+            if scan.points is not None:
+                break
+        scans[r] = scan
+    if not scales:
         return out
-    sigma = noise_sigma(raw)
-    scans: list = [None] * len(raw)
-    pending = range(len(raw))
-    for window in smoothing_scales(n):
-        for r in pending:
-            scans[r] = scan_scale(raw[r], window, float(sigma[r]), fs, t0,
-                                  cfg.min_preamble_swing_fraction,
-                                  stage_trace=stage_trace)
-        pending = [r for r in pending if scans[r].points is None]
 
     with maybe_stage(stage_trace, ExecStage.ACQUIRE):
         params = []
         for r, scan in enumerate(scans):
+            if scan is None:
+                continue
             if scan.points is None:
                 out.errors[r] = PreambleNotFoundError(scan.reason)
                 continue
@@ -607,45 +680,66 @@ def decode_rows(raw: np.ndarray, fs: float, t0: float,
         if not params:
             return out
         tau_r, tau_t, level, anchor = map(np.array, zip(*params))
-        times = t0 + np.arange(n) / fs
-        log = log_table(n)
-        tmax, tmin = window_tables(
-            np.array([scans[r].smooth for r in out.live]),
-            float(tau_t.max()), cfg, fs)
+        live = list(out.live)
+        width = max(lengths[r] for r in live)
+        if one_grid:
+            smooths = np.array([scans[r].smooth for r in live])
+            row_t0, row_n = t0, width
+        else:
+            # Padded to the longest row; no query reads the padding.
+            smooths = np.zeros((len(live), width))
+            for j, r in enumerate(live):
+                smooths[j, :lengths[r]] = scans[r].smooth
+            row_t0 = np.array([t0s[r] for r in live])
+            row_n = np.array([lengths[r] for r in live])
+        wanted = [wanted[r] for r in live]
+        n_probe = [min(w if w else 8, 12) for w in wanted]
+        n_probe = (n_probe[0] if len(set(n_probe)) == 1
+                   else np.array(n_probe))
+        log = log_table(width)
+        tmax, tmin = window_tables(smooths, float(tau_t.max()), cfg, fs)
 
     if cfg.clock_refinement:
         with maybe_stage(stage_trace, ExecStage.REFINE_CLOCK):
             tau_t, anchor = refine_clock_rows(
-                cfg, times, t0, fs, tmax, tmin, log, anchor, tau_t, tau_r,
-                level, min(n_data_symbols if n_data_symbols else 8, 12))
+                cfg, row_t0, row_n, fs, tmax, tmin, log, anchor, tau_t,
+                tau_r, level, n_probe)
 
     with maybe_stage(stage_trace, ExecStage.DECIDE):
+        if any(w is not None and w < 1 for w in wanted):
+            raise ValueError("n_data_symbols must be >= 1")
         # The preamble occupies symbols 1-4 from the anchor; data follows.
         data_start = anchor + 4.0 * tau_t
-        if n_data_symbols is None:
-            n_windows = np.minimum(cfg.max_symbols, np.floor(
-                (times[-1] - data_start) / tau_t)).tolist()
-        elif n_data_symbols < 1:
-            raise ValueError("n_data_symbols must be >= 1")
-        else:
-            n_windows = [n_data_symbols] * len(params)
+        n_windows = wanted
+        if None in wanted:
+            # A row's last sample sits at t0 + (n - 1) / fs.
+            auto = np.minimum(cfg.max_symbols, np.floor(
+                (row_t0 + (row_n - 1) / fs - data_start) / tau_t)).tolist()
+            n_windows = [a if w is None else w
+                         for a, w in zip(auto, wanted)]
+        if not one_grid:
+            row_t0, row_n = row_t0[:, None], row_n[:, None]
         tau = tau_t[:, None]
         shrink = cfg.window_shrink_fraction * tau
         ks = np.arange(float(max(1, max(n_windows))))
         starts = data_start[:, None] + ks * tau
-        maxima, n_good = window_maxima(tmax, log, times, starts + shrink,
-                                       starts + tau - shrink)
-        # Re-decode the preamble region with the derived thresholds; it
-        # must read HLHL, every window inside the trace.
-        ks = np.arange(4.0)
-        pre_max, pre_good = window_maxima(
-            tmax, log, times, anchor[:, None] + ks * tau + shrink,
-            anchor[:, None] + (ks + 1.0) * tau - shrink)
-        hlhl = _EXPECTED_HIGH.tolist()
-        verified = [count == 4 and read == hlhl for count, read in zip(
-            pre_good.tolist(), (pre_max > level[:, None]).tolist())]
+        # The data windows, then the preamble region re-decoded with the
+        # derived thresholds (it must read HLHL, every window inside
+        # the row), in one query.
+        maxima, valid = window_maxima(
+            tmax, log, row_t0, row_n, fs,
+            np.concatenate((starts + shrink,
+                            anchor[:, None] + _PREAMBLE_KS * tau + shrink),
+                           axis=1),
+            np.concatenate((starts + tau - shrink,
+                            anchor[:, None] + (_PREAMBLE_KS + 1.0) * tau
+                            - shrink), axis=1))
+        k = len(ks)
+        maxima, pre_max = maxima[:, :k], maxima[:, k:]
+        n_good, pre_good = _leading(valid[:, :k]), _leading(valid[:, k:])
+        verified = [count == 4 and read == _HLHL for count, read in zip(
+            pre_good, (pre_max > level[:, None]).tolist())]
         high = (maxima > level[:, None]).tolist()
-        n_good = n_good.tolist()
         for r, j in out.live.items():
             if n_windows[j] < 1:
                 out.errors[r] = DecodeError(
@@ -658,7 +752,7 @@ def decode_rows(raw: np.ndarray, fs: float, t0: float,
                     "all decision windows fell outside the trace")
                 continue
             symbols = [_SYMBOL[h] for h in high[j][:good]]
-            if n_data_symbols is None:
+            if wanted[j] is None:
                 # Trim the trailing ground (LOW) and keep an even count:
                 # a last HIGH is the first half of a '0' bit whose LOW
                 # half went with the ground.

@@ -8,17 +8,23 @@ waterfalls describe their scenes as specs and capture them here.
 One scenario runs the canonical ``build → simulate → inject_faults →
 … → decide → fuse`` pipeline (:class:`repro.exec.ExecStage`) as plain
 straight-line code: a single receiver as one row of a
-:class:`CapturePlan` (:meth:`CapturePlan.capture`, then
-:func:`decode_captures`), which :func:`repro.tensor.execute_batch`
-runs over many rows, and a receiver array by its own function.  With telemetry
-on (``REPRO_TELEMETRY`` / ``--telemetry``, or ``--profile``) every
-record carries a :class:`repro.exec.StageTrace` of per-stage wall
-time.  The drivers publish nothing themselves:
+:class:`CapturePlan` (:meth:`CapturePlan.capture`, its faults and
+replay, then a decode stack), and a receiver array by its own
+function.  Every decode ends in one
+:func:`~repro.core.decoder.decode_rows` call per stack of rows that
+share a sample rate and a config: :func:`execute_scenarios` stacks a
+pool task's single receivers, :func:`decode_captures` an optics
+group's rows for :func:`repro.tensor.execute_batch`, and a receiver
+array its nodes.  With telemetry on (``REPRO_TELEMETRY`` /
+``--telemetry``, or ``--profile``) every record carries a
+:class:`repro.exec.StageTrace` of per-stage wall time, with its share
+of its stack's stages.  The drivers publish nothing themselves:
 :class:`repro.engine.BatchRunner` folds the fresh records' traces into
 the registry, in the parent process.
 
-The function is a module-level callable of one picklable argument on
-purpose: it is what :class:`repro.engine.BatchRunner` ships to worker
+:func:`execute_scenario` and :func:`execute_scenarios` are
+module-level callables of one picklable argument on purpose: they are
+what :class:`repro.engine.BatchRunner`'s tasks run in worker
 processes.
 """
 
@@ -46,8 +52,15 @@ from ..channel.mobility import (
 )
 from ..channel.scene import MovingObject, PassiveScene
 from ..channel.simulator import ChannelSimulator, SimulatorConfig
-from ..core.decoder import AdaptiveThresholdDecoder, DecoderConfig, decode_rows
-from ..core.errors import DecodeError, PreambleNotFoundError
+from ..channel.trace import SignalTrace
+from ..core.decoder import (
+    AdaptiveThresholdDecoder,
+    DecodedRows,
+    DecodeResult,
+    DecoderConfig,
+    decode_rows,
+)
+from ..core.errors import PreambleNotFoundError
 from ..exec.graph import ExecStage, StageTrace, maybe_stage, new_trace
 from ..hardware.frontend import FovCap, ReceiverFrontEnd
 from ..hardware.led_receiver import LedReceiver
@@ -65,8 +78,8 @@ from .spec import ScenarioSpec, SpecIdentity, derive_seed
 __all__ = ["CapturePlan", "build_scene", "build_decoder", "build_frontend",
            "build_simulator", "build_network", "capture_plan",
            "capture_trace", "decode_captures",
-           "error_record", "execute_scenario", "inject_faults",
-           "node_positions", "node_seed"]
+           "error_record", "execute_scenario", "execute_scenarios",
+           "inject_faults", "node_positions", "node_seed"]
 
 
 _CAR_FACTORIES = {"volvo_v40": volvo_v40, "bmw_3_series": bmw_3_series}
@@ -239,14 +252,128 @@ def _decode_stage(error: Exception | None, decoded: str, sent: str) -> str:
             else RecordStage.DECODE_FAILED).value
 
 
-def _decode_row(spec: ScenarioSpec, trace, sent: str, n_data_symbols: int,
-                profile: StageTrace | None) -> dict:
-    """One row's faults and decode, as record fields."""
+def _verdict(rows: DecodedRows, r: int, sent: str) -> dict:
+    """Row ``r`` of a decode stack as record fields."""
+    decoded = rows.bit_string(r)
+    return dict(decoded_bits=decoded,
+                stage=_decode_stage(rows.errors[r], decoded, sent))
+
+
+@dataclass
+class _StackRow:
+    """One row of a decode stack: the trace it reads, its decoder
+    config and data-symbol count, the profile that takes its share of
+    the stack's stages, and, once :func:`_decode_stacks` ran, its stack
+    and row there."""
+
+    window: SignalTrace
+    config: DecoderConfig
+    n_data_symbols: int
+    profile: StageTrace | None
+    rows: DecodedRows | None = None
+    row: int = 0
+
+    def result(self) -> DecodeResult | None:
+        """The decode, or None when it raised (as a node reports it)."""
+        if self.rows.errors[self.row] is not None:
+            return None
+        return self.rows.result(self.row)
+
+
+def _stack_row(decoder, trace: SignalTrace, n_data_symbols: int,
+               profile: StageTrace | None) -> _StackRow:
+    """The stack row a decoder reads from a capture: a two-phase car
+    decoder's roof window (phase 1, timed as ``acquire``; raises
+    :class:`PreambleNotFoundError` without a long preamble), else the
+    whole trace."""
+    if isinstance(decoder, TwoPhaseDecoder):
+        return _StackRow(decoder.roof_window(trace, profile),
+                         decoder.decoder.config, n_data_symbols, profile)
+    return _StackRow(trace, decoder.config, n_data_symbols, profile)
+
+
+#: Stages a stack row shares only when it acquired a preamble.
+_ACQUIRED_STAGES = (ExecStage.REFINE_CLOCK.value, ExecStage.DECIDE.value)
+
+
+def _decode_stacks(stack_rows: list[_StackRow]) -> None:
+    """Decode every row in one :func:`~repro.core.decoder.decode_rows`
+    call per (sample rate, config), rows of any start and length.
+
+    Each row's profile takes its share of its stack's stages:
+    ``normalize`` and ``acquire`` split over the rows that scanned (the
+    non-empty ones), ``refine_clock`` and ``decide`` over the rows that
+    acquired.  A record so keeps the stage keys of its one-row decode,
+    and the stack's time adds up over its rows.
+    """
+    stacks: dict[tuple, list[_StackRow]] = {}
+    for row in stack_rows:
+        stacks.setdefault((row.window.sample_rate_hz, row.config),
+                          []).append(row)
+    for (fs, config), stack in stacks.items():
+        scratch = (StageTrace() if any(row.profile is not None
+                                       for row in stack) else None)
+        rows = decode_rows([row.window.samples for row in stack], fs,
+                           [row.window.start_time_s for row in stack],
+                           [row.n_data_symbols for row in stack], config,
+                           stage_trace=scratch)
+        for r, row in enumerate(stack):
+            row.rows, row.row = rows, r
+        if scratch is None:
+            continue
+        scanned = [row for row in stack if len(row.window.samples)]
+        acquired = [stack[r] for r in rows.live]
+        for stage, seconds in scratch.timings_s.items():
+            takers = acquired if stage in _ACQUIRED_STAGES else scanned
+            for row in takers:
+                if row.profile is not None:
+                    row.profile.add(stage, seconds / len(takers))
+
+
+@dataclass
+class _Single:
+    """One single receiver between its capture and its record: the
+    record fields found so far and, until the stack decodes it, its
+    stack row."""
+
+    spec: ScenarioSpec
+    ident: SpecIdentity
+    sent: str
+    fields: dict
+    stack_row: _StackRow | None = None
+
+    def record(self, elapsed_s: float,
+               profile: StageTrace | None) -> RunRecord:
+        fields = self.fields
+        if self.stack_row is not None:
+            fields = dict(fields, **_verdict(self.stack_row.rows,
+                                             self.stack_row.row, self.sent))
+        return make_record(spec_hash=self.ident.content_hash,
+                           spec=self.ident.payload, seed=self.spec.seed,
+                           sent_bits=self.sent, elapsed_s=elapsed_s,
+                           stage_trace=profile, **fields)
+
+
+def _single(plan: CapturePlan, codes: np.ndarray, spec: ScenarioSpec,
+            ident: SpecIdentity, profile: StageTrace | None) -> _Single:
+    """One captured row up to its stack decode.
+
+    Its faults (:func:`inject_faults`) run first.  A streamed spec then
+    replays its row through the streaming runtime, which finishes it;
+    any other row waits for the stack, a two-phase car decoder's after
+    phase 1 (a car without a long preamble is finished there).
+    """
+    packet = Packet.from_bitstring(spec.bits,
+                                   symbol_width_m=spec.symbol_width_m)
+    sent = packet.bit_string()
+    n_data_symbols = 2 * len(packet.data_bits)
+    trace = plan.sim.rss_trace(codes, plan.t_start)
     trace, chunks, fault_log = inject_faults(spec, trace, spec.stream_chunk,
                                              profile)
-    fields = dict(n_samples=len(trace.samples),
-                  sample_rate_hz=trace.sample_rate_hz,
-                  fault_events=fault_log.counts())
+    single = _Single(spec, ident, sent, dict(
+        n_samples=len(trace.samples), sample_rate_hz=trace.sample_rate_hz,
+        noise_floor_lux=plan.noise_floor_lux,
+        fault_events=fault_log.counts()))
     if spec.stream_chunk > 0:
         # Online replay through the streaming runtime (imported lazily,
         # like ``repro.net``, to keep engine import light).  The flush
@@ -263,8 +390,8 @@ def _decode_row(spec: ScenarioSpec, trace, sent: str, n_data_symbols: int,
         # exactly as the offline decode labels it.
         result = replay.decoder.result
         decoded = "" if result is None else result.bit_string()
-        return dict(
-            fields, decoded_bits=decoded,
+        single.fields.update(
+            decoded_bits=decoded,
             stage=(replay.verdict.stage if result is None
                    else outcome_stage(decoded, sent)),
             stream_chunks=replay.n_chunks,
@@ -274,65 +401,58 @@ def _decode_row(spec: ScenarioSpec, trace, sent: str, n_data_symbols: int,
             # decode's placeholder event time must not skew latency
             # percentiles.
             verdict_latency_s=replay.decoder.verdict_latency_s)
-    # The decoder times its own normalize/acquire/refine/decide
-    # interior.
+        return single
     try:
-        decoded = build_decoder(spec).decode(
-            trace, n_data_symbols=n_data_symbols,
-            stage_trace=profile).bit_string()
-    except (PreambleNotFoundError, DecodeError) as exc:
-        return dict(fields, stage=_decode_stage(exc, "", sent))
-    return dict(fields, decoded_bits=decoded,
-                stage=outcome_stage(decoded, sent))
+        single.stack_row = _stack_row(build_decoder(spec), trace,
+                                      n_data_symbols, profile)
+    except PreambleNotFoundError as exc:
+        single.fields["stage"] = _decode_stage(exc, "", sent)
+    return single
 
 
 def decode_captures(plan: CapturePlan, codes: np.ndarray,
                     specs: list[ScenarioSpec], idents: list[SpecIdentity],
                     started: float, profile: StageTrace | None,
                     ) -> list[RunRecord]:
-    """The decode half of the rows step: one record per captured row.
+    """The decode half of an optics group's rows step: one record per
+    captured row.
 
     Each spec serves its ``exec_sleep_s`` stall here, after its
     capture, so a group that raises and reruns through
-    :func:`execute_scenario` stalls nobody twice.  Its faults
-    (:func:`inject_faults`) then run on its row.  A plain adaptive
-    stack (no signal faults, no streaming) decodes in one
-    :func:`~repro.core.decoder.decode_rows` call; other rows decode one
-    by one.  Rows share ``profile``: each record carries ``1/N`` of its
-    timings, so stage totals add up as serial traces do, and all of its
-    counters.
+    :func:`execute_scenario` stalls nobody twice.  A plain adaptive
+    group (no signal faults, no streaming) decodes its ``(R, T)`` codes
+    as they are, in one :func:`~repro.core.decoder.decode_rows` call;
+    any other row takes its faults and replay first (see
+    :func:`_single`), and the rows left then decode as one stack.  Rows
+    share ``profile``: each record carries ``1/N`` of its timings, so
+    stage totals add up as serial traces do, and all of its counters.
     """
     for spec in specs:
         _stall(spec)
     spec0, fs = specs[0], plan.sim.config.sample_rate_hz
-    packet = Packet.from_bitstring(spec0.bits,
-                                   symbol_width_m=spec0.symbol_width_m)
-    sent = packet.bit_string()
-    n_data_symbols = 2 * len(packet.data_bits)
     faults = spec0.fault_plan
     if (spec0.decoder == "adaptive" and spec0.stream_chunk == 0
             and (faults is None or not faults.signals)):
-        rows = decode_rows(codes, fs, plan.t_start, n_data_symbols,
+        packet = Packet.from_bitstring(spec0.bits,
+                                       symbol_width_m=spec0.symbol_width_m)
+        sent = packet.bit_string()
+        fields = dict(n_samples=codes.shape[1], sample_rate_hz=fs,
+                      noise_floor_lux=plan.noise_floor_lux)
+        rows = decode_rows(codes, fs, plan.t_start, 2 * len(packet.data_bits),
                            DecoderConfig(threshold_rule=spec0.threshold_rule),
                            stage_trace=profile)
-        outcomes = []
-        for r, error in enumerate(rows.errors):
-            decoded = rows.bit_string(r)
-            outcomes.append(dict(decoded_bits=decoded,
-                                 stage=_decode_stage(error, decoded, sent),
-                                 n_samples=codes.shape[1], sample_rate_hz=fs))
+        singles = [_Single(spec, ident, sent,
+                           dict(fields, **_verdict(rows, r, sent)))
+                   for r, (spec, ident) in enumerate(zip(specs, idents))]
     else:
-        outcomes = [_decode_row(spec, plan.sim.rss_trace(row, plan.t_start),
-                                sent, n_data_symbols, profile)
-                    for spec, row in zip(specs, codes)]
+        singles = [_single(plan, row, spec, ident, profile)
+                   for spec, ident, row in zip(specs, idents, codes)]
+        _decode_stacks([single.stack_row for single in singles
+                        if single.stack_row is not None])
     elapsed = (time.perf_counter() - started) / len(specs)
     if profile is not None and len(specs) > 1:
         profile = profile.scaled(1.0 / len(specs))
-    return [make_record(spec_hash=ident.content_hash, spec=ident.payload,
-                        seed=spec.seed, sent_bits=sent,
-                        noise_floor_lux=plan.noise_floor_lux,
-                        elapsed_s=elapsed, stage_trace=profile, **fields)
-            for spec, ident, fields in zip(specs, idents, outcomes)]
+    return [single.record(elapsed, profile) for single in singles]
 
 
 # ----------------------------------------------------------------------
@@ -435,12 +555,14 @@ def _select_track(tracks):
 def _execute_networked(spec: ScenarioSpec, ident: SpecIdentity,
                        started: float,
                        profile: StageTrace | None) -> RunRecord:
-    """One pass over a receiver array: build, observe per node, fuse.
+    """One pass over a receiver array: build, capture per node, decode
+    the nodes as one stack, fuse.
 
     Every node captures its *own* trace of the same moving object
     (same scene, receiver shifted to the node's position, independent
-    noise), decodes locally, and shares the detection over the
-    connectivity graph.  The record's headline verdict is the
+    noise) and its faults, in node order; the surviving nodes' traces
+    (of their own starts and lengths) then decode in one stack, and
+    each node shares its detection over the connectivity graph.  The record's headline verdict is the
     network's fused one, computed from the most upstream node's
     viewpoint (``rx0``) — with a ``partitioned`` topology that is
     deliberately only rx0's island.
@@ -448,7 +570,7 @@ def _execute_networked(spec: ScenarioSpec, ident: SpecIdentity,
     # The first networked spec of a process imports the network layer
     # (and networkx) here, before the build clock starts: that one-time
     # import is not scene building.
-    from .. import net  # noqa: F401
+    from ..net.node import detection_from_decode
 
     packet = Packet.from_bitstring(spec.bits,
                                    symbol_width_m=spec.symbol_width_m)
@@ -459,7 +581,9 @@ def _execute_networked(spec: ScenarioSpec, ident: SpecIdentity,
         scene = build_scene(spec)
         network = build_network(spec)
     fault_log = FaultLog()
-    node_rows: list[dict] = []
+    node_rows: list[dict | None] = []
+    # (node_rows slot, node, trace, stack row or None) per captured node
+    captured = []
     first_trace = None
     noise_floor = 0.0
     for i, node in enumerate(network.nodes):
@@ -508,12 +632,23 @@ def _execute_networked(spec: ScenarioSpec, ident: SpecIdentity,
         if first_trace is None:
             first_trace = trace
             noise_floor = sim.noise_floor_lux
-        # The node's decoder times its own normalize/acquire/refine/
-        # decide interior.
-        detection = node.observe(trace, n_data_symbols=n_data_symbols,
-                                 stage_trace=profile)
+        try:
+            stack_row = _stack_row(node.decoder, trace, n_data_symbols,
+                                   profile)
+        except PreambleNotFoundError:
+            stack_row = None
+        captured.append((len(node_rows), node, trace, stack_row))
+        node_rows.append(None)
+    # Every captured node decodes in one stack, which times its
+    # normalize/acquire/refine_clock/decide; detections are recorded
+    # in node order.
+    _decode_stacks([row for *_, row in captured if row is not None])
+    for slot, node, trace, stack_row in captured:
+        detection = detection_from_decode(
+            node.node_id, node.position_m, trace,
+            None if stack_row is None else stack_row.result())
         network.record(detection)
-        node_rows.append({
+        node_rows[slot] = {
             "node_id": node.node_id,
             "position_m": float(node.position_m),
             "bits": detection.bits,
@@ -523,7 +658,7 @@ def _execute_networked(spec: ScenarioSpec, ident: SpecIdentity,
             "timestamp_source": detection.timestamp_source,
             "stage": outcome_stage(detection.bits, sent,
                                    empty=RecordStage.NO_DECODE),
-        })
+        }
     with maybe_stage(profile, ExecStage.FUSE):
         query = network.nodes[0].node_id
         fused = _select_fused(network.fuse_at(query, spec.speed_mps))
@@ -598,37 +733,73 @@ def inject_faults(spec: ScenarioSpec, trace, chunk_size: int,
 def execute_scenario(spec: ScenarioSpec) -> RunRecord:
     """Run one scenario end to end and record the outcome.
 
-    A single receiver runs as one row of an uncached
-    :class:`CapturePlan`, the same rows step that
-    :func:`repro.tensor.execute_batch` runs per optics group; a
-    receiver array runs :func:`_execute_networked`.  Deterministic:
-    the resolved spec carries its concrete seed, so the same spec
-    yields the same record no matter where or when it runs.
-    Telemetry attaches a per-stage :class:`StageTrace` without
-    changing the record's canonical bytes.
+    A task of one (:func:`execute_scenarios`): a single receiver runs
+    as one row of an uncached :class:`CapturePlan`, a receiver array
+    runs :func:`_execute_networked`.  Deterministic: the resolved spec
+    carries its concrete seed, so the same spec yields the same record
+    no matter where or when it runs.  Telemetry attaches a per-stage
+    :class:`StageTrace` without changing the record's canonical bytes.
     """
-    spec = spec.resolve()
-    ident = spec.identity()
+    return execute_scenarios([spec])[0]
+
+
+def execute_scenarios(specs: list[ScenarioSpec]) -> list[RunRecord]:
+    """Run scenarios as one task: their records, in order, each
+    byte-identical to :func:`execute_scenario`'s.
+
+    Every single receiver gets its own uncached :class:`CapturePlan`
+    and capture, contained per spec (a scene that cannot be built or
+    captured yields its ``simulation_failed`` record), then its stall,
+    faults and, when streamed, its replay (:func:`_single`).  The rows
+    left, plain or faulted adaptive rows and two-phase roof windows,
+    then decode together, one stack per (sample rate, config).  A
+    receiver array runs :func:`_execute_networked`, which stacks its
+    own nodes.  Each record keeps its own ``build``, ``simulate`` and
+    ``inject_faults`` timings and its share of the stack's.  Nothing
+    enters the tensor driver's plan cache.
+    """
+    records: list[RunRecord | None] = []
+    singles: list[tuple[int, _Single, float, StageTrace | None]] = []
+    for spec in specs:
+        spec = spec.resolve()
+        ident = spec.identity()
+        started = time.perf_counter()
+        profile = new_trace()
+        try:
+            if spec.n_receivers > 1:
+                _stall(spec)
+                records.append(
+                    _execute_networked(spec, ident, started, profile))
+                continue
+            plan = capture_plan(spec, profile)
+            codes = plan.capture([spec], profile)
+        except Exception as exc:
+            # Contain per-scenario failures (a tag that does not fit the
+            # car roof, a degenerate geometry): one bad grid point must
+            # not abort a thousand-scenario batch.
+            records.append(error_record(
+                spec, f"{type(exc).__name__}: {exc}",
+                time.perf_counter() - started,
+                RecordStage.SIMULATION_FAILED, profile))
+            continue
+        # Faults and decode run *outside* the containment boundary:
+        # their failures are verdicts (or bugs), not per-grid-point
+        # simulation hazards.
+        _stall(spec)
+        single = _single(plan, codes[0], spec, ident, profile)
+        singles.append((len(records), single,
+                        time.perf_counter() - started, profile))
+        records.append(None)
+    stack_rows = [single.stack_row for _, single, _, _ in singles
+                  if single.stack_row is not None]
     started = time.perf_counter()
-    profile = new_trace()
-    try:
-        if spec.n_receivers > 1:
-            _stall(spec)
-            return _execute_networked(spec, ident, started, profile)
-        plan = capture_plan(spec, profile)
-        codes = plan.capture([spec], profile)
-    except Exception as exc:
-        # Contain per-scenario failures (a tag that does not fit the
-        # car roof, a degenerate geometry): one bad grid point must
-        # not abort a thousand-scenario batch.
-        return error_record(spec, f"{type(exc).__name__}: {exc}",
-                            time.perf_counter() - started,
-                            RecordStage.SIMULATION_FAILED, profile)
-    # Fault injection and decode run *outside* the containment
-    # boundary: their failures are verdicts (or bugs), not per-grid-
-    # point simulation hazards.
-    return decode_captures(plan, codes, [spec], [ident], started,
-                           profile)[0]
+    _decode_stacks(stack_rows)
+    share = (time.perf_counter() - started) / max(1, len(stack_rows))
+    for slot, single, elapsed, profile in singles:
+        if single.stack_row is not None:
+            elapsed += share
+        records[slot] = single.record(elapsed, profile)
+    return records  # type: ignore[return-value]
 
 
 def error_record(spec: ScenarioSpec, message: str, elapsed_s: float = 0.0,

@@ -13,10 +13,13 @@ and :func:`execute_scenario` touches no shared state, ``workers=N``
 produces records byte-identical (``RunRecord.canonical_json``) to
 ``workers=1`` for the same scenario list, in the same order.  The same
 contract extends to ``backend="tensor"``: both backends run a single
-receiver through the executor's one rows step, the process backend
-as a row of one and :func:`repro.tensor.execute_batch` over each
-optics group's rows, so they reproduce the serial records byte for
-byte and share the result cache with them, at any worker count.
+receiver through the executor's one rows step, so they reproduce the
+serial records byte for byte and share the result cache with them, at
+any worker count.  A process task of one spec runs
+:func:`execute_scenario`; a pooled process task of several runs
+:func:`~repro.engine.executor.execute_scenarios`, which decodes the
+task's rows as one stack; the tensor backend runs
+:func:`repro.tensor.execute_batch`, one stack per optics group.
 
 The runner is also the one producer of stage telemetry for batches:
 :meth:`BatchRunner.run` folds the stage traces of the fresh records
@@ -41,7 +44,7 @@ from ..obs.export import publish_stage_trace
 from ..obs.registry import (MetricsRegistry, active_registry, telemetry,
                             telemetry_enabled)
 from .cache import SqliteResultCache
-from .executor import error_record, execute_scenario
+from .executor import error_record, execute_scenario, execute_scenarios
 from .records import RecordStage, RunRecord
 from .report import executor_error_count, fault_event_totals, success_rate
 from .spec import ScenarioSpec, expand_grid
@@ -430,7 +433,8 @@ class BatchRunner:
         pool, each tensor optics group is one task, and the other specs
         go one per task under a timeout (a chunk shares its fate) or in
         chunks of ``min(CHUNK_MAX, n // (4 * workers))`` without one:
-        negligible per-task IPC, still load-balanced.
+        negligible per-task IPC, still load-balanced, and a chunk's
+        rows decode as one stack.
         """
         n = len(specs)
         if self.workers == 1 and self.scenario_timeout_s is None:
@@ -578,7 +582,9 @@ def _run_task(backend: str, specs: list[ScenarioSpec],
               traced: bool | None = None) -> list[RunRecord]:
     """One task's records.  Module level, so the pool pickles it by
     name; the executors are looked up at call time, so wrappers
-    installed in this process see in-process calls.  Pool tasks get
+    installed in this process see in-process calls.  A process task of
+    one spec runs :func:`execute_scenario`, one of several
+    :func:`~repro.engine.executor.execute_scenarios`.  Pool tasks get
     the parent's telemetry switch as ``traced``, so a persistent
     worker traces exactly when the parent folds."""
     if traced is not None and traced != telemetry_enabled():
@@ -588,7 +594,9 @@ def _run_task(backend: str, specs: list[ScenarioSpec],
         from ..tensor import batch
 
         return batch.execute_batch(specs)
-    return [execute_scenario(spec) for spec in specs]
+    if len(specs) == 1:
+        return [execute_scenario(specs[0])]
+    return execute_scenarios(specs)
 
 
 def _kill(pool: ProcessPoolExecutor) -> None:

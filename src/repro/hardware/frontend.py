@@ -12,10 +12,11 @@ resulting from the smaller impinging light on the receiver".
 
 :class:`ReceiverFrontEnd` splits the chain at the noise draw.
 :meth:`~ReceiverFrontEnd.respond` is the seed-independent detector half
-and :meth:`~ReceiverFrontEnd.digitize` the seeded noise, amplifier and
-ADC half; both work along the last axis.  A serial capture runs them on
-one waveform; the tensor driver runs ``respond`` once per optics group
-and ``digitize`` once over the group's ``(R, T)`` noise rows.
+and :meth:`~ReceiverFrontEnd.digitize` the noise, amplifier and ADC
+half; both work along the last axis.  A serial capture
+(:meth:`repro.channel.ChannelSimulator.capture`) runs them on one
+waveform; the tensor driver runs ``respond`` once per optics group and
+``digitize`` once over the group's ``(R, T)`` noise rows.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class ReceiverFrontEnd:
         cap: optional FoV-narrowing cap.
         amplifier: analog gain/buffer stage.
         adc: analog-to-digital converter.
-        seed: RNG seed for the noise processes (deterministic captures).
+        seed: noise seed of this receiver's captures; the engine
+            configures each (networked node's) simulator with it.
     """
 
     detector: OpticalDetector
@@ -162,39 +164,11 @@ class ReceiverFrontEnd:
         ``noise`` holds standard-normal draws that ``v0`` and ``sigma``
         (from :meth:`respond`) broadcast against, so ``R`` noise rows
         digitize ``R`` captures of one response in one pass, each row
-        bit-identical to its own :meth:`capture`.
+        bit-identical to a call on that row alone.  The seeding rule
+        lives in :meth:`repro.channel.ChannelSimulator.digitize`.
         """
         v = np.clip(v0 + noise * sigma, 0.0, 1.0)
         return self.adc.convert(self.amplifier.amplify(v, sample_rate_hz))
-
-    def capture(self, illuminance_lux: np.ndarray,
-                sample_rate_hz: float | None = None,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-        """Convert an optical waveform into ADC codes (the RSS stream).
-
-        The input must already be the ambient-referred illuminance at the
-        aperture *after* cap attenuation has been applied by the channel
-        simulator (which knows which part of the light is footprint
-        signal and which is stray ambient): :meth:`respond`, one noise
-        draw, then :meth:`digitize`.
-
-        Args:
-            illuminance_lux: optical waveform at the detector (lux).
-            sample_rate_hz: sampling rate of the waveform; defaults to
-                the ADC's nominal rate.
-            rng: noise generator; defaults to one seeded from ``seed``.
-
-        Returns:
-            Integer RSS codes, same length as the input.
-        """
-        fs = sample_rate_hz if sample_rate_hz is not None else self.adc.sample_rate_hz
-        if np.ndim(illuminance_lux) != 1:
-            raise ValueError("expected a 1-D waveform")
-        v0, sigma = self.respond(illuminance_lux, fs)
-        if rng is None:
-            rng = np.random.default_rng(self.seed)
-        return self.digitize(v0, sigma, rng.normal(0.0, 1.0, size=v0.shape),
-                             fs)
 
     def describe(self) -> str:
         """One-line summary used in experiment reports."""

@@ -5,8 +5,9 @@
 the executor's rows step: the group shares one cached
 :class:`~repro.engine.executor.CapturePlan` (footprint kernel, pass
 geometry, aperture illuminance, the front end's ``respond``), one
-``digitize`` over its noise rows and, when plain adaptive, one
-:func:`~repro.core.decoder.decode_rows`.  The serial driver runs the
+``digitize`` over its noise rows and one
+:func:`~repro.core.decoder.decode_rows` stack (its ``(R, T)`` codes
+when plain adaptive).  The serial driver runs the
 same step as a batch of one, so every record is **byte-identical**
 (``canonical_json``) to :func:`repro.engine.execute_scenario`'s.
 

@@ -10,12 +10,13 @@ same two structures:
   range max/min via two overlapping power-of-two windows.  ``max`` and
   ``min`` are idempotent comparisons, so the overlap is harmless and
   every answer is the *identical float* a sequential reduction returns.
-* **Exact grid search** (:func:`grid_searchsorted`): the sample-time
-  grid is uniform, so an arithmetic guess lands within a sample of the
-  true ``searchsorted`` rank; a compare-and-nudge fixup loop then
-  enforces the exact definition (first index with ``times[i] >= v``)
-  against the *actual* stored times, making the result bit-equal to
-  ``np.searchsorted(times, v, "left")`` by construction.
+* **Exact grid search** (:func:`grid_searchsorted`): each row's
+  sample-time grid is uniform, so an arithmetic guess lands within a
+  sample of the true ``searchsorted`` rank; a compare-and-nudge fixup
+  loop then enforces the exact definition (first index with
+  ``time[i] >= v``) against the times ``t0 + arange(n) / fs`` stores,
+  making the result bit-equal to ``np.searchsorted`` on that grid by
+  construction.  Rows of different starts and lengths share one call.
 """
 
 from __future__ import annotations
@@ -105,24 +106,27 @@ def masked_query(table: np.ndarray, log: np.ndarray, op: np.ufunc,
     return range_query(table, log, op, rows, qa, qb)
 
 
-def grid_searchsorted(times: np.ndarray, t0: float, fs: float,
-                      v: np.ndarray) -> np.ndarray:
-    """Exact ``np.searchsorted(times, v, "left")`` on a uniform grid.
+def grid_searchsorted(t0, n, fs: float, v: np.ndarray) -> np.ndarray:
+    """Exact ``np.searchsorted(t0 + arange(n) / fs, v, "left")``.
 
-    ``times`` must be ``t0 + arange(n) / fs``.  The arithmetic guess is
-    corrected against the stored values until the searchsorted
-    invariant ``times[idx-1] < v <= times[idx]`` holds exactly, so the
-    result is identical to binary search no matter how the guess
-    rounds (the loop almost always settles in one pass).
+    Rows of a stack may each have their own start ``t0`` and length
+    ``n``: both broadcast against ``v`` (scalars for a stack on one
+    time grid), so no per-row time array is ever built.  Each probed
+    time is computed as ``t0 + i / fs``, the float that
+    ``t0 + arange(n) / fs`` stores at ``i``.  The arithmetic guess is
+    corrected until the searchsorted invariant
+    ``time[idx-1] < v <= time[idx]`` holds exactly, so the result is
+    identical to binary search on the stored grid no matter how the
+    guess rounds (the loop almost always settles in one pass), and it
+    stays inside ``[0, n]`` of its own row.
     """
-    n = len(times)
-    flat = np.asarray(v, dtype=float).ravel()
-    idx = np.ceil((flat - t0) * fs).astype(np.intp)
+    v = np.asarray(v, dtype=float)
+    idx = np.ceil((v - t0) * fs).astype(np.intp)
     np.clip(idx, 0, n, out=idx)
     while True:
-        down = (np.take(times, idx - 1, mode="clip") >= flat) & (idx > 0)
-        up = (np.take(times, idx, mode="clip") < flat) & (idx < n)
+        down = (t0 + (idx - 1) / fs >= v) & (idx > 0)
+        up = (t0 + idx / fs < v) & (idx < n)
         if not (down.any() or up.any()):
-            return idx.reshape(np.shape(v))
+            return idx
         idx -= down
         idx += up

@@ -91,19 +91,13 @@ class TwoPhaseDecoder:
         self.preamble_detector = preamble_detector or LongPreambleDetector()
         self.decoder = decoder or AdaptiveThresholdDecoder()
 
-    def decode(self, trace: SignalTrace,
-               n_data_symbols: int | None = None,
-               stage_trace: StageTrace | None = None) -> DecodeResult:
-        """Decode a tagged-car pass.
-
-        The phase-1 landmark search counts as the ``acquire`` stage
-        when profiled; phase 2 attributes its own interior.
+    def roof_window(self, trace: SignalTrace,
+                    stage_trace: StageTrace | None = None) -> SignalTrace:
+        """Phase 1: the roof window phase 2 decodes, timed as ``acquire``.
 
         Raises:
             PreambleNotFoundError: when the long preamble (car shape) is
-                absent, or the tag preamble cannot be acquired in the
-                roof window.
-            DecodeError: when windowing fails inside the roof region.
+                absent.
         """
         with maybe_stage(stage_trace, ExecStage.ACQUIRE):
             roof = self.preamble_detector.roof_window(trace)
@@ -111,7 +105,23 @@ class TwoPhaseDecoder:
             raise PreambleNotFoundError(
                 "long-duration preamble (hood peak + windshield valley) "
                 "not found")
-        return self.decoder.decode(roof, n_data_symbols=n_data_symbols,
+        return roof
+
+    def decode(self, trace: SignalTrace,
+               n_data_symbols: int | None = None,
+               stage_trace: StageTrace | None = None) -> DecodeResult:
+        """Decode a tagged-car pass: :meth:`roof_window`, then the
+        Section 4.1 decoder on it, which attributes its own interior
+        when profiled.
+
+        Raises:
+            PreambleNotFoundError: when the long preamble (car shape) is
+                absent, or the tag preamble cannot be acquired in the
+                roof window.
+            DecodeError: when windowing fails inside the roof region.
+        """
+        return self.decoder.decode(self.roof_window(trace, stage_trace),
+                                   n_data_symbols=n_data_symbols,
                                    stage_trace=stage_trace)
 
     def try_decode(self, trace: SignalTrace,

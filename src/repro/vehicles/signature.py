@@ -75,30 +75,22 @@ class CarSignature:
         return sum(1 for f in self.features if f.kind == "valley")
 
 
-def extract_signature(trace: SignalTrace,
-                      min_prominence_fraction: float = 0.25,
-                      smoothing_fraction: float = 0.02) -> CarSignature:
-    """Extract the alternating peak/valley landmark sequence of a pass.
+#: Default moving-average width, as a fraction of the trace length.
+_SMOOTHING_FRACTION = 0.02
 
-    Args:
-        trace: RSS capture of a car pass.
-        min_prominence_fraction: prominence threshold relative to the
-            trace's span.
-        smoothing_fraction: moving-average width as a fraction of the
-            trace length (car features are long; heavy smoothing is
-            safe and kills tag modulation riding on the roof).
 
-    Returns:
-        The signature with features in time order, de-duplicated so
-        peaks and valleys strictly alternate (strongest survives).
-    """
+def _landmarks(trace: SignalTrace, min_prominence_fraction: float,
+               smoothing_fraction: float,
+               ) -> tuple[np.ndarray, list[Extremum]]:
+    """The smoothed trace and its prominent extrema, de-duplicated so
+    peaks and valleys strictly alternate (strongest survives)."""
     if not 0.0 < min_prominence_fraction < 1.0:
         raise ValueError("prominence fraction must be in (0, 1)")
     smooth = moving_average(trace.samples,
                             max(3, int(len(trace.samples) * smoothing_fraction)))
     span = float(smooth.max() - smooth.min())
     if span == 0.0:
-        return CarSignature(features=[], trace=trace)
+        return smooth, []
     extrema = find_peaks_and_valleys(
         smooth, trace.sample_rate_hz, trace.start_time_s,
         min_prominence=min_prominence_fraction * span)
@@ -115,6 +107,29 @@ def extract_signature(trace: SignalTrace,
                 filtered[-1] = ext
         else:
             filtered.append(ext)
+    return smooth, filtered
+
+
+def extract_signature(trace: SignalTrace,
+                      min_prominence_fraction: float = 0.25,
+                      smoothing_fraction: float = _SMOOTHING_FRACTION,
+                      ) -> CarSignature:
+    """Extract the alternating peak/valley landmark sequence of a pass.
+
+    Args:
+        trace: RSS capture of a car pass.
+        min_prominence_fraction: prominence threshold relative to the
+            trace's span.
+        smoothing_fraction: moving-average width as a fraction of the
+            trace length (car features are long; heavy smoothing is
+            safe and kills tag modulation riding on the roof).
+
+    Returns:
+        The signature with features in time order, de-duplicated so
+        peaks and valleys strictly alternate (strongest survives).
+    """
+    smooth, filtered = _landmarks(trace, min_prominence_fraction,
+                                  smoothing_fraction)
 
     # Measure each feature's plateau width at the mid level between the
     # typical peak and valley values.
@@ -211,18 +226,21 @@ class LongPreambleDetector:
     def detect(self, trace: SignalTrace) -> tuple[float, float] | None:
         """Find the long preamble in a capture.
 
+        The landmarks of :func:`extract_signature`'s features, without
+        their plateau widths, which only :func:`match_car` reads.
+
         Returns:
             ``(hood_peak_time, windshield_valley_time)`` of the first
             peak-then-valley pair, or None when absent.
         """
-        signature = extract_signature(
-            trace, min_prominence_fraction=self.min_prominence_fraction)
-        hood: SignatureFeature | None = None
-        for feature in signature.features:
-            if feature.kind == "peak" and hood is None:
-                hood = feature
-            elif feature.kind == "valley" and hood is not None:
-                return hood.time_s, feature.time_s
+        _, landmarks = _landmarks(trace, self.min_prominence_fraction,
+                                  _SMOOTHING_FRACTION)
+        hood: Extremum | None = None
+        for landmark in landmarks:
+            if landmark.kind == "peak" and hood is None:
+                hood = landmark
+            elif landmark.kind == "valley" and hood is not None:
+                return hood.time_s, landmark.time_s
         return None
 
     def roof_window(self, trace: SignalTrace) -> SignalTrace | None:

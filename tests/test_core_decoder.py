@@ -232,7 +232,7 @@ class TestVectorizedRefineClock:
         tmax, tmin = window_tables(smooth[None, :], tau_t, cfg, fs)
         for n_data in (None, len(symbols) - 4):
             taus, anchors = refine_clock_rows(
-                cfg, times, trace.start_time_s, fs, tmax, tmin,
+                cfg, trace.start_time_s, len(times), fs, tmax, tmin,
                 log_table(len(times)),
                 np.array([points[0].time_s - 0.5 * tau_t]),
                 np.array([tau_t]), np.array([tau_r]), np.array([level]),
@@ -278,10 +278,9 @@ class TestDecodeRows:
         sim = build_simulator(spec.resolve())
         fs = sim.config.sample_rate_hz
         t_start, duration = sim.pass_window()
-        lux = sim.aperture_illuminance(sim.time_grid(duration, t_start))
-        traces = [SignalTrace(sim.frontend.capture(
-                      lux, fs, rng=np.random.default_rng(seed)), fs, t_start)
-                  for seed in range(2, 8)]
+        v0, sigma = sim.respond(duration, t_start)
+        traces = [SignalTrace(row, fs, t_start)
+                  for row in sim.digitize(v0, sigma, list(range(2, 8)))]
         rows = decode_rows(np.stack([t.samples for t in traces]), fs,
                            t_start, n_data_symbols=None)
         decoded, tau_ts = 0, set()

@@ -76,7 +76,8 @@ class TestChoicesAndTable:
     def test_frontend_is_usable(self):
         import numpy as np
 
-        choice = DualReceiverController().select(450.0)
-        codes = choice.frontend.capture(np.full(200, 450.0),
-                                        sample_rate_hz=500.0)
+        fe = DualReceiverController().select(450.0).frontend
+        v0, sigma = fe.respond(np.full(200, 450.0), 500.0)
+        codes = fe.digitize(v0, sigma,
+                            np.random.default_rng(0).normal(size=200), 500.0)
         assert codes.max() < 1023  # not railed

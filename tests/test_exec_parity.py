@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import BatchRunner, ScenarioSpec
-from repro.engine.executor import execute_scenario
+from repro.engine.executor import execute_scenario, execute_scenarios
 from repro.exec import profiled
 
 from tests.test_net_engine import road_spec
@@ -165,6 +165,17 @@ class TestStageKeys:
             record = execute_scenario(spec)
         assert record.stage == "simulation_failed"
         assert stage_keys(record) == ({"build"}, {})
+
+    def test_pool_task_keeps_serial_keys(self):
+        # Every golden spec in one pooled task: its single receivers
+        # decode as stacks, yet each record keeps its bytes and the
+        # stage keys of its serial run (spec 4's preamble miss, stacked
+        # with decoded rows, still reads NO_PREAMBLE).
+        with profiled():
+            records = execute_scenarios(SPECS)
+        for i, record in enumerate(records):
+            assert record_sha(record) == expect(i), f"record {i}"
+            assert stage_keys(record) == STAGE_KEYS[i], f"record {i}"
 
     def test_keys_survive_pool_pickling(self):
         subset = [SPECS[i] for i in REPRESENTATIVES]

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.engine.executor import build_simulator
+from repro.engine.spec import ScenarioSpec
 from repro.hardware.amplifier import Amplifier
 from repro.hardware.frontend import FovCap, ReceiverFrontEnd
 from repro.hardware.led_receiver import LedReceiver
@@ -61,46 +63,52 @@ class TestFrontEndGeometry:
         assert not capped.saturates_at(1200.0)
 
 
+def capture(fe, lux, fs, seed=1):
+    """One seeded capture of ``lux``: ``respond``, one standard-normal
+    noise row, ``digitize`` (the rule ``ChannelSimulator.digitize``
+    applies per seed)."""
+    v0, sigma = fe.respond(lux, fs)
+    noise = np.random.default_rng(seed).normal(0.0, 1.0, size=v0.shape)
+    return fe.digitize(v0, sigma, noise, fs)
+
+
 class TestCapture:
     def test_deterministic_with_seed(self):
-        fe = ReceiverFrontEnd(detector=Photodiode.opt101(), seed=5)
-        lux = np.full(400, 200.0)
-        a = fe.capture(lux, sample_rate_hz=1000.0)
-        b = fe.capture(lux, sample_rate_hz=1000.0)
+        spec = ScenarioSpec(source="sun", detector="pd", cap=False,
+                            ground="tarmac", bits="00",
+                            symbol_width_m=0.1, speed_mps=5.0,
+                            receiver_height_m=0.25, start_position_m=-1.5,
+                            sample_rate_hz=1000.0, ground_lux=200.0, seed=5)
+        a = build_simulator(spec).capture(0.4).samples
+        b = build_simulator(spec).capture(0.4).samples
+        other = build_simulator(spec.replace(seed=6)).capture(0.4).samples
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, other)
 
     def test_output_range(self):
-        fe = ReceiverFrontEnd(detector=Photodiode.opt101(gain=PdGain.G1),
-                              seed=1)
+        fe = ReceiverFrontEnd(detector=Photodiode.opt101(gain=PdGain.G1))
         lux = np.linspace(0.0, 2000.0, 1000)
-        codes = fe.capture(lux, sample_rate_hz=1000.0)
+        codes = capture(fe, lux, 1000.0)
         assert codes.min() >= 0
         assert codes.max() <= 1023
 
     def test_saturation_rails_output(self):
-        fe = ReceiverFrontEnd(detector=Photodiode.opt101(gain=PdGain.G1),
-                              seed=1)
+        fe = ReceiverFrontEnd(detector=Photodiode.opt101(gain=PdGain.G1))
         lux = np.full(600, 6200.0)
-        codes = fe.capture(lux, sample_rate_hz=1000.0)
+        codes = capture(fe, lux, 1000.0)
         assert float((codes >= 1015).mean()) > 0.9
 
     def test_linear_region_level(self):
-        fe = ReceiverFrontEnd(detector=Photodiode.opt101(gain=PdGain.G2),
-                              seed=1)
+        fe = ReceiverFrontEnd(detector=Photodiode.opt101(gain=PdGain.G2))
         lux = np.full(2000, 600.0)
-        codes = fe.capture(lux, sample_rate_hz=1000.0)
+        codes = capture(fe, lux, 1000.0)
         expected = 600.0 / 1200.0 * 1023
         assert float(np.median(codes[500:])) == pytest.approx(expected, rel=0.02)
-
-    def test_rejects_2d_input(self):
-        fe = ReceiverFrontEnd(detector=Photodiode.opt101())
-        with pytest.raises(ValueError):
-            fe.capture(np.zeros((10, 10)), sample_rate_hz=100.0)
 
     def test_rejects_negative_lux(self):
         fe = ReceiverFrontEnd(detector=Photodiode.opt101())
         with pytest.raises(ValueError):
-            fe.capture(np.array([-1.0]), sample_rate_hz=100.0)
+            fe.respond(np.array([-1.0]), 100.0)
 
     def test_describe_mentions_detector(self):
         fe = ReceiverFrontEnd(detector=LedReceiver.red_5mm())
@@ -108,7 +116,7 @@ class TestCapture:
 
 
 class TestBatchOfOne:
-    """``capture`` is ``respond`` + one noise draw + ``digitize``."""
+    """``R`` noise rows digitize as ``R`` one-row calls."""
 
     @pytest.mark.parametrize("bandwidth_hz", [300.0, 1.0e6])
     def test_digitized_noise_rows_match_serial_captures(self, bandwidth_hz):
@@ -126,7 +134,7 @@ class TestBatchOfOne:
         codes = fe.digitize(v0, sigma, noise, fs)
         assert codes.shape == noise.shape
         for seed, row in zip(seeds, codes):
-            serial = fe.capture(lux, fs, rng=np.random.default_rng(seed))
+            serial = capture(fe, lux, fs, seed)
             assert row.tobytes() == serial.tobytes()
 
     def test_respond_works_row_by_row(self):

@@ -78,11 +78,11 @@ class TestGridSearchsorted:
             [t0, times[-1], t0 - 1.0, times[-1] + 1.0],
         ])
         np.testing.assert_array_equal(
-            grid_searchsorted(times, t0, fs, v),
+            grid_searchsorted(t0, n, fs, v),
             np.searchsorted(times, v, side="left"))
 
     def test_preserves_input_shape(self):
         fs, t0 = 100.0, 0.0
         times = t0 + np.arange(50) / fs
         v = np.full((2, 3, 4), 0.123)
-        assert grid_searchsorted(times, t0, fs, v).shape == (2, 3, 4)
+        assert grid_searchsorted(t0, len(times), fs, v).shape == (2, 3, 4)

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel.mobility import ConstantSpeed
 from repro.channel.scene import MovingObject, PassiveScene
 from repro.channel.simulator import ChannelSimulator, SimulatorConfig
+from repro.channel.trace import SignalTrace
+from repro.engine.executor import capture_trace
+from repro.engine.spec import ScenarioSpec
 from repro.hardware.frontend import ReceiverFrontEnd
 from repro.hardware.led_receiver import LedReceiver
 from repro.optics.materials import TARMAC
@@ -110,3 +115,53 @@ class TestLongPreamble:
         assert detector.detect(SignalTrace(np.full(500, 7.0), 100.0)) is None
         assert detector.roof_window(SignalTrace(np.full(500, 7.0),
                                                 100.0)) is None
+
+
+def signature_landmarks(trace, fraction=0.25):
+    """(hood, valley) times read off the full signature's features."""
+    hood = None
+    for feature in extract_signature(
+            trace, min_prominence_fraction=fraction).features:
+        if feature.kind == "peak" and hood is None:
+            hood = feature
+        elif feature.kind == "valley" and hood is not None:
+            return hood.time_s, feature.time_s
+    return None
+
+
+class TestDetectSkipsWidths:
+    """``detect`` reads the signature's landmarks without its widths."""
+
+    @pytest.mark.parametrize("car", ["volvo_v40", "bmw_3_series"])
+    @pytest.mark.parametrize("lux", [400.0, 5000.0, 21500.0])
+    def test_captured_car_passes(self, car, lux):
+        traces = [car_pass_trace(volvo_v40() if car == "volvo_v40"
+                                 else bmw_3_series(), lux=lux, seed=seed)
+                  for seed in (3, 4)]
+        # A tagged car, as the two-phase decoder sees it.
+        spec = ScenarioSpec(source="sun", detector="led", cap=False,
+                            ground="tarmac", car=car, decoder="two_phase",
+                            bits="0110", symbol_width_m=0.05,
+                            speed_mps=5.0, receiver_height_m=0.8,
+                            start_position_m=-1.5, ground_lux=lux, seed=5)
+        traces.append(capture_trace(spec))
+        for fraction in (0.1, 0.25, 0.5):
+            for trace in traces:
+                assert (LongPreambleDetector(fraction).detect(trace)
+                        == signature_landmarks(trace, fraction))
+
+    @given(values=st.lists(st.integers(0, 6), min_size=1, max_size=300),
+           noise=st.sampled_from([0.0, 0.3]),
+           seed=st.integers(0, 2**16),
+           fs=st.sampled_from([100.0, 2000.0]),
+           t0=st.floats(-2.0, 2.0),
+           fraction=st.sampled_from([0.1, 0.25, 0.6]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_traces(self, values, noise, seed, fs, t0, fraction):
+        # Small integer levels make plateaus and tied extrema common.
+        samples = np.repeat(np.asarray(values, dtype=float), 3)
+        samples += noise * np.random.default_rng(seed).normal(
+            size=len(samples))
+        trace = SignalTrace(samples, fs, t0)
+        assert (LongPreambleDetector(fraction).detect(trace)
+                == signature_landmarks(trace, fraction))
