@@ -55,8 +55,11 @@ __all__ = ["DecoderConfig", "SymbolWindow", "DecodeResult",
            "window_maxima", "window_tables", "DecodedRows", "decode_rows"]
 
 #: The preamble's known symbol pattern as HIGH flags (H, L, H, L).
-_EXPECTED_HIGH = np.array([True, False, True, False])
-_HLHL = _EXPECTED_HIGH.tolist()
+_HLHL = [True, False, True, False]
+#: Each preamble window's margin sign: a HIGH window's max must clear
+#: the level, a LOW window's stay under it.  Negating ``max - level``
+#: is exact, so the margin is the float ``level - max`` as well.
+_PREAMBLE_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 #: The four preamble windows' offsets, in symbols from the anchor.
 _PREAMBLE_KS = np.arange(4.0)
 
@@ -64,7 +67,8 @@ _PREAMBLE_KS = np.arange(4.0)
 #: tau_t) and their score penalty.
 _REL_DELTAS = np.linspace(-0.35, 0.35, 15)
 _DELTA_PENALTY = 0.25 * np.abs(_REL_DELTAS)
-for _constant in (_EXPECTED_HIGH, _PREAMBLE_KS, _REL_DELTAS, _DELTA_PENALTY):
+for _constant in (_PREAMBLE_SIGN, _PREAMBLE_KS, _REL_DELTAS,
+                  _DELTA_PENALTY):
     _constant.flags.writeable = False
 
 #: Extrema count as preamble candidates when their prominence is at
@@ -362,10 +366,9 @@ def window_maxima(tmax: np.ndarray, log: np.ndarray, t0, n, fs: float,
                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maxima inside ``(R, K)`` ``[start, end)`` windows.
 
-    Row ``r`` holds ``n[r]`` samples from ``t0[r]`` (``t0`` and ``n``
-    are scalars for rows on one grid, else ``(R, 1)``).  Returns the
-    ``(R, K)`` maxima and whether each window holds a sample of its
-    own row; a maximum is meaningless where it does not.
+    Row ``r`` holds ``n[r]`` samples from ``t0[r]`` (both ``(R, 1)``).
+    Returns the ``(R, K)`` maxima and whether each window holds a
+    sample of its own row; a maximum is meaningless where it does not.
     """
     i0, i1 = grid_searchsorted(t0, n, fs, np.stack((starts, ends)))
     valid = (i1 > i0) & (i0 < n)
@@ -389,25 +392,52 @@ def _clock_scales(span: float) -> tuple[np.ndarray, np.ndarray]:
     return scales, penalty
 
 
-def _per_row(x, ndim: int):
-    """A scalar as is; an ``(R,)`` array shaped to broadcast over
-    ``ndim`` trailing axes."""
-    return x if np.ndim(x) == 0 else np.reshape(x, (-1,) + (1,) * ndim)
+def _preamble_margins(t0: np.ndarray, n: np.ndarray, fs: float,
+                      tmax: np.ndarray, log: np.ndarray,
+                      anchors: np.ndarray, cand_tau: np.ndarray,
+                      shrink: np.ndarray,
+                      level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The clock search's preamble test of every (scale, phase)
+    candidate: the worst signed margin of its four shrunk HLHL windows
+    against ``level``, and whether the candidate survives (every window
+    holds a sample of its row and every margin is positive)."""
+    anchor = anchors[:, :, :, None]
+    tau, shrink = cand_tau[:, :, None, None], shrink[:, :, None, None]
+    bounds = np.empty((2,) + anchors.shape + (4,))
+    np.add(anchor, _PREAMBLE_KS * tau, out=bounds[0])
+    bounds[0] += shrink
+    np.add(anchor, (_PREAMBLE_KS + 1.0) * tau, out=bounds[1])
+    bounds[1] -= shrink
+    n = n[:, None, None, None]
+    i0, i1 = grid_searchsorted(t0[:, None, None, None], n, fs, bounds)
+    del bounds
+    valid = (i1 > i0) & (i0 < n)
+    margins = masked_query(tmax, log, np.maximum,
+                           np.arange(len(n))[:, None, None, None], i0, i1,
+                           valid)
+    margins -= level[:, None, None, None]
+    margins *= _PREAMBLE_SIGN
+    min_margin = np.minimum(np.minimum(margins[..., 0], margins[..., 1]),
+                            np.minimum(margins[..., 2], margins[..., 3]))
+    ok = ((valid[..., 0] & valid[..., 1]) & (valid[..., 2] & valid[..., 3])
+          & (min_margin > 0.0))
+    return min_margin, ok
 
 
-def refine_clock_rows(config: DecoderConfig, t0, n, fs: float,
-                      tmax: np.ndarray, tmin: np.ndarray, log: np.ndarray,
-                      base_anchor: np.ndarray, tau_t: np.ndarray,
-                      tau_r: np.ndarray, level: np.ndarray,
-                      n_probe) -> tuple[np.ndarray, np.ndarray]:
+def refine_clock_rows(config: DecoderConfig, t0: np.ndarray, n: np.ndarray,
+                      fs: float, tmax: np.ndarray, tmin: np.ndarray,
+                      log: np.ndarray, base_anchor: np.ndarray,
+                      tau_t: np.ndarray, tau_r: np.ndarray,
+                      level: np.ndarray,
+                      n_probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Search (tau_t, phase) that best reproduces the HLHL preamble.
 
     The one clock search: the serial decoder runs it on one row, the
     stacked drivers on every acquired row of a stack.  Row ``r`` holds
     ``n[r]`` samples from ``t0[r]`` and probes ``n_probe[r]`` data
-    windows (each a scalar when the rows share it).  Candidates (13
-    scales x 15 phases around the A/B/C estimate) are scored on two
-    terms using only per-packet information:
+    windows (three ``(R,)`` arrays).  Candidates (13 scales x 15 phases
+    around the A/B/C estimate) are scored on two terms using only
+    per-packet information:
 
     * the worst signed margin of the four *preamble* windows against
       their known HLHL pattern (must be positive);
@@ -436,24 +466,8 @@ def refine_clock_rows(config: DecoderConfig, t0, n, fs: float,
     anchors = (base_anchor[:, None, None]
                + _REL_DELTAS[None, None, :] * cand_tau[:, :, None])
 
-    tau_c = cand_tau[:, :, None, None]
-    shrink_c = shrink[:, :, None, None]
-    anchor_c = anchors[:, :, :, None]
-
-    # Preamble windows k = 0..3, expected H, L, H, L: the candidate
-    # survives only when every window exists and every margin against
-    # `level` is positive.
-    n_c = _per_row(n, 3)
-    i0, i1 = grid_searchsorted(_per_row(t0, 3), n_c, fs, np.stack((
-        anchor_c + _PREAMBLE_KS * tau_c + shrink_c,
-        anchor_c + (_PREAMBLE_KS + 1.0) * tau_c - shrink_c)))
-    valid = (i1 > i0) & (i0 < n_c)
-    w_max = masked_query(tmax, log, np.maximum,
-                         np.arange(rows)[:, None, None, None], i0, i1, valid)
-    level_c = level[:, None, None, None]
-    margins = np.where(_EXPECTED_HIGH, w_max - level_c, level_c - w_max)
-    min_margin = margins.min(axis=-1)
-    ok = valid.all(axis=-1) & (min_margin > 0.0)
+    min_margin, ok = _preamble_margins(t0, n, fs, tmax, log, anchors,
+                                       cand_tau, shrink, level)
 
     out_tau = tau_t.copy()
     out_anchor = base_anchor.copy()
@@ -467,16 +481,13 @@ def refine_clock_rows(config: DecoderConfig, t0, n, fs: float,
     dtau = cand_tau[okr, oks]
     dshrink = shrink[okr, oks]
     data_start = anchors[okr, oks, okd] + 4.0 * dtau
-    kd = np.arange(float(max(n_probe if np.ndim(n_probe) == 0
-                             else n_probe.max(), 0)))
-    t0_d, n_d = (x if np.ndim(x) == 0 else x[okr][:, None] for x in (t0, n))
-    j0, j1 = grid_searchsorted(t0_d, n_d, fs, np.stack(
+    kd = np.arange(float(max(n_probe.max(), 0)))
+    n_d = n[okr][:, None]
+    j0, j1 = grid_searchsorted(t0[okr][:, None], n_d, fs, np.stack(
         (data_start[:, None] + kd * dtau[:, None] + dshrink[:, None],
          data_start[:, None] + (kd + 1.0) * dtau[:, None]
          - dshrink[:, None])))
-    d_valid = (j1 > j0) & (j0 < n_d)
-    if np.ndim(n_probe):
-        d_valid &= kd < n_probe[okr][:, None]
+    d_valid = (j1 > j0) & (j0 < n_d) & (kd < n_probe[okr][:, None])
     rows_d = okr[:, None]
     seg_max = masked_query(tmax, log, np.maximum, rows_d, j0, j1, d_valid)
     seg_min = masked_query(tmin, log, np.minimum, rows_d, j0, j1, d_valid)
@@ -636,7 +647,6 @@ def decode_rows(raw, fs: float, t0, n_data_symbols=None,
     out = DecodedRows(size)
     lengths = ([raw.shape[1]] * size if isinstance(raw, np.ndarray)
                else [len(row) for row in raw])
-    one_grid = np.ndim(t0) == 0 and len(set(lengths)) <= 1
     t0s = [t0] * size if np.ndim(t0) == 0 else [float(t) for t in t0]
     wanted = (list(n_data_symbols) if isinstance(n_data_symbols,
                                                  (list, tuple))
@@ -681,21 +691,15 @@ def decode_rows(raw, fs: float, t0, n_data_symbols=None,
             return out
         tau_r, tau_t, level, anchor = map(np.array, zip(*params))
         live = list(out.live)
-        width = max(lengths[r] for r in live)
-        if one_grid:
-            smooths = np.array([scans[r].smooth for r in live])
-            row_t0, row_n = t0, width
-        else:
-            # Padded to the longest row; no query reads the padding.
-            smooths = np.zeros((len(live), width))
-            for j, r in enumerate(live):
-                smooths[j, :lengths[r]] = scans[r].smooth
-            row_t0 = np.array([t0s[r] for r in live])
-            row_n = np.array([lengths[r] for r in live])
+        row_t0 = np.array([t0s[r] for r in live], dtype=float)
+        row_n = np.array([lengths[r] for r in live])
+        width = int(row_n.max())
+        # Padded to the longest row; no query reads the padding.
+        smooths = np.zeros((len(live), width))
+        for j, r in enumerate(live):
+            smooths[j, :lengths[r]] = scans[r].smooth
         wanted = [wanted[r] for r in live]
-        n_probe = [min(w if w else 8, 12) for w in wanted]
-        n_probe = (n_probe[0] if len(set(n_probe)) == 1
-                   else np.array(n_probe))
+        n_probe = np.array([min(w if w else 8, 12) for w in wanted])
         log = log_table(width)
         tmax, tmin = window_tables(smooths, float(tau_t.max()), cfg, fs)
 
@@ -717,8 +721,7 @@ def decode_rows(raw, fs: float, t0, n_data_symbols=None,
                 (row_t0 + (row_n - 1) / fs - data_start) / tau_t)).tolist()
             n_windows = [a if w is None else w
                          for a, w in zip(auto, wanted)]
-        if not one_grid:
-            row_t0, row_n = row_t0[:, None], row_n[:, None]
+        row_t0, row_n = row_t0[:, None], row_n[:, None]
         tau = tau_t[:, None]
         shrink = cfg.window_shrink_fraction * tau
         ks = np.arange(float(max(1, max(n_windows))))
@@ -846,6 +849,13 @@ class AdaptiveThresholdDecoder:
         return valley_value + tau_r / 2.0
 
     # ------------------------------------------------------------------
+    def stack_input(self, trace: SignalTrace,
+                    stage_trace: StageTrace | None = None,
+                    ) -> tuple[SignalTrace, DecoderConfig]:
+        """The trace and config this decoder's row of a
+        :func:`decode_rows` stack reads: the whole trace."""
+        return trace, self.config
+
     def decode(self, trace: SignalTrace,
                n_data_symbols: int | None = None,
                stage_trace: StageTrace | None = None) -> DecodeResult:

@@ -282,14 +282,11 @@ class _StackRow:
 
 def _stack_row(decoder, trace: SignalTrace, n_data_symbols: int,
                profile: StageTrace | None) -> _StackRow:
-    """The stack row a decoder reads from a capture: a two-phase car
-    decoder's roof window (phase 1, timed as ``acquire``; raises
-    :class:`PreambleNotFoundError` without a long preamble), else the
-    whole trace."""
-    if isinstance(decoder, TwoPhaseDecoder):
-        return _StackRow(decoder.roof_window(trace, profile),
-                         decoder.decoder.config, n_data_symbols, profile)
-    return _StackRow(trace, decoder.config, n_data_symbols, profile)
+    """The stack row a decoder reads from a capture (its
+    ``stack_input``: a two-phase car decoder's phase 1 raises
+    :class:`PreambleNotFoundError` without a long preamble)."""
+    window, config = decoder.stack_input(trace, profile)
+    return _StackRow(window, config, n_data_symbols, profile)
 
 
 #: Stages a stack row shares only when it acquired a preamble.

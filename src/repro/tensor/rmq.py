@@ -110,23 +110,48 @@ def grid_searchsorted(t0, n, fs: float, v: np.ndarray) -> np.ndarray:
     """Exact ``np.searchsorted(t0 + arange(n) / fs, v, "left")``.
 
     Rows of a stack may each have their own start ``t0`` and length
-    ``n``: both broadcast against ``v`` (scalars for a stack on one
-    time grid), so no per-row time array is ever built.  Each probed
-    time is computed as ``t0 + i / fs``, the float that
-    ``t0 + arange(n) / fs`` stores at ``i``.  The arithmetic guess is
-    corrected until the searchsorted invariant
+    ``n``: both broadcast against ``v``, so no per-row time array is
+    ever built.  Each probed time is computed as ``t0 + i / fs``, the
+    float that ``t0 + arange(n) / fs`` stores at ``i``.  The
+    arithmetic guess is nudged until the searchsorted invariant
     ``time[idx-1] < v <= time[idx]`` holds exactly, so the result is
     identical to binary search on the stored grid no matter how the
-    guess rounds (the loop almost always settles in one pass), and it
-    stays inside ``[0, n]`` of its own row.
+    guess rounds, and it stays inside ``[0, n]`` of its own row.  One
+    pass over every query finds the few guesses that need a nudge; the
+    loop then goes on over those alone.
     """
     v = np.asarray(v, dtype=float)
-    idx = np.ceil((v - t0) * fs).astype(np.intp)
+    t = v - t0
+    t *= fs
+    idx = np.ceil(t, out=t).astype(np.intp)
     np.clip(idx, 0, n, out=idx)
-    while True:
-        down = (t0 + (idx - 1) / fs >= v) & (idx > 0)
-        up = (t0 + idx / fs < v) & (idx < n)
-        if not (down.any() or up.any()):
-            return idx
-        idx -= down
-        idx += up
+    down, up = _nudges(t0, n, fs, v, idx, t)
+    moved = down | up
+    if not moved.any():
+        return idx
+    # Every other guess already holds the invariant and never moves.
+    t0 = np.broadcast_to(t0, v.shape)[moved]
+    n = np.broadcast_to(n, v.shape)[moved]
+    v, sub, down, up = v[moved], idx[moved], down[moved], up[moved]
+    while down.any() or up.any():
+        sub -= down
+        sub += up
+        down, up = _nudges(t0, n, fs, v, sub, np.empty_like(v))
+    idx[moved] = sub
+    return idx
+
+
+def _nudges(t0, n, fs: float, v: np.ndarray, idx: np.ndarray,
+            t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``idx`` must step down (``time[idx-1] >= v``) and where up
+    (``time[idx] < v``); ``t`` is scratch space of ``v``'s shape."""
+    np.subtract(idx, 1, out=t, casting="unsafe")
+    t /= fs
+    t += t0
+    down = t >= v
+    down &= idx > 0
+    np.true_divide(idx, fs, out=t)
+    t += t0
+    up = t < v
+    up &= idx < n
+    return down, up

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..channel.trace import SignalTrace
-from ..core.decoder import AdaptiveThresholdDecoder, DecodeResult
+from ..core.decoder import (AdaptiveThresholdDecoder, DecodeResult,
+                            DecoderConfig)
 from ..core.errors import DecodeError, PreambleNotFoundError
 from ..exec.graph import ExecStage, StageTrace, maybe_stage
 from ..tags.packet import Packet
@@ -91,9 +92,11 @@ class TwoPhaseDecoder:
         self.preamble_detector = preamble_detector or LongPreambleDetector()
         self.decoder = decoder or AdaptiveThresholdDecoder()
 
-    def roof_window(self, trace: SignalTrace,
-                    stage_trace: StageTrace | None = None) -> SignalTrace:
-        """Phase 1: the roof window phase 2 decodes, timed as ``acquire``.
+    def stack_input(self, trace: SignalTrace,
+                    stage_trace: StageTrace | None = None,
+                    ) -> tuple[SignalTrace, DecoderConfig]:
+        """Phase 1, timed as ``acquire``: the roof window phase 2
+        decodes, and phase 2's config (a row of a decode stack).
 
         Raises:
             PreambleNotFoundError: when the long preamble (car shape) is
@@ -105,14 +108,14 @@ class TwoPhaseDecoder:
             raise PreambleNotFoundError(
                 "long-duration preamble (hood peak + windshield valley) "
                 "not found")
-        return roof
+        return roof, self.decoder.config
 
     def decode(self, trace: SignalTrace,
                n_data_symbols: int | None = None,
                stage_trace: StageTrace | None = None) -> DecodeResult:
-        """Decode a tagged-car pass: :meth:`roof_window`, then the
-        Section 4.1 decoder on it, which attributes its own interior
-        when profiled.
+        """Decode a tagged-car pass: phase 1 (:meth:`stack_input`),
+        then the Section 4.1 decoder on the roof window, which
+        attributes its own interior when profiled.
 
         Raises:
             PreambleNotFoundError: when the long preamble (car shape) is
@@ -120,8 +123,8 @@ class TwoPhaseDecoder:
                 roof window.
             DecodeError: when windowing fails inside the roof region.
         """
-        return self.decoder.decode(self.roof_window(trace, stage_trace),
-                                   n_data_symbols=n_data_symbols,
+        roof, _ = self.stack_input(trace, stage_trace)
+        return self.decoder.decode(roof, n_data_symbols=n_data_symbols,
                                    stage_trace=stage_trace)
 
     def try_decode(self, trace: SignalTrace,

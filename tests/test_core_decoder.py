@@ -232,11 +232,11 @@ class TestVectorizedRefineClock:
         tmax, tmin = window_tables(smooth[None, :], tau_t, cfg, fs)
         for n_data in (None, len(symbols) - 4):
             taus, anchors = refine_clock_rows(
-                cfg, trace.start_time_s, len(times), fs, tmax, tmin,
-                log_table(len(times)),
+                cfg, np.array([trace.start_time_s]), np.array([len(times)]),
+                fs, tmax, tmin, log_table(len(times)),
                 np.array([points[0].time_s - 0.5 * tau_t]),
                 np.array([tau_t]), np.array([tau_r]), np.array([level]),
-                min(n_data if n_data else 8, 12))
+                np.array([min(n_data if n_data else 8, 12)]))
             ref = refine_clock_reference(cfg, smooth, times, points, tau_t,
                                          tau_r, level, n_data_symbols=n_data)
             assert (float(taus[0]), float(anchors[0])) == ref

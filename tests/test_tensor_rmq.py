@@ -86,3 +86,38 @@ class TestGridSearchsorted:
         times = t0 + np.arange(50) / fs
         v = np.full((2, 3, 4), 0.123)
         assert grid_searchsorted(t0, len(times), fs, v).shape == (2, 3, 4)
+
+    def test_per_row_starts_and_lengths(self):
+        # Each row searches its own grid: starts far from zero make the
+        # arithmetic guess round off, exact grid hits sit on ties, and
+        # queries past a row's end clip to that row's length.
+        rng = np.random.default_rng(4)
+        fs = 1000.0
+        t0 = np.array([-3.217, 0.0, 1234.5678, 7.0 / 3.0])
+        n = np.array([1, 40, 900, 333])
+        v = np.empty((len(t0), 300))
+        for r in range(len(t0)):
+            times = t0[r] + np.arange(n[r]) / fs
+            v[r] = np.concatenate([
+                rng.uniform(t0[r] - 0.01, t0[r] + 1.0, size=200),
+                times[rng.integers(0, n[r], size=100)]])
+        got = grid_searchsorted(t0[:, None], n[:, None], fs, v)
+        for r in range(len(t0)):
+            times = t0[r] + np.arange(n[r]) / fs
+            np.testing.assert_array_equal(
+                got[r], np.searchsorted(times, v[r], side="left"))
+
+    def test_coarse_float_grid_takes_several_nudges(self):
+        # Far from zero the stored times repeat (1/fs is under half an
+        # ulp of t0), so a guess can sit two samples off and only the
+        # nudge loop reaches the leftmost equal time.
+        rng = np.random.default_rng(5)
+        fs, t0, n = 2e7, 1e9, 300
+        times = t0 + np.arange(n) / fs
+        v = np.concatenate([times[rng.integers(0, n, size=100)],
+                            rng.uniform(times[0], times[-1], size=100)])
+        expected = np.searchsorted(times, v, side="left")
+        guess = np.clip(np.ceil((v - t0) * fs).astype(np.intp), 0, n)
+        assert np.abs(guess - expected).max() >= 2
+        np.testing.assert_array_equal(grid_searchsorted(t0, n, fs, v),
+                                      expected)

@@ -94,3 +94,36 @@ class TestTwoPhaseDecoder:
         flat = SignalTrace(np.full(2000, 100.0), 2000.0)
         with pytest.raises(PreambleNotFoundError, match="long-duration"):
             TwoPhaseDecoder().decode(flat)
+
+    def test_stack_input_is_the_roof_window(self):
+        from repro.core.decoder import (AdaptiveThresholdDecoder,
+                                        DecoderConfig, decode_rows)
+
+        trace = tagged_pass("10")
+        inner = AdaptiveThresholdDecoder(DecoderConfig(threshold_rule="paper"))
+        decoder = TwoPhaseDecoder(decoder=inner)
+        roof, config = decoder.stack_input(trace)
+        expected = decoder.preamble_detector.roof_window(trace)
+        np.testing.assert_array_equal(roof.samples, expected.samples)
+        assert roof.start_time_s == expected.start_time_s
+        assert config is inner.config
+        # A one-row stack of the roof window is phase 2 of decode().
+        rows = decode_rows([roof.samples], roof.sample_rate_hz,
+                           [roof.start_time_s], [4], config)
+        assert rows.result(0) == decoder.decode(trace, n_data_symbols=4)
+
+    def test_adaptive_stack_input_is_the_whole_trace(self):
+        from repro.core.decoder import AdaptiveThresholdDecoder
+
+        trace = tagged_pass("00")
+        decoder = AdaptiveThresholdDecoder()
+        window, config = decoder.stack_input(trace)
+        assert window is trace and config is decoder.config
+
+    def test_stack_input_without_long_preamble_raises(self):
+        from repro.channel.trace import SignalTrace
+        from repro.core.errors import PreambleNotFoundError
+
+        flat = SignalTrace(np.full(2000, 100.0), 2000.0)
+        with pytest.raises(PreambleNotFoundError, match="long-duration"):
+            TwoPhaseDecoder().stack_input(flat)
